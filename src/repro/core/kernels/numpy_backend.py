@@ -1,37 +1,38 @@
-"""Reference NumPy kernels, extracted verbatim from the batch engine.
+"""Reference NumPy kernels of the batch engine.
 
-These are the vectorised hot loops that :mod:`repro.core.batch_engine`
-shipped with before the backend split — every array trick (narrow-dtype
-gathers, ``casting="unsafe"`` contact arithmetic, preallocated round
-buffers, the scalar refill countdown) is preserved, so ``backend="numpy"``
-is bit-for-bit the engine's historical behaviour.  The one upgrade is the
-asynchronous tick loop, which now *compacts* retired trials out of its
-working set (as the synchronous kernel always did) instead of masking
-them; the compaction is order-preserving and threshold-triggered, so the
-event sequence — and therefore every RNG draw, pooled modes included — is
-unchanged while straggler-dominated workloads stop paying full-batch
-gathers per tick.
+The synchronous round step works in the flat address space of the raveled
+``(live, n)`` arrays with narrow-dtype gathers, ``casting="unsafe"``
+contact arithmetic and preallocated round buffers.
+
+The two asynchronous kernels share one column consumer
+(:class:`_TickColumns`).  Live trials move in lockstep (each executes one
+tick per column and all of them refill at the same tick), so a block of
+ticks can be resolved for every live trial at once: the tick times as one
+sequential ``cumsum`` along the tick axis and the contacts as flat
+``(trial, vertex)`` positions.  The consumer then walks the block column by
+column and does only what depends on state the block cannot know in
+advance.  No resolved value depends on the order of the draws, so the RNG
+stream, pooled modes included, is the serial engines'.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from repro.telemetry.metrics import current_metrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.core.batch_engine import _ScenarioParts
+    from repro.core.batch_engine import _ScenarioParts, _TrialGraphs
     from repro.core.kernels import AsyncState
 
 BACKEND_NAME = "numpy"
 
-#: Compact the async working set only once at least this many rows retired
-#: (and they are the majority): each compaction copies the survivors, so a
-#: threshold keeps the total copy volume linear in the batch size instead
-#: of quadratic under one-at-a-time straggler retirement.
-_COMPACT_MIN_RETIRED = 32
+#: Ticks per resolved block of the asynchronous kernels.  It bounds every
+#: block buffer at ``(_BLOCK_TICKS, live)`` and the work wasted when trials
+#: retire early in a block.
+_BLOCK_TICKS = 256
 
 
 def warmup() -> None:
@@ -197,315 +198,382 @@ def sync_round_step_dynamic(
 
 
 # ---------------------------------------------------------------------- #
+# Asynchronous kernels: the shared column consumer
+# ---------------------------------------------------------------------- #
+class _TickColumns:
+    """The per-column exchange of both asynchronous kernels.
+
+    A block is ``width`` consecutive ticks of the live trials ``rows``,
+    resolved column-major: ``tick_times[j]`` holds every row's ``j``-th
+    tick time and ``caller_pos[j]`` / ``callees[j]`` the flat positions of
+    its contact's endpoints in the raveled ``(B, n)`` state.  Under a
+    dynamic graph a resample may replace a trial's graph mid-block, so
+    ``callees`` carries the neighbor uniforms instead and every column
+    resolves its own callees.
+
+    :meth:`consume` walks the columns in order and does only what depends
+    on state the block cannot know in advance: the time budget, epoch and
+    resample boundaries (which draw from the trial's generator, so they
+    fire column by column in row order), the burst channel's loss
+    threshold, crashed endpoints, the adaptive jammer and the exchange.
+    Retired rows leave the block at once.  The instance holds the run's
+    per-trial state, indexed by absolute trial row.
+    """
+
+    __slots__ = (
+        "n", "informed", "informed_flat", "times_flat", "num_informed", "steps",
+        "completed", "completion_time", "live", "now", "overtime",
+        "time_budget", "finite_time_budget", "mode_pp", "push_allowed",
+        "parts", "bad", "up", "up_flat", "next_epoch", "next_resample",
+        "has_boundaries", "trial_graphs", "generators", "pooled_rng", "floor",
+    )
+
+    def __init__(
+        self,
+        *,
+        n: int,
+        informed: np.ndarray,
+        times: Optional[np.ndarray],
+        num_informed: np.ndarray,
+        steps: np.ndarray,
+        completed: np.ndarray,
+        completion_time: np.ndarray,
+        live: np.ndarray,
+        now: np.ndarray,
+        overtime: Optional[np.ndarray],
+        time_budget: float,
+        finite_time_budget: bool,
+        mode_pp: bool,
+        push_allowed: bool,
+        parts: "_ScenarioParts",
+        bad: Optional[np.ndarray],
+        up: Optional[np.ndarray],
+        next_epoch: Optional[np.ndarray],
+        next_resample: Optional[np.ndarray],
+        trial_graphs: Optional["_TrialGraphs"],
+        generators: Sequence[np.random.Generator],
+        pooled_rng: Optional[np.random.Generator],
+        floor: float,
+    ) -> None:
+        self.n = n
+        self.informed = informed
+        self.informed_flat = informed.reshape(-1)
+        self.times_flat = times.reshape(-1) if times is not None else None
+        self.num_informed = num_informed
+        self.steps = steps
+        self.completed = completed
+        self.completion_time = completion_time
+        self.live = live
+        self.now = now
+        # Given, time-budget retirements count the popped tick as consumed
+        # and flag it here; the engine uncounts it afterwards.
+        self.overtime = overtime
+        self.time_budget = time_budget
+        self.finite_time_budget = finite_time_budget
+        self.mode_pp = mode_pp
+        self.push_allowed = push_allowed
+        self.parts = parts
+        self.bad = bad
+        self.up = up
+        self.up_flat = up.reshape(-1) if up is not None else None
+        self.next_epoch = next_epoch
+        self.next_resample = next_resample
+        self.has_boundaries = next_epoch is not None or next_resample is not None
+        self.trial_graphs = trial_graphs
+        self.generators = generators
+        self.pooled_rng = pooled_rng
+        # A lower bound on the earliest boundary pending for a live row: a
+        # column whose tick times all lie below it skips the boundary scan.
+        self.floor = floor
+
+    def consume(
+        self,
+        rows: np.ndarray,
+        executed: int,
+        tick_times: np.ndarray,
+        caller_pos: np.ndarray,
+        callees: np.ndarray,
+        loss: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """Consume one resolved ``(width, rows.size)`` block.
+
+        ``executed`` is the tick count every row reached before the block.
+        A row that completes or runs out of time retires at its column;
+        the survivors' ``now`` and ``steps`` are written at the end.
+        Returns the indices into ``rows`` of the survivors.
+        """
+        n = self.n
+        informed_flat = self.informed_flat
+        times_flat = self.times_flat
+        num_informed = self.num_informed
+        live = self.live
+        up_flat = self.up_flat
+        parts = self.parts
+        jammer = parts.adaptive_loss
+        trial_graphs = self.trial_graphs
+        mode_pp = self.mode_pp
+        push_allowed = self.push_allowed
+        time_budget = self.time_budget
+        check_time = self.finite_time_budget
+        check_bounds = self.has_boundaries
+        width = tick_times.shape[0]
+        kept = np.arange(rows.size)
+        row_base = rows * n
+        w_base = row_base
+        tg_width = -1
+        # Per-column maxima: a column skips the time-budget and boundary
+        # scans while no row's tick time can reach them.
+        col_max: list = (
+            tick_times.max(axis=1).tolist() if check_time or check_bounds else []
+        )
+        origin = 0  # the block column that row 0 of the compacted arrays holds
+        for column in range(width):
+            j = column - origin
+            tick_time = tick_times[j]
+            over = None
+            if check_time and col_max[j] > time_budget:
+                # Like the serial engine: the first over-budget tick is
+                # popped but not executed.
+                over = tick_time > time_budget
+                self._retire_overtime(rows[over], executed + column)
+            if check_bounds and col_max[j] >= self.floor:
+                self._cross(rows, tick_time, over)
+            cp = caller_pos[j]
+            if trial_graphs is not None:
+                if trial_graphs.width != tg_width:  # new rows, or a resample grew the pad
+                    tg_width = trial_graphs.width
+                    w_base = rows * tg_width
+                ep = trial_graphs.callees_at(cp, w_base, callees[j]) + row_base
+            else:
+                ep = callees[j]
+            caller_informed = informed_flat.take(cp)
+            callee_informed = informed_flat.take(ep)
+            # One contact per trial per tick, so the exchange vectorises with
+            # no intra-column conflicts: push informs the callee, pull the
+            # caller, and push-pull exactly the uninformed endpoint of an
+            # informative contact.
+            if mode_pp:
+                active = caller_informed != callee_informed
+            elif push_allowed:
+                active = caller_informed > callee_informed
+            else:
+                active = caller_informed < callee_informed
+            if over is not None:
+                active &= ~over
+            if loss is not None and jammer is None:
+                # Judged after this column's boundaries fired: the burst
+                # channel's state sets the threshold.
+                active &= loss[j] >= parts.loss_threshold(self.bad, rows)
+            if up_flat is not None:
+                # Crashed endpoints suppress the exchange in either direction.
+                active &= up_flat.take(cp) & up_flat.take(ep)
+            if jammer is not None and loss is not None:
+                # `active` is now exactly the would-transmit mask: jam the
+                # contacts whose pre-drawn uniform fires, while budget remains.
+                jam = active & (loss[j] < jammer.p) & (parts.jam_budget.take(rows) > 0)
+                if jam.any():
+                    parts.jam_budget[rows[jam]] -= 1
+                    active &= ~jam
+            retiring = over is not None
+            if active.any():
+                hit_rows = rows[active]
+                if mode_pp:
+                    targets = np.where(caller_informed, ep, cp)[active]
+                elif push_allowed:
+                    targets = ep[active]
+                else:
+                    targets = cp[active]
+                informed_flat[targets] = True
+                if times_flat is not None:
+                    times_flat[targets] = tick_time[active]
+                counts = num_informed.take(hit_rows) + 1
+                num_informed[hit_rows] = counts
+                if counts.max() == n:
+                    done = counts == n
+                    done_rows = hit_rows[done]
+                    self.completed[done_rows] = True
+                    self.completion_time[done_rows] = tick_time[active][done]
+                    self.steps[done_rows] = executed + column + 1
+                    live[done_rows] = False
+                    retiring = True
+            if retiring:
+                keep = live.take(rows)
+                if not keep.any():
+                    return kept[keep]
+                # Drop the retired rows from the rest of the block; the
+                # current column stays so the last one is always present.
+                rows = rows[keep]
+                kept = kept[keep]
+                row_base = row_base[keep]
+                tick_times = tick_times[j:, keep]
+                caller_pos = caller_pos[j:, keep]
+                callees = callees[j:, keep]
+                if loss is not None:
+                    loss = loss[j:, keep]
+                if col_max:
+                    col_max = tick_times.max(axis=1).tolist()
+                tg_width = -1
+                origin = column
+        self.now[rows] = tick_times[-1]
+        self.steps[rows] = executed + width
+        return kept
+
+    def _retire_overtime(self, gone: np.ndarray, executed: int) -> None:
+        self.live[gone] = False
+        if self.overtime is None:
+            self.steps[gone] = executed
+        else:
+            self.overtime[gone] = True
+            self.steps[gone] = executed + 1
+
+    def _cross(
+        self, rows: np.ndarray, tick_time: np.ndarray, over: Optional[np.ndarray]
+    ) -> None:
+        """Fire every boundary crossed by ``tick_time``, in row order.
+
+        Each row's boundaries in (previous tick, this tick] fire before the
+        exchange, chronologically with the epoch first on ties, drawing the
+        interleaved randomness the serial engines do.  Rows retiring on the
+        time budget this column cross nothing.  Afterwards the floor is the
+        earliest boundary still pending for ``rows``.
+        """
+        bound = self._pending(rows)
+        crossing = tick_time >= bound
+        if over is not None:
+            crossing &= ~over
+        if crossing.any():
+            pooled_rng = self.pooled_rng
+            for b, t in zip(rows[crossing].tolist(), tick_time[crossing].tolist()):
+                self.parts.cross_boundaries(
+                    b, t, pooled_rng if pooled_rng is not None else self.generators[b],
+                    self.n, self.up, self.bad, self.next_epoch, self.next_resample,
+                    self.trial_graphs, self.informed,
+                )
+            bound = self._pending(rows)
+        self.floor = float(bound.min())
+
+    def _pending(self, rows: np.ndarray) -> np.ndarray:
+        """Each row's earliest pending epoch or resample boundary."""
+        bound = np.full(rows.size, np.inf)
+        if self.next_epoch is not None:
+            np.minimum(bound, self.next_epoch.take(rows), out=bound)
+        if self.next_resample is not None:
+            np.minimum(bound, self.next_resample.take(rows), out=bound)
+        return bound
+
+
+# ---------------------------------------------------------------------- #
 # Asynchronous ("global" view) tick loop
 # ---------------------------------------------------------------------- #
 def async_tick_loop(state: "AsyncState") -> None:
     """Drain an :class:`~repro.core.kernels.AsyncState` to completion.
 
-    The engine's flattened tick loop, with retired trials *compacted* out
-    of the working set instead of masked: row ``i`` of the local buffer
-    arrays belongs to trial ``ids[i]``, and whenever at least half of the
-    local rows (and at least ``_COMPACT_MIN_RETIRED`` of them) have
-    retired, the survivors are copied down.  Compaction preserves row
-    order, so every refill and boundary crossing fires in the same
-    sequence as before — pooled-mode draws included.  Per-trial outputs
-    (``informed`` / ``times`` / ``steps`` / ``completed`` / …) stay
-    absolute; ``steps`` is recorded at each trial's retirement.
+    Refill, resolve, consume.  Every live trial executes one tick per
+    column, so all of them exhaust their buffers at the same tick and one
+    scalar counts the ticks each has executed.  The refill draws every
+    live trial's next chunk through :meth:`AsyncState.draw_chunk`, in row
+    order (the serial engine's chunk sizes and draw order).  The chunk is
+    then resolved in blocks of ``_BLOCK_TICKS`` columns and each block is
+    consumed by :class:`_TickColumns`.  Per-trial outputs (``informed`` /
+    ``times`` / ``steps`` / ``completed`` / …) are absolute; ``steps`` is
+    recorded at each trial's retirement.
     """
-    n = state.n
-    chunk_size = state.chunk
-    parts = state.parts
-    pooled_rng = state.pooled_rng
-    trial_graphs = state.trial_graphs
-    mode_pp = state.mode == "push-pull"
-    push_allowed = state.mode in ("push", "push-pull")
-    step_budget = state.step_budget
-    time_budget = state.time_budget
-    finite_time_budget = state.finite_time_budget
-    has_boundaries = state.has_boundaries
-    boundary_floor = state.boundary_floor
-    next_epoch = state.next_epoch
-    next_resample = state.next_resample
-    up = state.up
-    bad = state.bad
-    degrees_nw = state.degrees
-    max_offset_nw = state.max_offset
-    start_nw = state.start
-    indices_nw = state.indices
-
-    # Absolute per-trial state (never compacted; scattered into by id).
     live = state.live
-    if not live.any():
+    rows = np.flatnonzero(live)
+    if rows.size == 0:
         return
     num_informed = state.num_informed
-    completed = state.completed
-    completion_time = state.completion_time
-    overtime = state.overtime
-    steps_out = state.steps
-    informed_flat = state.informed.reshape(-1)
-    times_flat = state.times.reshape(-1) if state.times is not None else None
-
-    # Local (compacted) working set: row i belongs to trial ids[i].  The
-    # engine hands every trial over live, so the locals start as the
-    # state's own arrays and only become copies at the first compaction.
-    ids = np.arange(state.batch, dtype=np.int64)
-    alive = np.ones(state.batch, dtype=bool)
-    retired = 0
-    gaps = state.gaps
-    callers = state.callers
-    nbr_uniforms = state.nbr_uniforms
-    loss_uniforms = state.loss_uniforms
-    positions = state.positions
-    buffer_lengths = state.buffer_lengths
-    chunk_base = state.chunk_base
-    now = state.now
-    local_gens = list(state.generators) if state.generators is not None else None
-
-    # Flat views of the per-trial buffers: the loop gathers through 1-D
-    # np.take (and scatters through flat indices), which skips the 2-D
-    # fancy-indexing machinery on the hottest lines.
-    gaps_flat = gaps.reshape(-1)
-    callers_flat = callers.reshape(-1)
-    nbr_flat = nbr_uniforms.reshape(-1)
-    loss_flat = loss_uniforms.reshape(-1) if loss_uniforms is not None else None
-
-    def _compact() -> None:
-        nonlocal ids, alive, retired, gaps, callers, nbr_uniforms, loss_uniforms
-        nonlocal positions, buffer_lengths, chunk_base, now, local_gens
-        nonlocal gaps_flat, callers_flat, nbr_flat, loss_flat
-        keep = np.flatnonzero(alive)
-        ids = ids[keep]
-        gaps = gaps[keep]
-        callers = callers[keep]
-        nbr_uniforms = nbr_uniforms[keep]
-        positions = positions[keep]
-        buffer_lengths = buffer_lengths[keep]
-        chunk_base = chunk_base[keep]
-        now = now[keep]
-        if local_gens is not None:
-            local_gens = [local_gens[i] for i in keep]
-        alive = np.ones(ids.size, dtype=bool)
-        retired = 0
-        gaps_flat = gaps.reshape(-1)
-        callers_flat = callers.reshape(-1)
-        nbr_flat = nbr_uniforms.reshape(-1)
-        if loss_uniforms is not None:
-            loss_uniforms = loss_uniforms[keep]
-            loss_flat = loss_uniforms.reshape(-1)
-
-    def _compact_due() -> bool:
-        return retired >= _COMPACT_MIN_RETIRED and retired * 2 >= ids.size
-
-    rows = np.flatnonzero(alive)
+    columns = _TickColumns(
+        n=state.n,
+        informed=state.informed,
+        times=state.times,
+        num_informed=num_informed,
+        steps=state.steps,
+        completed=state.completed,
+        completion_time=state.completion_time,
+        live=live,
+        now=state.now,
+        overtime=state.overtime,
+        time_budget=state.time_budget,
+        finite_time_budget=state.finite_time_budget,
+        mode_pp=state.mode == "push-pull",
+        push_allowed=state.mode in ("push", "push-pull"),
+        parts=state.parts,
+        bad=state.bad,
+        up=state.up,
+        next_epoch=state.next_epoch,
+        next_resample=state.next_resample,
+        trial_graphs=state.trial_graphs,
+        generators=state.generators if state.generators is not None else (),
+        pooled_rng=state.pooled_rng,
+        floor=state.boundary_floor,
+    )
     # Telemetry is observational only: deliveries are counted from informed
-    # deltas the loop computes anyway, so no draw order or state changes.
+    # deltas, so no draw order or state changes.
     metrics = current_metrics()
-    # Every live trial consumes exactly one buffered draw per iteration, so
-    # the earliest possible refill is a scalar countdown — the loop skips
-    # the per-iteration buffer-exhaustion scan entirely until it reaches 0.
-    ticks_until_refill = 0
-    # Index bases derived from `rows` (flat positions into the local
-    # buffers and the absolute (B, n) state), recomputed only when the
-    # live set changes.
-    pos_base = row_base = w_base = abs_rows = None
-    tg_width = trial_graphs.width if trial_graphs is not None else None
+    executed = 0
     while rows.size:
-        if ticks_until_refill <= 0:
-            at_boundary = positions.take(rows) >= buffer_lengths.take(rows)
-            if at_boundary.any():
-                if metrics is not None:
-                    metrics.count("engine.drain_returns", int(at_boundary.sum()))
-                for l in rows[at_boundary]:
-                    # The exhausted chunk moves into the retired-tick count
-                    # whether or not the trial goes on; `positions` always
-                    # restarts from the head of the (possibly new) buffer.
-                    chunk_base[l] += buffer_lengths[l]
-                    positions[l] = 0
-                    buffer_lengths[l] = 0
-                    remaining = step_budget - int(chunk_base[l])
-                    if remaining <= 0:
-                        trial = int(ids[l])
-                        live[trial] = False
-                        steps_out[trial] = chunk_base[l]
-                        alive[l] = False
-                        retired += 1
-                        continue
-                    chunk = min(chunk_size, remaining)
-                    rng = pooled_rng if pooled_rng is not None else local_gens[l]
-                    state.draw_chunk(
-                        rng, int(ids[l]), chunk, l,
-                        gaps, callers, nbr_uniforms, loss_uniforms,
-                    )
-                    buffer_lengths[l] = chunk
-                    positions[l] = 0
-                keep_mask = alive[rows]
-                if not keep_mask.all():
-                    rows = rows[keep_mask]
-                    pos_base = None
-                    if rows.size and _compact_due():
-                        _compact()
-                        rows = np.flatnonzero(alive)
-                if rows.size == 0:
-                    break
-            ticks_until_refill = int(
-                (buffer_lengths.take(rows) - positions.take(rows)).min()
+        if metrics is not None:
+            metrics.count("engine.drain_returns", int(rows.size))
+        remaining = state.step_budget - executed
+        if remaining <= 0:
+            # Chunks never outlive the step budget, so it runs out here.
+            live[rows] = False
+            state.steps[rows] = executed
+            break
+        chunk = min(state.chunk, remaining)
+        for b in rows.tolist():
+            state.draw_chunk(state.rng_for(b), b, chunk, b)
+        chunk_rows = rows
+        informed_before = int(num_informed[rows].sum()) if metrics is not None else 0
+        for lo in range(0, chunk, _BLOCK_TICKS):
+            block = _resolve_block(state, rows, lo, min(lo + _BLOCK_TICKS, chunk))
+            rows = rows[columns.consume(rows, executed + lo, *block)]
+            if rows.size == 0:
+                break
+        executed += chunk
+        if metrics is not None:
+            metrics.count(
+                "engine.messages_delivered",
+                int(num_informed[chunk_rows].sum()) - informed_before,
             )
-        ticks_until_refill -= 1
 
-        if pos_base is None:
-            pos_base = rows * chunk_size
-            abs_rows = ids.take(rows)
-            row_base = abs_rows * n
-            if trial_graphs is not None:
-                tg_width = trial_graphs.width
-                w_base = abs_rows * tg_width
 
-        cursor = positions.take(rows)
-        pos = pos_base + cursor
-        gap = gaps_flat.take(pos, mode="clip")
-        caller = callers_flat.take(pos, mode="clip")
-        uniform = nbr_flat.take(pos, mode="clip")
-        loss_u = loss_flat.take(pos, mode="clip") if loss_flat is not None else None
-        positions[rows] = cursor + 1
-        tick_time = now.take(rows) + gap
-        now[rows] = tick_time
+def _resolve_block(
+    state: "AsyncState", rows: np.ndarray, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Resolve ticks ``lo:hi`` of the live rows' buffered chunk.
 
-        if finite_time_budget:
-            over_time = tick_time > time_budget
-            if over_time.any():
-                over_rows = rows[over_time]
-                over_ids = abs_rows[over_time]
-                live[over_ids] = False
-                overtime[over_ids] = True
-                steps_out[over_ids] = chunk_base.take(over_rows) + positions.take(over_rows)
-                alive[over_rows] = False
-                retired += over_rows.size
-                keep = ~over_time
-                rows = rows[keep]
-                pos_base = pos_base[keep]
-                row_base = row_base[keep]
-                abs_rows = abs_rows[keep]
-                if w_base is not None:
-                    w_base = w_base[keep]
-                caller = caller[keep]
-                uniform = uniform[keep]
-                tick_time = tick_time[keep]
-                if loss_u is not None:
-                    loss_u = loss_u[keep]
-                if rows.size == 0:
-                    if _compact_due():
-                        _compact()
-                    rows = np.flatnonzero(alive)
-                    pos_base = None
-                    continue
-        if has_boundaries and float(tick_time.max()) >= boundary_floor:
-            # Boundaries at integer times (churn/burst epochs) and at
-            # dynamic-graph periods: every boundary crossed in
-            # (previous tick, now] fires before the exchange at `now`, in
-            # chronological order with the epoch first on ties — drawing
-            # the same interleaved randomness the serial engine does.
-            if next_epoch is None:
-                bound = next_resample.take(abs_rows)
-            elif next_resample is None:
-                bound = next_epoch.take(abs_rows)
-            else:
-                bound = np.minimum(
-                    next_epoch.take(abs_rows), next_resample.take(abs_rows)
-                )
-            crossing = tick_time >= bound
-            if crossing.any():
-                for l, t in zip(rows[crossing], tick_time[crossing]):
-                    rng = pooled_rng if pooled_rng is not None else local_gens[l]
-                    parts.cross_boundaries(
-                        int(ids[l]), t, rng, n, up, bad,
-                        next_epoch, next_resample, trial_graphs,
-                        state.informed,
-                    )
-                # The floor tracks the earliest boundary still pending over
-                # the (conservatively: all) trials.
-                boundary_floor = np.inf
-                if next_epoch is not None:
-                    boundary_floor = float(next_epoch.min())
-                if next_resample is not None:
-                    boundary_floor = min(boundary_floor, float(next_resample.min()))
-        # The loss threshold depends on the burst channel state *after* the
-        # boundaries at this tick fired, so it resolves only now.  Under an
-        # adaptive jammer the uniform is judged later, against the
-        # would-transmit mask, not here.
-        lost = (
-            loss_u < parts.loss_threshold(bad, abs_rows)
-            if loss_u is not None and parts.adaptive_loss is None
-            else None
-        )
-
-        caller_pos = row_base + caller
-        if trial_graphs is not None:
-            if trial_graphs.width != tg_width:  # a resample grew the pad
-                tg_width = trial_graphs.width
-                w_base = abs_rows * tg_width
-            callee = trial_graphs.callees_at(caller_pos, w_base, uniform)
-        else:
-            offsets = (uniform * degrees_nw.take(caller, mode="clip")).astype(np.int64)
-            np.minimum(offsets, max_offset_nw.take(caller, mode="clip"), out=offsets)
-            offsets += start_nw.take(caller, mode="clip")
-            callee = indices_nw.take(offsets, mode="clip")
-
-        caller_informed = informed_flat.take(caller_pos, mode="clip")
-        callee_informed = informed_flat.take(row_base + callee, mode="clip")
-        # One contact per trial per tick, so the exchange vectorises with no
-        # intra-iteration conflicts: push informs the callee, pull informs
-        # the caller, and in push-pull exactly the uninformed endpoint of an
-        # informative contact (caller_informed XOR callee_informed) learns.
-        if mode_pp:
-            active = caller_informed != callee_informed
-            targets = np.where(caller_informed, callee, caller)
-        elif push_allowed:
-            active = caller_informed & ~callee_informed
-            targets = callee
-        else:
-            active = ~caller_informed & callee_informed
-            targets = caller
-        if lost is not None:
-            active &= ~lost
-        if up is not None:
-            # Crashed endpoints suppress the exchange in either direction.
-            active &= up[abs_rows, caller] & up[abs_rows, callee]
-        if parts.adaptive_loss is not None:
-            # `active` is now exactly the would-transmit mask: jam the
-            # contacts whose pre-drawn uniform fires, while budget remains.
-            jam = active & (loss_u < parts.adaptive_loss.p) & (
-                parts.jam_budget[abs_rows] > 0
-            )
-            if jam.any():
-                parts.jam_budget[abs_rows[jam]] -= 1
-                active &= ~jam
-        if active.any():
-            active_ids = abs_rows[active]
-            if metrics is not None:
-                metrics.count("engine.messages_delivered", int(active_ids.size))
-            active_flat = row_base[active] + targets[active]
-            informed_flat[active_flat] = True
-            if times_flat is not None:
-                times_flat[active_flat] = tick_time[active]
-            num_informed[active_ids] += 1
-            done_mask = num_informed[active_ids] == n
-            if done_mask.any():
-                done_local = rows[active][done_mask]
-                done_ids = active_ids[done_mask]
-                completed[done_ids] = True
-                completion_time[done_ids] = now.take(done_local)
-                steps_out[done_ids] = (
-                    chunk_base.take(done_local) + positions.take(done_local)
-                )
-                live[done_ids] = False
-                alive[done_local] = False
-                retired += done_local.size
-                if _compact_due():
-                    _compact()
-                rows = np.flatnonzero(alive)
-                pos_base = None
-        # `rows` stays valid across iterations: every path that retires a
-        # trial (budget boundary, overtime, completion) refreshed it above.
+    Returns ``(tick_times, caller_pos, callees, loss)``, column-major, as
+    :meth:`_TickColumns.consume` takes them.
+    """
+    row_base = rows * state.n
+    tick_times = np.empty((hi - lo + 1, rows.size))
+    tick_times[0] = state.now.take(rows)
+    tick_times[1:] = state.gaps[rows, lo:hi].T
+    # A sequential sum along the tick axis, seeded with `now`: bit-identical
+    # to adding one gap per tick, which `now + cumsum(gaps)` is not.
+    np.cumsum(tick_times, axis=0, out=tick_times)
+    callers = np.ascontiguousarray(state.callers[rows, lo:hi].T)
+    uniforms = np.ascontiguousarray(state.nbr_uniforms[rows, lo:hi].T)
+    loss = None
+    if state.loss_uniforms is not None:
+        loss = np.ascontiguousarray(state.loss_uniforms[rows, lo:hi].T)
+    if state.trial_graphs is not None:
+        return tick_times[1:], callers + row_base, uniforms, loss
+    # Contact selection on the static CSR's narrow dtypes, as in
+    # sync_round_step: the unsafe cast truncates toward zero like .astype.
+    degrees = state.degrees
+    offsets = np.multiply(
+        uniforms,
+        degrees.take(callers),
+        out=np.empty(callers.shape, dtype=degrees.dtype),
+        casting="unsafe",
+    )
+    np.minimum(offsets, state.max_offset.take(callers), out=offsets)
+    offsets += state.start.take(callers)
+    callees = state.indices.take(offsets) + row_base
+    return tick_times[1:], callers + row_base, callees, loss
 
 
 # ---------------------------------------------------------------------- #
@@ -540,91 +608,51 @@ def clock_chunk_consume(
 ) -> None:
     """Consume one pre-drawn ``(rows, width)`` block of pooled clock ticks.
 
-    The column loop of the chunked pooled fast path: all randomness
-    (``tick_times`` / ``callers`` / ``callees`` / ``loss_block``) is
-    already resolved by the engine; only churn/burst epoch crossings draw
-    from ``pooled_rng`` mid-block.  Mutates the absolute per-trial state
-    in place.  The column loop touches ``steps`` only at retirement: while
-    alive, every trial executes every column, so the count is implied by
-    the column index (``executed + column``).
+    All randomness (``tick_times`` / ``callers`` / ``callees`` /
+    ``loss_block``) is already resolved by the engine; only churn/burst
+    epoch crossings draw from ``pooled_rng`` mid-block.  The block goes to
+    the shared column consumer in column-major sub-blocks of
+    ``_BLOCK_TICKS`` ticks, with contacts as flat positions.  Mutates the
+    absolute per-trial state in place.
     """
-    alive = np.ones(rows.size, dtype=bool)
-    local = np.arange(rows.size, dtype=np.int64)
-    active_rows = rows
-    for column in range(width):
-        tick_time = tick_times[local, column]
-        if finite_time_budget:
-            # Like the serial engine: the first over-budget event is
-            # popped but not executed (no step counted).
-            over = tick_time > time_budget
-            if over.any():
-                over_local = local[over]
-                live[rows[over_local]] = False
-                alive[over_local] = False
-                steps[rows[over_local]] = executed + column
-                local = local[~over]
-                if local.size == 0:
-                    break
-                active_rows = rows[local]
-                tick_time = tick_time[~over]
-        if next_epoch is not None:
-            # Churn/burst epochs at integer times, as in the per-trial
-            # kernel; the updates draw from the pooled generator.
-            crossing = tick_time >= next_epoch[active_rows]
-            if crossing.any():
-                for b, t in zip(active_rows[crossing], tick_time[crossing]):
-                    parts.cross_boundaries(
-                        b, t, pooled_rng, n, up, bad, next_epoch, None, None,
-                        informed,
-                    )
-        caller = callers[local, column]
-        callee = callees[local, column]
-        caller_informed = informed[active_rows, caller]
-        callee_informed = informed[active_rows, callee]
-        if mode_pp:
-            active = caller_informed != callee_informed
-            targets = np.where(caller_informed, callee, caller)
-        elif push_allowed:
-            active = caller_informed & ~callee_informed
-            targets = callee
-        else:
-            active = ~caller_informed & callee_informed
-            targets = caller
-        if loss_block is not None and parts.adaptive_loss is None:
-            active &= loss_block[local, column] >= parts.loss_threshold(
-                bad, active_rows
-            )
-        if up is not None:
-            active &= up[active_rows, caller] & up[active_rows, callee]
-        if parts.adaptive_loss is not None:
-            jam = active & (loss_block[local, column] < parts.adaptive_loss.p) & (
-                parts.jam_budget[active_rows] > 0
-            )
-            if jam.any():
-                parts.jam_budget[active_rows[jam]] -= 1
-                active &= ~jam
-        if active.any():
-            hit_local = local[active]
-            hit_rows = rows[hit_local]
-            hit_targets = targets[active]
-            hit_times = tick_time[active]
-            informed[hit_rows, hit_targets] = True
-            if times is not None:
-                times[hit_rows, hit_targets] = hit_times
-            num_informed[hit_rows] += 1
-            done = num_informed[hit_rows] == n
-            if done.any():
-                done_local = hit_local[done]
-                done_rows = rows[done_local]
-                completed[done_rows] = True
-                completion_time[done_rows] = hit_times[done]
-                steps[done_rows] = executed + column + 1
-                live[done_rows] = False
-                alive[done_local] = False
-                local = np.flatnonzero(alive)
-                if local.size == 0:
-                    break
-                active_rows = rows[local]
-    if local.size:
-        steps[active_rows] = executed + width
-        now[active_rows] = tick_times[local, width - 1]
+    columns = _TickColumns(
+        n=n,
+        informed=informed,
+        times=times,
+        num_informed=num_informed,
+        steps=steps,
+        completed=completed,
+        completion_time=completion_time,
+        live=live,
+        now=now,
+        overtime=None,
+        time_budget=time_budget,
+        finite_time_budget=finite_time_budget,
+        mode_pp=mode_pp,
+        push_allowed=push_allowed,
+        parts=parts,
+        bad=bad,
+        up=up,
+        next_epoch=next_epoch,
+        next_resample=None,
+        trial_graphs=None,
+        generators=(),
+        pooled_rng=pooled_rng,
+        floor=-np.inf,  # unknown: the first column computes it
+    )
+    local = np.arange(rows.size)  # the block's rows still live
+    for lo in range(0, width, _BLOCK_TICKS):
+        hi = min(lo + _BLOCK_TICKS, width)
+        live_rows = rows[local]
+        row_base = live_rows * n
+        kept = columns.consume(
+            live_rows,
+            executed + lo,
+            np.ascontiguousarray(tick_times[local, lo:hi].T),
+            np.add(callers[local, lo:hi].T, row_base, order="C"),
+            np.add(callees[local, lo:hi].T, row_base, order="C"),
+            None if loss_block is None else np.ascontiguousarray(loss_block[local, lo:hi].T),
+        )
+        local = local[kept]
+        if local.size == 0:
+            break
