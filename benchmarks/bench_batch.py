@@ -56,6 +56,12 @@ bit-identical samples double-checked).  On a numba-free machine the gate
 skips but still writes a ``skipped`` record, so BENCH_batch.json shows
 *why* the number is missing rather than silently omitting it.
 
+The per-trial asynchronous gates ``test_batched_async_speedup_over_serial``
+and ``test_batched_edge_clock_speedup_over_serial`` assert batched pp-a at
+>= 2x the serial engine on the 256-vertex scenario graph, under the global
+view's tick loop and under the edge-clock view's next-tick table, with the
+fixed-seed samples checked equal.
+
 Every gate records its measured numbers through ``bench_record`` into
 ``BENCH_batch.json`` (see ``conftest.py``).
 """
@@ -564,6 +570,81 @@ def test_batched_dynamic_async_speedup_over_serial(bench_preset, bench_record):
     assert speedup >= 4.0, (
         f"batched dynamic-graph async path is only {speedup:.2f}x the serial "
         f"engine ({serial:.0f} vs {batched:.0f} trials/s)"
+    )
+
+
+#: The per-trial asynchronous gates: batched pp-a against the serial engine
+#: on the scenario graph, for the global view's tick loop and for the
+#: edge-clock view's compacted next-tick table with block-drawn
+#: reschedules.  Both force batch=True: below ASYNC_AUTO_MIN_TRIALS the
+#: auto mode would pick the serial engine.
+ASYNC_TRIALS = {"smoke": 128, "quick": 256, "full": 512}
+EDGE_CLOCK_TRIALS = {"smoke": 64, "quick": 96, "full": 128}
+
+
+def _async_speedup_gate(graph, trials, view, record_name, bench_record, gate=2.0):
+    """Batched per-trial pp-a >= ``gate`` x the serial engine under ``view``
+    (and exactly seed-equivalent to it)."""
+    kwargs = dict(engine_options={"view": view})
+    # Warm both paths (flat adjacency cache, allocator).
+    run_trials(graph, 0, "pp-a", trials=8, seed=0, batch=False, **kwargs)
+    run_trials(graph, 0, "pp-a", trials=8, seed=0, batch=True, **kwargs)
+
+    serial_sample = run_trials(graph, 0, "pp-a", trials=trials, seed=5, batch=False, **kwargs)
+    batched_sample = run_trials(graph, 0, "pp-a", trials=trials, seed=5, batch=True, **kwargs)
+    assert serial_sample.times == batched_sample.times  # exact equivalence
+
+    # Best of two runs per path: loaded CI runners spike single measurements.
+    serial = max(
+        _throughput(
+            lambda: run_trials(
+                graph, 0, "pp-a", trials=trials, seed=5, batch=False, **kwargs
+            ),
+            trials,
+        )
+        for _ in range(2)
+    )
+    batched = max(
+        _throughput(
+            lambda: run_trials(
+                graph, 0, "pp-a", trials=trials, seed=5, batch=True, **kwargs
+            ),
+            trials,
+        )
+        for _ in range(2)
+    )
+    speedup = batched / serial
+    print(
+        f"\nserial pp-a {view} {serial:.0f} trials/s, batched {batched:.0f} "
+        f"trials/s, speedup {speedup:.2f}x"
+    )
+    bench_record(
+        record_name,
+        seconds=trials / batched,
+        speedup=speedup,
+        gate=gate,
+        baseline_seconds=trials / serial,
+        trials=trials,
+    )
+    assert speedup >= gate, (
+        f"batched pp-a under the {view} view is only {speedup:.2f}x the serial "
+        f"engine ({serial:.0f} vs {batched:.0f} trials/s)"
+    )
+
+
+def test_batched_async_speedup_over_serial(bench_preset, scenario_graph, bench_record):
+    """Batched pp-a (global view tick loop) >= 2x the serial engine."""
+    _async_speedup_gate(
+        scenario_graph, ASYNC_TRIALS[bench_preset], "global",
+        "batched_async_vs_serial", bench_record,
+    )
+
+
+def test_batched_edge_clock_speedup_over_serial(bench_preset, scenario_graph, bench_record):
+    """Batched pp-a under edge_clocks >= 2x the serial engine."""
+    _async_speedup_gate(
+        scenario_graph, EDGE_CLOCK_TRIALS[bench_preset], "edge_clocks",
+        "batched_edge_clock_vs_serial", bench_record,
     )
 
 

@@ -21,8 +21,8 @@ The kernels in this module instead simulate ``B`` trials *simultaneously* as
   advance all live trials by one Poisson tick per iteration, with the rumor
   exchange vectorised across trials.
 * :func:`run_clock_view_batch` serves the ``"node_clocks"`` and
-  ``"edge_clocks"`` views: the serial priority queue becomes a
-  ``(B, #clocks)`` next-tick matrix whose per-row ``argmin`` is the next
+  ``"edge_clocks"`` views: the serial priority queue becomes a next-tick
+  matrix with one row per live trial, whose per-row ``argmin`` is the next
   event (identical to the heap pop — continuous tick times tie with
   probability zero), so batched next-event simulation stays exact.
 * :func:`run_auxiliary_batch` batches the analysis-only processes
@@ -36,11 +36,13 @@ The kernels in this module instead simulate ``B`` trials *simultaneously* as
 in *exactly* the order the serial engines do (``rng.random(n)`` per
 synchronous round while live; ``exponential``/``integers``/``random`` chunks
 of the same sizes for the asynchronous global view; per-tick scalar draws
-for the clock-queue views; push/pull uniform blocks plus parent draws for
-``ppx``/``ppy``).  Consequently a batched trial with generator ``g``
-produces bit-for-bit the same informing times as a serial run seeded with
-``g`` — the batch dimension is a pure throughput optimization, testable
-trial-for-trial with spawned seeds (the shared harness in
+for the node-clock view and for loss or churn draws under the edge-clock
+view, whose plain reschedule exponentials come in per-trial blocks;
+push/pull uniform blocks plus parent draws for ``ppx``/``ppy``).
+Consequently a batched trial with generator ``g`` produces bit-for-bit the
+same informing times as a serial run seeded with ``g``, and leaves ``g`` in
+the same state — the batch dimension is a pure throughput optimization,
+testable trial-for-trial with spawned seeds (the shared harness in
 ``tests/helpers/equivalence.py`` pins exactly this contract for every
 kernel).
 
@@ -87,6 +89,7 @@ need those (coupling experiments, trace debugging) use the serial engines.
 
 from __future__ import annotations
 
+from itertools import compress
 from types import ModuleType
 from typing import Optional, Sequence, Union
 
@@ -146,6 +149,10 @@ _ASYNC_CHUNK = 4096
 #: Default number of future ticks whose randomness the pooled clock-view
 #: fast path draws ahead of time as one ``(B, chunk)`` block per kind.
 _POOLED_CLOCK_CHUNK = 4096
+
+#: Reschedule exponentials the per-trial edge-clock loop draws ahead per
+#: trial and refill (a 512 KiB block at 64 trials); see :class:`_BlockDraws`.
+_CLOCK_BLOCK = 1024
 
 
 def is_batchable(
@@ -1276,9 +1283,9 @@ def _run_clock_view_pooled(
 ) -> BatchTimes:
     """The chunked pooled-RNG fast path shared by both clock-queue views.
 
-    The per-trial kernel must keep the ``(B, #clocks)`` next-tick table and
-    pay two scalar RNG draws per trial per tick, because serial draw-order
-    equivalence pins exactly that sequence.  Pooled mode only promises
+    The per-trial kernel must keep the next-tick table and follow each
+    trial's serial draw sequence, because serial draw-order equivalence
+    pins exactly that sequence.  Pooled mode only promises
     agreement *in distribution*, and in distribution both views are the
     same superposed Poisson process: every vertex ticks at rate 1 under
     ``node_clocks``, and under ``edge_clocks`` each caller's pair clocks
@@ -1434,6 +1441,131 @@ def _run_clock_view_pooled(
     )
 
 
+class _TickDraws:
+    """The draw source of the clock-view table loop.
+
+    ``uniform`` and ``exponential`` return one value per live row, in row
+    order; ``retire`` drops the rows where ``keep`` is false.  A source
+    that serves only trials drawing no uniforms leaves ``uniform`` out.
+    """
+
+    __slots__ = ()
+
+    def uniform(self) -> np.ndarray:
+        raise NotImplementedError
+
+    def exponential(self) -> np.ndarray:
+        raise NotImplementedError
+
+    def retire(self, keep: np.ndarray) -> None:
+        raise NotImplementedError
+
+
+class _ScalarDraws(_TickDraws):
+    """Per-tick scalar draws of the live trials' own generators, in row order.
+
+    Each call draws one value per live row; the generators are independent,
+    so drawing every row's neighbor uniform before every row's reschedule
+    keeps each generator's own sequence in the serial per-tick order.
+    """
+
+    __slots__ = ("uniforms", "exponentials")
+
+    def __init__(self, generators: Sequence[np.random.Generator]) -> None:
+        self.uniforms = [generator.random for generator in generators]
+        self.exponentials = [generator.standard_exponential for generator in generators]
+
+    def uniform(self) -> np.ndarray:
+        return np.array([draw() for draw in self.uniforms])
+
+    def exponential(self) -> np.ndarray:
+        return np.array([draw() for draw in self.exponentials])
+
+    def retire(self, keep: np.ndarray) -> None:
+        self.uniforms = list(compress(self.uniforms, keep))
+        self.exponentials = list(compress(self.exponentials, keep))
+
+
+class _PooledDraws(_TickDraws):
+    """Per-tick draws of one shared generator, one value per live row."""
+
+    __slots__ = ("rng", "size")
+
+    def __init__(self, rng: np.random.Generator, size: int) -> None:
+        self.rng = rng
+        self.size = size
+
+    def uniform(self) -> np.ndarray:
+        return self.rng.random(self.size)
+
+    def exponential(self) -> np.ndarray:
+        return self.rng.standard_exponential(self.size)
+
+    def retire(self, keep: np.ndarray) -> None:
+        self.size = int(np.count_nonzero(keep))
+
+
+class _BlockDraws(_TickDraws):
+    """Reschedule exponentials drawn ``_CLOCK_BLOCK`` ticks ahead per trial.
+
+    Serves trials whose per-tick stream is the reschedule exponential alone
+    (the edge view without loss draws or churn-epoch draws).  Every live row
+    takes one tick per loop iteration, so all rows consume the same block
+    column and refill together.  ``standard_exponential(k)`` makes the same
+    draws as ``k`` scalar calls, so a column times the clock's scale is the
+    serial engine's ``exponential(scale)``.  A retiring row gets its
+    generator state from the refill back and redraws exactly the columns it
+    consumed, so no over-drawn value leaks into its end state.
+    """
+
+    __slots__ = ("generators", "block", "column", "saved")
+
+    def __init__(self, generators: Sequence[np.random.Generator]) -> None:
+        self.generators = list(generators)
+        self.block = np.empty((len(self.generators), 0))
+        self.column = 0
+        self.saved: list = []
+
+    def exponential(self) -> np.ndarray:
+        if self.column == self.block.shape[1]:
+            self.saved = [generator.bit_generator.state for generator in self.generators]
+            self.block = np.empty((len(self.generators), _CLOCK_BLOCK))
+            for row, generator in zip(self.block, self.generators):
+                generator.standard_exponential(out=row)
+            self.column = 0
+        values = self.block[:, self.column]
+        self.column += 1
+        return values
+
+    def retire(self, keep: np.ndarray) -> None:
+        if self.column < self.block.shape[1]:
+            for j in np.flatnonzero(~keep):
+                generator = self.generators[j]
+                generator.bit_generator.state = self.saved[j]
+                generator.standard_exponential(self.column)
+            self.saved = list(compress(self.saved, keep))
+        self.generators = list(compress(self.generators, keep))
+        self.block = self.block[keep]
+
+
+def _retire_rows(
+    keep: np.ndarray,
+    rows: np.ndarray,
+    table: np.ndarray,
+    draws: _TickDraws,
+    n: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Shrink the live rows, their table and their draws to ``keep``.
+
+    Returns the new rows, table, flat table offset of each row, and flat
+    ``(B, n)`` offset of each row.
+    """
+    draws.retire(keep)
+    rows = rows[keep]
+    table = table[keep]
+    return rows, table, np.arange(rows.size) * table.shape[1], rows * n
+
+
 def run_clock_view_batch(
     graph: Graph,
     sources: Union[int, Sequence[int], np.ndarray],
@@ -1456,12 +1588,16 @@ def run_clock_view_batch(
 
     The serial engine realises the ``"node_clocks"`` and ``"edge_clocks"``
     views with a priority queue of next-tick times; the batched kernel keeps
-    the same next-tick table as a ``(B, #clocks)`` matrix and replaces the
-    heap pop with a vectorised per-row ``argmin`` — with continuous tick
+    the same next-tick table as a ``(live, #clocks)`` matrix and replaces
+    the heap pop with a vectorised per-row ``argmin`` — with continuous tick
     times the minimum entry *is* the heap's next event (ties have measure
     zero, and both resolutions pick the lowest index), so the event sequence
     is identical.  Every loop iteration advances all live trials by one
-    tick, with the rumor exchange vectorised across trials.
+    tick, with the rumor exchange vectorised across trials.  The table
+    holds only the live trials, in ascending trial order, and shrinks when
+    trials retire, so the per-tick ``argmin``, tick-time gather and
+    reschedule scatter touch it in place; scenario state, informed sets and
+    times stay indexed by absolute trial.
 
     Per-trial randomness follows the serial draw order exactly: ``Delay``
     rates first (when present), then the initial next-tick table as one
@@ -1472,7 +1608,19 @@ def run_clock_view_batch(
     by the tick's own draws — neighbor uniform (``node_clocks`` only), loss
     uniform (when a loss or burst-loss component is present), reschedule
     exponential — so fixed-seed results agree trial-for-trial with
-    :func:`~repro.core.async_engine.run_asynchronous`, scenarios included.
+    :func:`~repro.core.async_engine.run_asynchronous`, scenarios included,
+    and every generator ends in the serial engine's end state.
+
+    Where a trial's per-tick stream is the reschedule exponential alone —
+    ``edge_clocks`` without loss and without churn-epoch draws — the kernel
+    draws ``_CLOCK_BLOCK`` standard exponentials per trial at a time (the
+    same draws as that many scalar calls, and ``exponential(s)`` is
+    ``s * standard_exponential()``) and all live trials consume one block
+    column per tick.  A retiring trial restores its generator state from
+    the last refill and redraws exactly the columns it consumed.  The node
+    view interleaves a neighbor uniform with each reschedule, which no block
+    call reproduces, so it keeps per-tick scalar draws (as does the edge
+    view under loss or churn).
 
     Every runtime scenario applies under both views except a dynamic graph
     under ``edge_clocks`` (the serial engine rejects it with the same
@@ -1629,7 +1777,6 @@ def run_clock_view_batch(
     if record_times:
         times = np.full((batch, n), np.inf)
         times[trial_rows, source_array] = 0.0
-    now = np.zeros(batch)
     steps = np.zeros(batch, dtype=np.int64)
     completed = np.zeros(batch, dtype=bool)
     completion_time = np.full(batch, np.inf)
@@ -1637,12 +1784,13 @@ def run_clock_view_batch(
     mode_pp = mode == "push-pull"
     push_allowed = mode in ("push", "push-pull")
 
-    # Scenario state, indexed by absolute trial row (rows are masked, not
-    # compacted): see run_asynchronous_batch.  Dynamic graphs only reach
-    # the node view (edge_clocks rejected above) and never touch the
-    # next-tick table — vertex clocks are graph independent.
+    # Scenario state, indexed by absolute trial row: see
+    # run_asynchronous_batch.  Dynamic graphs only reach the node view
+    # (edge_clocks rejected above) and never touch the next-tick table —
+    # vertex clocks are graph independent.
     burst = parts.burst
     dynamic = parts.dynamic
+    lossy = parts.lossy
     up = parts.initial_up(graph, batch)
     parts.init_adaptive(graph, batch)
     bad = np.zeros(batch, dtype=bool) if burst is not None else None
@@ -1651,32 +1799,46 @@ def run_clock_view_batch(
         np.full(batch, float(dynamic.period)) if dynamic is not None else None
     )
     trial_graphs = _TrialGraphs(graph, batch) if dynamic is not None else None
+    draws: _TickDraws
+    if pooled_rng is not None:
+        draws = _PooledDraws(pooled_rng, batch)
+    elif node_view or lossy or parts.churn_updates:
+        # The tick's uniforms (or epoch draws) interleave with its
+        # reschedule, which no block call reproduces.
+        draws = _ScalarDraws(generators)
+    else:
+        draws = _BlockDraws(generators)
 
-    live = num_informed < n
-    while True:
-        rows = np.flatnonzero(live)
-        if rows.size == 0:
+    # The live trials (absolute ids, ascending) and the next-tick table
+    # aligned with them; both shrink only when trials retire.  Every live
+    # trial takes one tick per iteration, so `executed` is each one's step
+    # count.
+    rows = np.arange(batch, dtype=np.int64)
+    table = next_tick
+    slot_base = rows * table.shape[1]
+    cell_base = rows * n
+    executed = 0
+    while rows.size:
+        if executed >= step_budget:
+            # The serial while-condition checks the step budget before each pop.
+            steps[rows] = executed
+            draws.retire(np.zeros(rows.size, dtype=bool))
             break
-        # The serial while-condition checks the step budget before each pop.
-        exhausted = steps[rows] >= step_budget
-        if exhausted.any():
-            live[rows[exhausted]] = False
-            rows = rows[~exhausted]
-            if rows.size == 0:
-                break
-        idx = np.argmin(next_tick[rows], axis=1)
-        tick_time = next_tick[rows, idx]
+        idx = table.argmin(axis=1)
+        tick_time = table.take(slot_base + idx)
         if finite_time_budget:
-            # Serial pops the over-budget event and stops without drawing.
             over = tick_time > time_budget
             if over.any():
-                live[rows[over]] = False
+                # Serial pops the over-budget event and stops without drawing.
+                steps[rows[over]] = executed
                 keep = ~over
-                rows = rows[keep]
+                rows, table, slot_base, cell_base = _retire_rows(
+                    keep, rows, table, draws, n
+                )
+                if rows.size == 0:
+                    break
                 idx = idx[keep]
                 tick_time = tick_time[keep]
-                if rows.size == 0:
-                    continue
         if next_epoch is not None or next_resample is not None:
             # Boundaries crossed in (previous event, now] fire before the
             # exchange, chronologically, epoch before resample on ties —
@@ -1695,83 +1857,49 @@ def run_clock_view_batch(
                         b, t, rng, n, up, bad, next_epoch, next_resample,
                         trial_graphs, informed,
                     )
-        steps[rows] += 1
-        now[rows] = tick_time
-        loss_u = np.empty(rows.size) if parts.lossy else None
+        executed += 1
+        # The tick's draws in the serial order: neighbor uniform (node view
+        # only), loss uniform (when lossy), reschedule exponential.
+        if node_view:
+            u = draws.uniform()
+        loss_u = draws.uniform() if lossy else None
+        resched = draws.exponential()
         if node_view:
             caller = idx
-            u = np.empty(rows.size)
-            resched = np.empty(rows.size)
-            if pooled_rng is not None:
-                u[:] = pooled_rng.random(rows.size)
-                if loss_u is not None:
-                    # repro: allow[RNG002] -- loss_u is reallocated every tick but its None-ness is pinned by the loop-invariant parts.lossy; the gate fires identically each iteration
-                    loss_u[:] = pooled_rng.random(rows.size)
-                if node_scales is None:
-                    resched[:] = pooled_rng.exponential(1.0, rows.size)
-                else:
-                    resched[:] = pooled_rng.exponential(node_scales[rows, caller])
-            else:
-                for j, b in enumerate(rows):
-                    rng = generators[b]
-                    # Neighbor uniform, loss uniform (when lossy), then the
-                    # reschedule exponential — the serial per-tick order.
-                    u[j] = rng.random()
-                    if loss_u is not None:
-                        # repro: allow[RNG002] -- loss_u is reallocated every tick but its None-ness is pinned by the loop-invariant parts.lossy; the gate fires identically each iteration
-                        loss_u[j] = rng.random()
-                    resched[j] = rng.exponential(
-                        1.0 if node_scales is None else node_scales[b, caller[j]]
-                    )
             if trial_graphs is not None:
                 callee = trial_graphs.callees(rows, caller, u)
             else:
-                deg = degrees[caller]
+                deg = degrees.take(caller)
                 offsets = (u * deg).astype(np.int64)
                 np.minimum(offsets, deg - 1, out=offsets)
-                callee = flat.indices[flat.indptr[caller] + offsets]
-            next_tick[rows, caller] = tick_time + resched
+                callee = flat.indices.take(flat.indptr.take(caller) + offsets)
+            if node_scales is not None:
+                resched = resched * node_scales.take(cell_base + caller)
         else:
-            caller = pair_caller[idx]
-            callee = pair_callee[idx]
-            resched = np.empty(rows.size)
-            if pooled_rng is not None:
-                if loss_u is not None:
-                    # repro: allow[RNG002] -- loss_u is reallocated every tick but its None-ness is pinned by the loop-invariant parts.lossy; the gate fires identically each iteration
-                    loss_u[:] = pooled_rng.random(rows.size)
-                resched[:] = pooled_rng.exponential(
-                    pair_scale[idx] if rates is None else pair_scale[rows, idx]
-                )
-            else:
-                for j, b in enumerate(rows):
-                    rng = generators[b]
-                    # Loss uniform (when lossy) then the reschedule — the
-                    # serial per-tick order (no neighbor draw: the pair
-                    # determines the callee).
-                    if loss_u is not None:
-                        # repro: allow[RNG002] -- loss_u is reallocated every tick but its None-ness is pinned by the loop-invariant parts.lossy; the gate fires identically each iteration
-                        loss_u[j] = rng.random()
-                    resched[j] = rng.exponential(
-                        pair_scale[idx[j]] if rates is None else pair_scale[b, idx[j]]
-                    )
-            next_tick[rows, idx] = tick_time + resched
+            caller = pair_caller.take(idx)
+            callee = pair_callee.take(idx)
+            pairs = idx if rates is None else rows * pair_caller.size + idx
+            resched = resched * pair_scale.take(pairs)
+        table.put(slot_base + idx, tick_time + resched)
 
-        caller_informed = informed[rows, caller]
-        callee_informed = informed[rows, callee]
+        caller_cells = cell_base + caller
+        callee_cells = cell_base + callee
+        caller_informed = informed.take(caller_cells)
+        callee_informed = informed.take(callee_cells)
         if mode_pp:
             active = caller_informed != callee_informed
-            targets = np.where(caller_informed, callee, caller)
+            targets = np.where(caller_informed, callee_cells, caller_cells)
         elif push_allowed:
             active = caller_informed & ~callee_informed
-            targets = callee
+            targets = callee_cells
         else:
             active = ~caller_informed & callee_informed
-            targets = caller
+            targets = caller_cells
         if loss_u is not None and parts.adaptive_loss is None:
             active &= loss_u >= parts.loss_threshold(bad, rows)
         if up is not None:
             # Crashed endpoints suppress the exchange in either direction.
-            active &= up[rows, caller] & up[rows, callee]
+            active &= up.take(caller_cells) & up.take(callee_cells)
         if parts.adaptive_loss is not None:
             # At this point `active` is exactly the would-transmit mask
             # (informative direction between two up vertices): jam those
@@ -1783,17 +1911,25 @@ def run_clock_view_batch(
                 parts.jam_budget[rows[jam]] -= 1
                 active &= ~jam
         if active.any():
-            active_rows = rows[active]
-            active_targets = targets[active]
-            informed[active_rows, active_targets] = True
+            hit = np.flatnonzero(active)
+            hit_rows = rows[hit]
+            hit_cells = targets[hit]
+            informed.put(hit_cells, True)
             if times is not None:
-                times[active_rows, active_targets] = tick_time[active]
-            num_informed[active_rows] += 1
-            done = active_rows[num_informed[active_rows] == n]
-            if done.size:
-                completed[done] = True
-                completion_time[done] = now[done]
-                live[done] = False
+                times.put(hit_cells, tick_time[hit])
+            num_informed[hit_rows] += 1
+            full = num_informed[hit_rows] == n
+            if full.any():
+                done = hit[full]
+                done_rows = hit_rows[full]
+                completed[done_rows] = True
+                completion_time[done_rows] = tick_time[done]
+                steps[done_rows] = executed
+                keep = np.ones(rows.size, dtype=bool)
+                keep[done] = False
+                rows, table, slot_base, cell_base = _retire_rows(
+                    keep, rows, table, draws, n
+                )
 
     if not completed.all() and on_budget_exhausted == "error":
         _raise_incomplete(

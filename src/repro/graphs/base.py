@@ -70,7 +70,10 @@ class Graph:
     can be handed directly to random samplers.
     """
 
-    __slots__ = ("_n", "_adjacency", "_edges", "_degrees", "_name", "_csr", "__weakref__")
+    __slots__ = (
+        "_n", "_adjacency", "_edges", "_degrees", "_name", "_csr", "_connected",
+        "__weakref__",
+    )
 
     def __init__(
         self,
@@ -100,6 +103,7 @@ class Graph:
         )
         self._name = name
         self._csr = None
+        self._connected: Optional[bool] = None
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -231,8 +235,14 @@ class Graph:
         """Whether the graph is connected.
 
         All rumor-spreading theorems in the paper assume connectivity; the
-        protocol engines validate it via this method.
+        protocol engines validate it via this method, on every batch call.
+        The graph is immutable, so the answer is computed once and kept.
         """
+        if self._connected is None:
+            self._connected = self._search_connected()
+        return self._connected
+
+    def _search_connected(self) -> bool:
         if self._n == 1:
             return True
         if self.num_edges < self._n - 1:
@@ -377,6 +387,7 @@ class Graph:
         clone._degrees = self._degrees
         clone._name = name
         clone._csr = self._csr
+        clone._connected = self._connected
         return clone
 
     @classmethod
@@ -409,4 +420,5 @@ class Graph:
         graph._degrees = None
         graph._name = name
         graph._csr = (indptr, indices)
+        graph._connected = None
         return graph

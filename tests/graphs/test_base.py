@@ -234,3 +234,23 @@ def test_is_regular_on_from_csr_graph_regression():
     )
     graph = Graph.from_csr(indptr, indices)
     assert graph.is_regular()
+
+
+def test_connectivity_is_searched_once_per_graph(monkeypatch):
+    """Every batch call validates connectivity.  On a CSR-built graph that
+    used to rerun the O(n + m) frontier BFS per call (per pool chunk at
+    n = 10^6); the answer is now kept on the graph and its renamed clones."""
+    from repro.analysis.montecarlo import run_trials
+
+    searches = []
+    search = csr_build.csr_is_connected
+
+    def counting_search(indptr, indices):
+        searches.append(indptr.size - 1)
+        return search(indptr, indices)
+
+    monkeypatch.setattr(csr_build, "csr_is_connected", counting_search)
+    graph = _build(*TestStructuralQueriesBothConstructions.CYCLE, "csr")
+    run_trials(graph, 0, "pp", trials=4, seed=1, batch=True)
+    run_trials(graph.with_name("renamed-cycle"), 0, "pp", trials=4, seed=2, batch=True)
+    assert searches == [5]

@@ -85,18 +85,21 @@ def assert_batch_matches_serial(
     """Batched kernel vs per-trial serial engine, trial-for-trial.
 
     Spawns the same per-trial generators for both paths; any divergence in
-    informing times, completion flags, or spreading times fails with the
-    offending trial index.  ``backend`` selects the kernel backend for the
-    batched side (the serial side ignores it), so the same gate pins every
-    backend to the one serial reference.
+    informing times, completion flags, spreading times, or the state each
+    generator is left in fails with the offending trial index.  The end
+    state pins kernels that draw ahead of the serial engine and must hand
+    back exactly the draws the trial consumed.  ``backend`` selects the
+    kernel backend for the batched side (the serial side ignores it), so the
+    same gate pins every backend to the one serial reference.
     """
     if backend is not None:
         options = {**options, "backend": backend}
+    batched_rngs = spawn_generators(len(sources), seed)
     batched = run_batch(
         graph,
         sources,
         protocol,
-        rngs=spawn_generators(len(sources), seed),
+        rngs=batched_rngs,
         scenario=scenario,
         **options,
     )
@@ -109,6 +112,10 @@ def assert_batch_matches_serial(
         )
         assert bool(batched.completed[i]) == serial.completed
         assert batched.completion_time[i] == serial.spreading_time
+        assert batched_rngs[i].bit_generator.state == rng.bit_generator.state, (
+            f"trial {i} of {protocol} on {graph.name} left its generator in a "
+            "different state than the serial engine"
+        )
     return batched
 
 
@@ -452,6 +459,35 @@ register_case(
     scenario=AdaptiveLoss(p=0.6, budget=5) | NodeChurn(0.1, 0.6)
     | Delay(low=0.5, high=2.0),
     view="node_clocks",
+)
+
+
+# --- Long runs across the per-trial loops' refills ----------------------- #
+# Every case above stops within a few hundred ticks, before the global
+# view's 4096-tick chunk or the edge view's block of reschedule draws
+# (batch_engine._CLOCK_BLOCK) refills.  Push on a long cycle takes 8,000 to
+# 10,000 ticks per trial; the budgets below retire rows part-way through a
+# block, which the generator end-state check turns into a test of the
+# block's replay.
+def _cycle96():
+    return cycle_graph(96)
+
+
+for _view in ("global", "node_clocks", "edge_clocks"):
+    register_case(
+        f"{_view}-long-push", "push-a", _cycle96, (0, 17, 40, 63, 80, 95), 71, view=_view
+    )
+register_case(
+    "edge_clocks-long-delay", "push-a", lambda: cycle_graph(64), (0, 21, 42), 73,
+    scenario=Delay(low=0.5, high=2.0), view="edge_clocks",
+)
+register_case(
+    "edge_clocks-long-time-budget", "push-a", _cycle96, (0, 30, 60, 90), 75,
+    view="edge_clocks", max_time=30.0, on_budget_exhausted="partial",
+)
+register_case(
+    "edge_clocks-long-step-budget", "pp-a", _cycle96, (0, 48, 5), 77,
+    view="edge_clocks", max_steps=2500, on_budget_exhausted="partial",
 )
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers.equivalence import assert_same_distribution
@@ -81,6 +81,16 @@ class TestBurstLossModel:
         assert degenerate.stationary_loss_rate == pytest.approx(0.35)
 
 
+def _share_tolerance(variance: float, epochs: int) -> float:
+    """Five standard errors of an empirical share, plus three counts.
+
+    The counts cover the lattice: with rare losses (a loss probability of
+    1e-5 is one of hypothesis' favourite floats) a single observed loss
+    already lies more than five normal-approximation standard errors out.
+    """
+    return 5.0 * variance**0.5 + 3.0 / epochs
+
+
 class TestBurstLossStationaryHypothesis:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -89,12 +99,26 @@ class TestBurstLossStationaryHypothesis:
         p_loss_bad=st.floats(0.0, 1.0),
         p_loss_good=st.floats(0.0, 0.9),
     )
+    # A slowly mixing point (p_gb + p_bg = 0.128) whose bad share sits 2.5
+    # standard errors low; it failed the former fixed ±0.06 bound.
+    @example(p_gb=0.05, p_bg=0.078125, p_loss_bad=0.0, p_loss_good=0.0)
+    # A rare loss: one observed loss is far out in normal-approximation units.
+    @example(p_gb=0.05, p_bg=0.078125, p_loss_bad=1e-5, p_loss_good=0.0)
     def test_empirical_loss_rate_matches_stationary_formula(
         self, p_gb, p_bg, p_loss_bad, p_loss_good
     ):
         """Simulate the chain exactly as the engines do (one state draw per
         epoch, one loss coin per exchange) and compare the observed loss
-        frequency to the closed form."""
+        frequency to the closed form.
+
+        The bound is the two-state chain's own standard error, not a fixed
+        width: successive epochs are correlated by ``lam = 1 - p_gb - p_bg``,
+        so a slowly mixing chain holds far fewer than ``epochs`` effective
+        samples.  With stationary bad share ``pi`` the variances of the two
+        shares over ``N`` epochs are ``pi(1-pi)(1+lam) / ((1-lam)N)`` and
+        ``[pi q_b(1-q_b) + (1-pi) q_g(1-q_g)
+        + (q_b-q_g)^2 pi(1-pi)(1+lam)/(1-lam)] / N``.
+        """
         burst = BurstLoss(p_gb, p_bg, p_loss_bad, p_loss_good=p_loss_good)
         rng = np.random.default_rng(
             abs(hash((round(p_gb, 6), round(p_bg, 6), round(p_loss_bad, 6)))) % 2**32
@@ -107,9 +131,23 @@ class TestBurstLossStationaryHypothesis:
             bad = bool(burst.step_state(bad, rng.random()))
             bad_epochs += bad
             losses += rng.random() < float(burst.loss_at(bad))
-        expected_bad = p_gb / (p_gb + p_bg)
-        assert bad_epochs / epochs == pytest.approx(expected_bad, abs=0.06)
-        assert losses / epochs == pytest.approx(burst.stationary_loss_rate, abs=0.06)
+        pi = p_gb / (p_gb + p_bg)
+        lam = 1.0 - p_gb - p_bg
+        q_b = float(burst.loss_at(True))
+        q_g = float(burst.loss_at(False))
+        correlation = pi * (1.0 - pi) * (1.0 + lam) / (1.0 - lam)
+        bad_variance = correlation / epochs
+        loss_variance = (
+            pi * q_b * (1.0 - q_b)
+            + (1.0 - pi) * q_g * (1.0 - q_g)
+            + (q_b - q_g) ** 2 * correlation
+        ) / epochs
+        assert bad_epochs / epochs == pytest.approx(
+            pi, abs=_share_tolerance(bad_variance, epochs)
+        )
+        assert losses / epochs == pytest.approx(
+            burst.stationary_loss_rate, abs=_share_tolerance(loss_variance, epochs)
+        )
 
     @settings(max_examples=25, deadline=None)
     @given(
