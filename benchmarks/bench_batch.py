@@ -35,18 +35,13 @@ least 5x today's serial aux engine on the 1024-vertex random regular graph
 (while double-checking the fixed-seed sample equality), so the Theorem-1
 suites can rely on the fast path staying fast.
 
-The PR-4 gates cover the zero-copy parallel layer and the pooled clock-view
-fast path:
-
-* ``test_shared_sweep_speedup_over_per_call_executor`` runs a 16-point
-  sweep through ``run_trials_parallel(parallel="shared")`` on the session's
-  persistent pool and asserts >= 3x the frozen pre-PR-4 baseline (a fresh
-  ``ProcessPoolExecutor`` per grid point, graph pickled into every chunk,
-  samples pickled back, pairwise ``merged_with`` chain) — while checking
-  the two paths stay bit-identical;
-* ``test_chunked_pooled_clock_view_speedup`` asserts the chunked pooled
-  ``node_clocks``/``edge_clocks`` kernel at >= 4x the unchunked pooled path
-  (``pooled_chunk=0``, the legacy per-tick-draw next-tick-table loop).
+The zero-copy parallel layer has its own gate:
+``test_shared_sweep_speedup_over_per_call_executor`` runs a 16-point
+sweep through ``run_trials_parallel`` on the persistent process pool and
+asserts >= 3x a frozen per-call-executor baseline (a fresh
+``ProcessPoolExecutor`` per grid point, graph pickled into every chunk,
+samples pickled back, pairwise ``merged_with`` chain) — while checking the
+two paths stay bit-identical.
 
 The PR-6 gate covers the compiled kernel tier:
 ``test_jit_sync_round_speedup_over_numpy`` asserts the numba jit backend
@@ -81,7 +76,7 @@ from repro.analysis.parallel import (
     run_trials_parallel,
 )
 from repro.analysis.pool import shutdown_pool
-from repro.core.batch_engine import run_clock_view_batch, run_synchronous_batch
+from repro.core.batch_engine import run_batch
 from repro.core.flatgraph import flat_adjacency
 from repro.core.kernels import jit_backend, warmup_kernels
 from repro.graphs.random_graphs import random_regular_graph
@@ -156,20 +151,6 @@ def _dynamic_scenario():
         for index in range(DYNAMIC_POOL)
     ]
     return DynamicGraph(_PooledGraphResampler(pool), period=DYNAMIC_PERIOD)
-
-
-#: The chunked pooled clock-view gate: per-view workloads sized so the
-#: unchunked baseline's per-tick (B, #clocks) argmin is the dominant cost
-#: it is in real sweeps (edge_clocks has ~n*d clocks per trial, so it gates
-#: on a smaller graph).
-CLOCK_VIEW_WORKLOADS = {
-    "node_clocks": (1024, 8),
-    "edge_clocks": (512, 8),
-}
-CLOCK_VIEW_TRIALS = {
-    "node_clocks": {"smoke": 160, "quick": 224, "full": 320},
-    "edge_clocks": {"smoke": 64, "quick": 96, "full": 160},
-}
 
 
 @pytest.fixture(scope="module")
@@ -711,8 +692,8 @@ def test_jit_sync_round_speedup_over_numpy(bench_preset, bench_record):
     # timings below measure steady-state kernels only.
     warmup_kernels("jit")
     check = {
-        backend: run_synchronous_batch(
-            graph, 0, trials=8, seed=5, record_times=False, backend=backend
+        backend: run_batch(
+            graph, 0, "pp", trials=8, seed=5, record_times=False, backend=backend
         )
         for backend in ("numpy", "jit")
     }
@@ -725,8 +706,8 @@ def test_jit_sync_round_speedup_over_numpy(bench_preset, bench_record):
         seconds = []
         for _ in range(2):
             start = time.perf_counter()
-            run_synchronous_batch(
-                graph, 0, trials=trials, seed=5, record_times=False, backend=backend
+            run_batch(
+                graph, 0, "pp", trials=trials, seed=5, record_times=False, backend=backend
             )
             seconds.append(time.perf_counter() - start)
         return min(seconds)
@@ -805,7 +786,6 @@ def test_shared_sweep_speedup_over_per_call_executor(bench_preset, bench_record)
                 trials=trials,
                 seed=1000 + point,
                 num_workers=SWEEP_WORKERS,
-                parallel="shared",
             )
             for point, graph in enumerate(graphs)
         ]
@@ -859,62 +839,6 @@ def test_shared_sweep_speedup_over_per_call_executor(bench_preset, bench_record)
     assert speedup >= 3.0, (
         f"shared-memory sweep is only {speedup:.2f}x the per-call-executor "
         f"baseline ({baseline_seconds:.2f}s vs {shared_seconds:.2f}s)"
-    )
-
-
-# --------------------------------------------------------------------- #
-# PR-4 gate 2: chunked pooled clock-view kernel vs the unchunked pooled
-# path (pooled_chunk=0 — the legacy per-tick-draw next-tick-table loop).
-# --------------------------------------------------------------------- #
-@pytest.mark.parametrize("view", ["node_clocks", "edge_clocks"])
-def test_chunked_pooled_clock_view_speedup(bench_preset, bench_record, view):
-    """The PR-4 clock gate: chunked pooled clock views >= 4x unchunked pooled."""
-    size, degree = CLOCK_VIEW_WORKLOADS[view]
-    trials = CLOCK_VIEW_TRIALS[view][bench_preset]
-    graph = random_regular_graph(size, degree, seed=1)
-
-    # Warm both paths (flat adjacency cache, allocator).
-    for chunk in (0, None):
-        run_clock_view_batch(
-            graph, 0, view=view, trials=8,
-            pooled_rng=np.random.default_rng(0), pooled_chunk=chunk,
-            record_times=False,
-        )
-
-    def timed(chunk):
-        # Min of two runs: the loaded single-core CI runners put multi-second
-        # noise spikes on single measurements.
-        seconds = []
-        for _ in range(2):
-            rng = np.random.default_rng(5)
-            start = time.perf_counter()
-            run_clock_view_batch(
-                graph, 0, view=view, trials=trials, pooled_rng=rng,
-                pooled_chunk=chunk, record_times=False,
-            )
-            seconds.append(time.perf_counter() - start)
-        return min(seconds)
-
-    unchunked_seconds = timed(0)
-    chunked_seconds = timed(None)
-    speedup = unchunked_seconds / chunked_seconds
-    print(
-        f"\nunchunked pooled {view} {unchunked_seconds:.2f}s, chunked "
-        f"{chunked_seconds:.2f}s for {trials} trials on n={size}, "
-        f"speedup {speedup:.2f}x"
-    )
-    bench_record(
-        f"chunked_pooled_{view}",
-        seconds=chunked_seconds,
-        speedup=speedup,
-        gate=4.0,
-        baseline_seconds=unchunked_seconds,
-        trials=trials,
-        graph_size=size,
-    )
-    assert speedup >= 4.0, (
-        f"chunked pooled {view} kernel is only {speedup:.2f}x the unchunked "
-        f"pooled path ({unchunked_seconds:.2f}s vs {chunked_seconds:.2f}s)"
     )
 
 

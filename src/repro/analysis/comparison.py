@@ -116,7 +116,7 @@ def measure_protocol(
     seed: SeedLike = None,
     engine_options: Optional[dict] = None,
     batch: BatchSpec = "auto",
-    parallel: bool | str = False,
+    parallel: bool = False,
     num_workers: Optional[int] = None,
 ) -> ProtocolMeasurement:
     """Run trials of one protocol on one graph and summarise them.
@@ -126,12 +126,11 @@ def measure_protocol(
     identical sample for the same seed, so it is a pure throughput knob.
 
     ``parallel`` shards the trials across the session's persistent process
-    pool via :func:`~repro.analysis.parallel.run_trials_parallel` (``True``
-    means the zero-copy ``"shared"`` transport; a string picks the
-    transport explicitly).  Unlike ``batch`` this changes the per-trial
-    seed spawning — parallel samples are reproducible but not bit-identical
-    to serial ones; sweeps that flip it should treat it as a different
-    (equally valid) random draw of the same distribution.
+    pool via :func:`~repro.analysis.parallel.run_trials_parallel`.  Unlike
+    ``batch`` this changes the per-trial seed spawning — parallel samples
+    are reproducible but not bit-identical to serial ones; sweeps that flip
+    it should treat it as a different (equally valid) random draw of the
+    same distribution.
     """
     kwargs = dict(trials=trials, seed=seed, engine_options=engine_options, batch=batch)
     if parallel:
@@ -140,7 +139,6 @@ def measure_protocol(
             source,
             protocol,
             num_workers=num_workers,
-            parallel="shared" if parallel is True else str(parallel),
             **kwargs,
         )
     else:
@@ -165,7 +163,7 @@ def compare_protocols_on_graph(
     ratios: Sequence[tuple[str, str]] = (),
     engine_options: Optional[dict] = None,
     batch: BatchSpec = "auto",
-    parallel: bool | str = False,
+    parallel: bool = False,
     num_workers: Optional[int] = None,
 ) -> GraphComparison:
     """Measure several protocols on one graph and compute requested mean ratios.
@@ -236,7 +234,7 @@ def sweep_family(
     ratios: Sequence[tuple[str, str]] = (),
     engine_options: Optional[dict] = None,
     batch: BatchSpec = "auto",
-    parallel: bool | str = False,
+    parallel: bool = False,
     num_workers: Optional[int] = None,
 ) -> FamilySweep:
     """Measure a set of protocols on a graph family over a size sweep.

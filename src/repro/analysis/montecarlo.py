@@ -597,20 +597,6 @@ def run_adaptive_trials(
         raise AnalysisError("relative_precision must be in (0, 1)")
     master = as_generator(seed)
     scenario = as_scenario(scenario)
-    if batch not in (False, "auto"):
-        # Fail fast on an impossible forced-batch setting before running any
-        # refinement blocks (the same shared predicate run_trials dispatches
-        # on — see batch_dispatch_decision).
-        use_batch, reason = batch_dispatch_decision(
-            protocol,
-            engine_options,
-            scenario,
-            batch,
-            None,
-            fixed_graph=isinstance(graph_or_factory, Graph),
-        )
-        if not use_batch:
-            raise _forced_batch_error(batch, reason)
     sample = run_trials(
         graph_or_factory,
         source,

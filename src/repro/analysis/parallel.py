@@ -9,30 +9,17 @@ seed *before* dispatch, so the merged sample is identical in distribution
 (though not in order) to a serial run with the same total number of trials,
 and fully reproducible for a fixed ``(seed, trials, num_workers)`` triple.
 
-Two transports are available via the ``parallel`` argument, bit-identical
-to each other for the same ``(seed, trials, num_workers)``:
-
-* ``"shared"`` (default) — the zero-copy path.  The parent owns the
-  ``(trials,)`` spreading-time vector (and the ``(trials, len(fractions))``
-  coverage matrix) in :mod:`multiprocessing.shared_memory`; each worker
-  writes its chunk's rows directly at its offset, so merging is a single
-  array view instead of pickling samples back.  When an explicit
-  :class:`~repro.graphs.base.Graph` is passed, its CSR adjacency arrays are
-  placed in one shared segment per graph (cached across calls) and workers
-  reattach them by name — the graph is never re-pickled per chunk, and the
-  reattached arrays feed the batch kernels zero-copy.
-* ``"pickle"`` — the legacy transport: the graph is pickled into every
-  chunk spec and every worker pickles its whole
-  :class:`~repro.analysis.montecarlo.SpreadingTimeSample` back through the
-  executor.  Kept as the equivalence reference and benchmark baseline.
-
-Graphs given as a named family are built **once in the parent** from the
-plan's shared graph seed and served to the workers through the same
-shared-memory CSR segment as explicit graphs (on the ``"shared"``
-transport); the ``"pickle"`` transport and the degenerate one-chunk path
-still rebuild from the family registry inside the worker.  Both are
-bit-identical: the worker-side rebuild used the identical
-``(family, size, graph_seed)`` triple.
+The chunks travel on one zero-copy transport.  The parent owns the
+``(trials,)`` spreading-time vector (and the ``(trials, len(fractions))``
+coverage matrix) in :mod:`multiprocessing.shared_memory`; each worker
+writes its chunk's rows directly at its offset, so merging is a single
+array view instead of pickling samples back.  The graph's CSR adjacency
+arrays are placed in one shared segment per graph (cached across calls) and
+workers reattach them by name — the graph is never re-pickled per chunk,
+and the reattached arrays feed the batch kernels zero-copy.  A graph given
+as a named family is built **once in the parent** from the plan's shared
+graph seed, so every chunk — the degenerate one-chunk in-process path
+included — runs on the same graph.
 
 **Fault tolerance.**  Chunk execution survives misbehaving workers: every
 chunk is retried with exponential backoff when its worker crashes, raises,
@@ -99,10 +86,6 @@ __all__ = [
     "default_worker_count",
     "chunk_plan",
 ]
-
-#: Accepted values of the ``parallel`` transport argument.
-PARALLEL_MODES = ("shared", "pickle")
-
 
 def default_worker_count() -> int:
     """Number of worker processes to use by default.
@@ -179,16 +162,11 @@ class ParallelTrialSpec:
     """Description of one chunk of trials executed in a worker process.
 
     Attributes:
-        family_name: name of a registered graph family (mutually exclusive
-            with ``graph``); the worker builds the graph itself.
-        graph: an explicit graph to run on (pickled to the worker — the
-            ``"pickle"`` transport).
+        graph: the graph to run on, for a chunk run in-process (the
+            one-chunk path) or pickled to a worker.
         graph_shm: name of a shared-memory CSR segment to reattach the
-            graph from (the ``"shared"`` transport; mutually exclusive with
-            ``graph``/``family_name``).
+            graph from (mutually exclusive with ``graph``).
         graph_display_name: display name restored onto the reattached graph.
-        size: family size to build (required with ``family_name``).
-        graph_seed: seed for building random-family graphs.
         source: source vertex or ``"random"``.
         protocol: canonical protocol name.
         trials: number of trials in this chunk.
@@ -208,17 +186,13 @@ class ParallelTrialSpec:
         collect_metrics: run the chunk under a private worker-local
             :class:`~repro.telemetry.metrics.MetricsRegistry` and return its
             snapshot with the chunk metadata, so the parent can merge the
-            workers' counters into its own registry (the shared transport's
-            chunk-return path).
+            workers' counters into its own registry.
     """
 
     protocol: str
     source: Union[int, str]
     trials: int
     trial_seed: int
-    family_name: Optional[str] = None
-    size: Optional[int] = None
-    graph_seed: Optional[int] = None
     graph: Optional[Graph] = None
     graph_shm: Optional[str] = None
     graph_display_name: Optional[str] = None
@@ -231,7 +205,7 @@ class ParallelTrialSpec:
 
 @dataclass(frozen=True)
 class _SharedChunkSpec:
-    """One chunk of the shared transport: where in the shared matrices to write.
+    """One pool chunk: where in the shared matrices to write.
 
     ``times_name``/``fractions_name``/``coverage_name`` are segment names
     from :func:`repro.analysis.shm.create_array`; the worker writes its
@@ -255,20 +229,18 @@ class _SharedChunkSpec:
 
 
 def _resolve_chunk_graph(spec: ParallelTrialSpec) -> Graph:
-    """Materialise the chunk's graph from whichever transport carried it."""
+    """The chunk's graph: carried in the spec, or reattached from shared memory."""
     if spec.graph is not None:
         return spec.graph
-    if spec.graph_shm is not None:
-        return shm.attach_graph(spec.graph_shm, spec.graph_display_name)
-    if spec.family_name is None or spec.size is None:
-        raise AnalysisError("a chunk needs either a graph or a (family_name, size) pair")
-    return get_family(spec.family_name).build(spec.size, seed=spec.graph_seed)
+    if spec.graph_shm is None:
+        raise AnalysisError("a chunk needs either a graph or a shared graph segment")
+    return shm.attach_graph(spec.graph_shm, spec.graph_display_name)
 
 
 def _run_chunk(
     spec: ParallelTrialSpec, trace: Optional[CoverageRecorder] = None
 ) -> SpreadingTimeSample:
-    """Worker entry point: build/attach the graph and run the chunk."""
+    """Run one chunk on its graph (in a worker or in the parent)."""
     _maybe_inject_fault(spec.trial_seed)
     graph = _resolve_chunk_graph(spec)
     return run_trials(
@@ -288,7 +260,7 @@ def _run_chunk(
 def _run_chunk_shared(
     shared: _SharedChunkSpec,
 ) -> tuple[str, int, int, Optional[dict]]:
-    """Shared-transport worker entry point.
+    """Pool worker entry point.
 
     Runs the chunk, writes its spreading times (and coverage fractions /
     per-vertex informing times) directly into the parent-owned shared
@@ -346,11 +318,11 @@ def chunk_plan(
 
     This is the one place the parallel chunking policy lives — including
     the bit-compatibility-critical ``min(workers, trials)`` clamp, which
-    changes how many seeds are spawned: both transports and the
-    equivalence harness (which replays the chunks through serial
+    changes how many seeds are spawned: the pool and the equivalence
+    harness (which replays the chunks through serial
     :func:`~repro.analysis.montecarlo.run_trials` calls) derive the same
     plan from the same ``(trials, workers, seed)`` triple, which is what
-    makes the three paths bit-identical.
+    makes the two paths bit-identical.
     """
     workers = min(int(workers), int(trials))
     graph_seed, *chunk_seeds = spawn_seeds(workers + 1, seed)
@@ -520,7 +492,7 @@ def _execute_shared(
     num_vertices: Optional[int] = None,
     trace: Optional[CoverageRecorder] = None,
 ) -> SpreadingTimeSample:
-    """Dispatch the chunks through the zero-copy shared-memory transport."""
+    """Dispatch the chunks through the zero-copy shared-memory result path."""
     times_segment = times = frac_segment = fraction_matrix = None
     cov_segment = coverage = None
     times_pooled = frac_pooled = cov_pooled = True
@@ -598,7 +570,8 @@ def run_trials_parallel(
     Args:
         graph_or_family: a :class:`Graph` instance, or the name of a
             registered graph family (in which case ``size`` is required and
-            every worker builds the same graph from a shared graph seed).
+            the graph is built once in the parent from the plan's graph
+            seed).
         source: source vertex id or ``"random"``.
         protocol: canonical protocol name.
         trials: total number of trials across all workers.
@@ -620,23 +593,22 @@ def run_trials_parallel(
             every trial in every worker.
         engine_options: extra engine options forwarded to every chunk's
             ``run_trials`` call (e.g. ``{"view": "edge_clocks"}``).
-        parallel: result transport — ``"shared"`` (default; zero-copy
-            shared-memory matrices and CSR reattachment) or ``"pickle"``
-            (legacy sample pickling).  Both transports are bit-identical
-            for the same ``(seed, trials, num_workers)``.
+        parallel: the result transport; ``"shared"`` (zero-copy
+            shared-memory matrices and CSR reattachment) is the only one.
+            The keyword remains because the end-to-end benchmark's
+            workloads pass it; any other value raises
+            :class:`AnalysisError`.
         trace: optional :class:`~repro.telemetry.trace.CoverageRecorder`.
             Each worker records its chunk through a local recorder and
             writes the per-vertex informing times into a shared
             ``(trials, n)`` matrix; the parent ingests the assembled block
             into ``trace``, so the recorded coverage is identical to a
-            single-process traced run at the same seed.  Requires the
-            ``"shared"`` transport and a concrete :class:`Graph` (the
-            matrix width is the vertex count).  When a metrics registry is
-            active in the parent (``collecting_metrics``), worker counters
-            are snapshotted per chunk and merged back on the same return
-            path, alongside parent-side ``parallel.chunks`` /
-            ``parallel.chunk_seconds``; the pickle transport counts chunks
-            but cannot merge worker counters.
+            single-process traced run at the same seed.  Requires a
+            concrete :class:`Graph` (the matrix width is the vertex count).
+            When a metrics registry is active in the parent
+            (``collecting_metrics``), worker counters are snapshotted per
+            chunk and merged back on the same return path, alongside
+            parent-side ``parallel.chunks`` / ``parallel.chunk_seconds``.
 
     Returns:
         The merged :class:`SpreadingTimeSample`.
@@ -652,12 +624,12 @@ def run_trials_parallel(
     """
     if trials < 1:
         raise AnalysisError(f"trials must be positive, got {trials}")
-    if parallel not in PARALLEL_MODES:
+    if parallel != "shared":
         raise AnalysisError(
-            f"parallel must be one of {PARALLEL_MODES}, got {parallel!r}"
+            f"parallel must be 'shared' (the only transport), got {parallel!r}"
         )
     collector = None
-    if trace is None and parallel == "shared" and isinstance(graph_or_family, Graph):
+    if trace is None and isinstance(graph_or_family, Graph):
         # Ambient tracing (collecting_traces) reaches parallel runs too,
         # but only where explicit tracing is supported; deposit happens
         # after the merged sample is assembled below.
@@ -666,26 +638,18 @@ def run_trials_parallel(
             trace = CoverageRecorder(collector.spec)
         else:
             collector = None
-    if trace is not None:
-        if parallel != "shared":
-            raise AnalysisError(
-                "coverage tracing requires the 'shared' parallel transport "
-                f"(the traced informing-time matrix rides the shared-memory "
-                f"result path), got parallel={parallel!r}"
-            )
-        if not isinstance(graph_or_family, Graph):
-            raise AnalysisError(
-                "coverage tracing requires a concrete Graph (the traced "
-                "matrix width is the vertex count); build the family graph "
-                "first and pass it directly"
-            )
+    if trace is not None and not isinstance(graph_or_family, Graph):
+        raise AnalysisError(
+            "coverage tracing requires a concrete Graph (the traced "
+            "matrix width is the vertex count); build the family graph "
+            "first and pass it directly"
+        )
     scenario = as_scenario(scenario)
     if batch not in (False, "auto"):
         # Fail fast in the parent on an impossible forced-batch setting
         # instead of surfacing the error from inside a worker process.
-        # Workers always run on a concrete graph (families are built there),
-        # hence fixed_graph=True; the shared predicate is the same one
-        # run_trials dispatches on.
+        # Chunks always run on a concrete graph, hence fixed_graph=True;
+        # the shared predicate is the same one run_trials dispatches on.
         use_batch, reason = batch_dispatch_decision(
             protocol, engine_options, scenario, batch, None, fixed_graph=True
         )
@@ -696,81 +660,54 @@ def run_trials_parallel(
         raise AnalysisError(f"num_workers must be positive, got {num_workers}")
 
     graph_seed, plan = chunk_plan(trials, workers, seed)
-    specs = []
-    for chunk_size, chunk_seed in plan:
-        if isinstance(graph_or_family, Graph):
-            spec = ParallelTrialSpec(
-                protocol=protocol,
-                source=source,
-                trials=chunk_size,
-                trial_seed=chunk_seed,
-                graph=graph_or_family,
-                fractions=tuple(fractions),
-                batch=batch,
-                scenario=scenario,
-                engine_options=engine_options,
-            )
-        else:
-            if size is None:
-                raise AnalysisError("size is required when passing a family name")
-            spec = ParallelTrialSpec(
-                protocol=protocol,
-                source=source,
-                trials=chunk_size,
-                trial_seed=chunk_seed,
-                family_name=str(graph_or_family),
-                size=int(size),
-                graph_seed=graph_seed,
-                fractions=tuple(fractions),
-                batch=batch,
-                scenario=scenario,
-                engine_options=engine_options,
-            )
-        specs.append(spec)
+    if isinstance(graph_or_family, Graph):
+        graph = graph_or_family
+    elif size is None:
+        raise AnalysisError("size is required when passing a family name")
+    else:
+        graph = get_family(str(graph_or_family)).build(int(size), seed=graph_seed)
+    specs = [
+        ParallelTrialSpec(
+            protocol=protocol,
+            source=source,
+            trials=chunk_size,
+            trial_seed=chunk_seed,
+            graph=graph,
+            fractions=tuple(fractions),
+            batch=batch,
+            scenario=scenario,
+            engine_options=engine_options,
+        )
+        for chunk_size, chunk_seed in plan
+    ]
 
     metrics = current_metrics()
     if len(specs) == 1:
         # One chunk: run it in-process (identical to a worker run; no pool,
-        # no transport — both parallel modes share this path).  The ambient
-        # metrics registry, when active, sees the chunk directly.
+        # no shared memory).  The ambient metrics registry, when active,
+        # sees the chunk directly.
         if metrics is not None:
             metrics.count("parallel.chunks")
             with metrics.timer("parallel.chunk_seconds"):
                 sample = _run_chunk(specs[0], trace=trace)
         else:
             sample = _run_chunk(specs[0], trace=trace)
-        if collector is not None:
-            collector.add(
-                trace.trace(protocol=protocol, graph_name=sample.graph_name)
-            )
-        return sample
-
-    if metrics is not None:
-        # Ask the workers to run their chunks under private registries and
-        # ship the snapshots back with the chunk metadata (shared transport
-        # merges them in _merge_shared; pickle cannot).
-        metrics.count("parallel.chunks", len(specs))
-        specs = [replace(spec, collect_metrics=True) for spec in specs]
-
-    handle = get_pool(len(specs))  # one process per chunk is all the call can use
-    if parallel == "pickle":
-        samples = _dispatch_chunks(handle, _run_chunk, specs)
-        return SpreadingTimeSample.merged(samples)
-
-    if isinstance(graph_or_family, Graph):
+    else:
+        if metrics is not None:
+            # Ask the workers to run their chunks under private registries
+            # and ship the snapshots back with the chunk metadata
+            # (_merge_shared merges them).
+            metrics.count("parallel.chunks", len(specs))
+            specs = [replace(spec, collect_metrics=True) for spec in specs]
+        handle = get_pool(len(specs))  # one process per chunk is all the call can use
         # Publish the CSR arrays once (cached per graph across calls) and
         # strip the picklable graph from the specs.  The pin (taken inside
         # share_graph's registry lock) keeps the segment out of LRU
         # eviction while this call's chunks are queued — a concurrent
         # sweep may register many other graphs meanwhile.
-        segment_name = shm.share_graph(graph_or_family, pin=True)
+        segment_name = shm.share_graph(graph, pin=True)
         specs = [
-            replace(
-                spec,
-                graph=None,
-                graph_shm=segment_name,
-                graph_display_name=graph_or_family.name,
-            )
+            replace(spec, graph=None, graph_shm=segment_name, graph_display_name=graph.name)
             for spec in specs
         ]
         try:
@@ -780,42 +717,11 @@ def run_trials_parallel(
                 trials,
                 tuple(fractions),
                 protocol,
-                num_vertices=graph_or_family.num_vertices,
+                num_vertices=graph.num_vertices,
                 trace=trace,
             )
         finally:
             shm.unpin_segment(segment_name)
-        if collector is not None:
-            collector.add(
-                trace.trace(protocol=protocol, graph_name=sample.graph_name)
-            )
-        return sample
-
-    # Family mode on the shared transport: build the graph ONCE in the
-    # parent — from the same shared graph seed the workers would have used,
-    # so the samples are bit-identical to the legacy rebuild-per-worker
-    # path — and serve every worker from one shared CSR segment.
-    built = get_family(str(graph_or_family)).build(int(size), seed=graph_seed)
-    segment_name = shm.share_graph(built, pin=True)
-    specs = [
-        replace(
-            spec,
-            family_name=None,
-            size=None,
-            graph_seed=None,
-            graph_shm=segment_name,
-            graph_display_name=built.name,
-        )
-        for spec in specs
-    ]
-    try:
-        return _execute_shared(
-            handle,
-            specs,
-            trials,
-            tuple(fractions),
-            protocol,
-            num_vertices=built.num_vertices,
-        )
-    finally:
-        shm.unpin_segment(segment_name)
+    if collector is not None:
+        collector.add(trace.trace(protocol=protocol, graph_name=sample.graph_name))
+    return sample

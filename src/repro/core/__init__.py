@@ -20,11 +20,7 @@ from repro.core.batch_engine import (
     CLOCK_VIEWS,
     SYNC_BATCH_PROTOCOLS,
     is_batchable,
-    run_asynchronous_batch,
-    run_auxiliary_batch,
     run_batch,
-    run_clock_view_batch,
-    run_synchronous_batch,
 )
 from repro.core.flatgraph import FlatAdjacency, flat_adjacency
 from repro.core.protocols import (
@@ -54,11 +50,7 @@ __all__ = [
     "CLOCK_VIEWS",
     "SYNC_BATCH_PROTOCOLS",
     "is_batchable",
-    "run_asynchronous_batch",
-    "run_auxiliary_batch",
     "run_batch",
-    "run_clock_view_batch",
-    "run_synchronous_batch",
     "BatchTimes",
     "AUX_VARIANTS",
     "pull_probabilities",

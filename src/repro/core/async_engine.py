@@ -25,13 +25,11 @@ precisely the facts the paper quotes.
 
 As with the synchronous engine, this module simulates one trial with full
 :class:`~repro.core.result.SpreadingResult` bookkeeping; times-only Monte
-Carlo runs of any view should go through :mod:`repro.core.batch_engine` —
-:func:`~repro.core.batch_engine.run_asynchronous_batch` batches the
-``"global"`` tick loop and
-:func:`~repro.core.batch_engine.run_clock_view_batch` batches the
-``"node_clocks"``/``"edge_clocks"`` priority queues as per-row argmin
-next-event tables — reproducing this engine's results trial-for-trial for
-the same per-trial generators.
+Carlo runs of any view should go through
+:func:`repro.core.batch_engine.run_batch`, which batches the ``"global"``
+tick loop and the ``"node_clocks"``/``"edge_clocks"`` priority queues (as
+per-row argmin next-event tables), reproducing this engine's results
+trial-for-trial for the same per-trial generators.
 """
 
 from __future__ import annotations
@@ -619,8 +617,8 @@ def _run_global_view_scenario(
 class _ClockScenarioState:
     """Per-trial scenario bookkeeping shared by both clock-queue runners.
 
-    Per-trial randomness order (mirrored exactly by
-    :func:`repro.core.batch_engine.run_clock_view_batch`):
+    Per-trial randomness order (mirrored exactly by the clock-view table
+    loop of :func:`repro.core.batch_engine.run_batch`):
 
     1. ``Delay`` rates, once, before the initial next-tick block;
     2. the initial next-tick block (``rng.exponential(1 / r_v, n)`` for

@@ -23,7 +23,7 @@ decision, mirroring the synchronous engine.
 This module simulates one trial with full
 :class:`~repro.core.result.SpreadingResult` bookkeeping; times-only Monte
 Carlo runs should go through
-:func:`repro.core.batch_engine.run_auxiliary_batch`, which simulates whole
+:func:`repro.core.batch_engine.run_batch`, which simulates whole
 ``(B, n)`` blocks of trials at once, shares this module's
 :func:`pull_probabilities`, and reproduces this engine's informing times
 trial-for-trial for the same per-trial generators.

@@ -8,31 +8,34 @@ one :func:`~repro.core.sync_engine.run_synchronous` call at a time pays the
 full Python-level per-round overhead and the per-vertex
 :class:`~repro.core.result.SpreadingResult` materialization once per trial.
 
-The kernels in this module instead simulate ``B`` trials *simultaneously* as
-``(B, n)`` NumPy arrays:
+:func:`run_batch` instead simulates ``B`` trials *simultaneously* as
+``(B, n)`` NumPy arrays.  It is the one entry point: it validates a call
+once (protocol, options, scenario, budgets, sources, generators), resolves
+the kernel backend, runs one of five private loop bodies, and builds the
+times-only result.  The bodies, by kernel family:
 
-* :func:`run_synchronous_batch` is a 2-D generalization of the synchronous
-  engine — one vectorised neighbor-sampling call per round covers every live
-  trial, and per-trial completion masks retire finished trials from the
-  working set (they stop consuming randomness, exactly like a serial run
-  that returned).
-* :func:`run_asynchronous_batch` is a batched tick loop for the ``"global"``
-  view of the asynchronous model: per-trial exponential time accumulators
-  advance all live trials by one Poisson tick per iteration, with the rumor
-  exchange vectorised across trials.
-* :func:`run_clock_view_batch` serves the ``"node_clocks"`` and
-  ``"edge_clocks"`` views: the serial priority queue becomes a next-tick
+* **Synchronous rounds** (``pp``/``push``/``pull``, :func:`_sync_rounds`) —
+  one vectorised neighbor-sampling call per round covers every live trial,
+  and finished trials leave the working set (they stop consuming
+  randomness, exactly like a serial run that returned).
+* **Auxiliary rounds** (``ppx``/``ppy`` of Definitions 5 and 7,
+  :func:`_aux_rounds`) — informed-neighbor counts are a ``(B, n)`` integer
+  matrix and the per-vertex pull probabilities come from the shared
+  vectorised :func:`~repro.core.aux_processes.pull_probabilities`.
+* **The global tick loop** (the asynchronous trio under the ``"global"``
+  view, :func:`_async_ticks`) — per-trial exponential time accumulators
+  advance all live trials by one Poisson tick per iteration, with the
+  rumor exchange vectorised across trials.
+* **The clock-view table loop** (``"node_clocks"`` and ``"edge_clocks"``,
+  :func:`_clock_table`) — the serial priority queue becomes a next-tick
   matrix with one row per live trial, whose per-row ``argmin`` is the next
   event (identical to the heap pop — continuous tick times tie with
   probability zero), so batched next-event simulation stays exact.
-* :func:`run_auxiliary_batch` batches the analysis-only processes
-  ``ppx``/``ppy`` of Definitions 5 and 7: informed-neighbor counts are a
-  ``(B, n)`` integer matrix and the per-vertex pull probabilities come from
-  the shared vectorised
-  :func:`~repro.core.aux_processes.pull_probabilities`.
+* **Pooled clock chunks** (either clock view with a pooled generator on a
+  static graph, :func:`_pooled_clock_chunks`) — see *Pooled RNG mode*.
 
 **Exact serial equivalence.**  Each trial owns its own
-:class:`numpy.random.Generator` and the kernels consume randomness from it
+:class:`numpy.random.Generator` and the bodies consume randomness from it
 in *exactly* the order the serial engines do (``rng.random(n)`` per
 synchronous round while live; ``exponential``/``integers``/``random`` chunks
 of the same sizes for the asynchronous global view; per-tick scalar draws
@@ -44,43 +47,46 @@ same informing times as a serial run seeded with ``g``, and leaves ``g`` in
 the same state — the batch dimension is a pure throughput optimization,
 testable trial-for-trial with spawned seeds (the shared harness in
 ``tests/helpers/equivalence.py`` pins exactly this contract for every
-kernel).
+body).
 
-**Adversity scenarios.**  Every kernel accepts the ``scenario=`` argument
+**Adversity scenarios.**  Every body accepts the ``scenario=`` argument
 of :mod:`repro.scenarios` and implements the perturbations as vectorised
 ``(B, n)`` masks, consuming per-trial scenario randomness in the same
 documented order as the serial engines (resample → churn → burst →
 contacts → loss; ``Delay`` rates once at trial start), so fixed-seed
-serial/batch agreement holds under scenarios too.  The synchronous kernel
-covers loss (independent or bursty), churn (random, targeted, or adaptive),
+serial/batch agreement holds under scenarios too.  The synchronous rounds
+cover loss (independent or bursty), churn (random, targeted, or adaptive),
 adaptive jamming, and
 dynamic graphs (one concatenated CSR rebuilt for all trials at each shared
-round boundary); the asynchronous kernels — the ``"global"`` tick loop and
+round boundary); the asynchronous bodies — the ``"global"`` tick loop and
 both clock-queue views — cover all of those plus ``Delay``, with dynamic
 graphs carried as a *per-trial padded* stacked CSR (:class:`_TrialGraphs`)
 whose rows are replaced independently at each trial's own period boundary.
-The single rejected combination is a dynamic graph under the
-``"edge_clocks"`` view, where the serial engine refuses too (resampling
-would change the per-pair clock set itself) — see :func:`is_batchable`.
+:func:`run_batch` rejects what the serial engines reject (see :func:`is_batchable`):
+a ``Delay`` on a synchronous protocol, a dynamic graph under the
+``"edge_clocks"`` view (resampling would change the per-pair clock set
+itself), and any runtime scenario on ``ppx``/``ppy``.
 
 **Pooled RNG mode.**  Passing ``pooled_rng=`` replaces the per-trial
 generators with one shared generator drawing whole ``(B, n)`` matrices at
 once.  This halves the Python-level draw overhead for small ``n`` but gives
 up serial equivalence: pooled samples agree with per-trial samples only *in
 distribution* (checked by a KS test in the suite).  For the clock-queue
-views the pooled mode goes further: freed from the serial draw order, the
-kernel pre-draws the randomness of thousands of future ticks as
-``(B, chunk)`` blocks and drops the next-tick table entirely (both views
-are the same superposed Poisson process in distribution — see
-:func:`_run_clock_view_pooled`), which removes the dominant per-tick
-argmin/draw overhead.
+views on a static graph the pooled mode goes further: freed from the serial
+draw order, :func:`_pooled_clock_chunks` pre-draws the randomness of
+``_POOLED_CLOCK_CHUNK`` future ticks as ``(B, chunk)`` blocks and drops the
+next-tick table entirely (both views are the same superposed Poisson
+process in distribution), which removes the dominant per-tick argmin/draw
+overhead.  A pooled dynamic graph (node view only) keeps the table loop,
+drawing per tick from the shared generator.
 
 **Kernel backends.**  The hot loops themselves — the synchronous round
 step, the flattened asynchronous tick loop, and the pooled clock-view
 chunk consumer — live in :mod:`repro.core.kernels` with interchangeable
 ``"numpy"`` and numba-compiled ``"jit"`` implementations, selected per
-call with the ``backend=`` engine option (default ``"auto"``); see the
-package docstring for the per-kernel equivalence guarantees.
+call with the ``backend=`` option (default ``"auto"``); see the package
+docstring for the per-kernel equivalence guarantees.  The auxiliary rounds
+and the clock-view table loop run numpy code only.
 
 The output is a times-only :class:`~repro.core.result.BatchTimes` record:
 batched runs never build parents, infection kinds, or traces.  Callers that
@@ -89,30 +95,27 @@ need those (coupling experiments, trace debugging) use the serial engines.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import compress
 from types import ModuleType
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.async_engine import ASYNC_MODES, ASYNC_VIEWS, default_max_steps
-from repro.core.aux_processes import AUX_VARIANTS, pull_probabilities
+from repro.core.async_engine import ASYNC_VIEWS, default_max_steps
+from repro.core.aux_processes import pull_probabilities
 from repro.core.flatgraph import FlatAdjacency, flat_adjacency
 from repro.core.kernels import AsyncState, resolve_backend
 from repro.core.result import BatchTimes
-from repro.core.sync_engine import SYNC_MODES, default_max_rounds
-from repro.errors import ProtocolError, ScenarioError, SimulationError
+from repro.core.sync_engine import default_max_rounds
+from repro.errors import ProtocolError, ReproError, ScenarioError, SimulationError
 from repro.graphs.base import Graph
 from repro.randomness.rng import SeedLike, spawn_generators
-from repro.scenarios.base import DynamicGraph, Scenario, ScenarioLike, as_scenario
+from repro.scenarios.base import Delay, DynamicGraph, Scenario, ScenarioLike, as_scenario
 from repro.telemetry.metrics import MetricsRegistry, current_metrics
 
 __all__ = [
     "run_batch",
-    "run_synchronous_batch",
-    "run_asynchronous_batch",
-    "run_auxiliary_batch",
-    "run_clock_view_batch",
     "is_batchable",
     "SYNC_BATCH_PROTOCOLS",
     "ASYNC_BATCH_PROTOCOLS",
@@ -126,33 +129,87 @@ SYNC_BATCH_PROTOCOLS = {"pp": "push-pull", "push": "push", "pull": "pull"}
 #: Canonical protocol name -> asynchronous engine mode (all three views).
 ASYNC_BATCH_PROTOCOLS = {"pp-a": "push-pull", "push-a": "push", "pull-a": "pull"}
 
-#: Auxiliary processes with a batched kernel (protocol name == variant).
+#: Auxiliary processes with a batched body (protocol name == variant).
 AUX_BATCH_PROTOCOLS = ("ppx", "ppy")
 
-#: The clock-queue asynchronous views served by :func:`run_clock_view_batch`
-#: (the ``"global"`` view has its own kernel, :func:`run_asynchronous_batch`).
+#: The clock-queue asynchronous views (the ``"global"`` view has its own
+#: tick loop).
 CLOCK_VIEWS = ("node_clocks", "edge_clocks")
 
-_SYNC_MODE_NAMES = {"push": "push", "pull": "pull", "push-pull": "pp"}
-_ASYNC_MODE_NAMES = {"push": "push-a", "pull": "pull-a", "push-pull": "pp-a"}
+#: Canonical protocol name -> (kernel family, engine mode or aux variant).
+_PROTOCOL_FAMILIES = {
+    **{name: ("sync", mode) for name, mode in SYNC_BATCH_PROTOCOLS.items()},
+    **{name: ("async", mode) for name, mode in ASYNC_BATCH_PROTOCOLS.items()},
+    **{name: ("aux", name) for name in AUX_BATCH_PROTOCOLS},
+}
 
-#: Engine options each batched kernel understands (beyond ``record_times``).
-_SYNC_OPTIONS = frozenset({"max_rounds", "on_budget_exhausted", "backend"})
-_ASYNC_OPTIONS = frozenset({"max_steps", "max_time", "view", "on_budget_exhausted", "backend"})
-_AUX_OPTIONS = frozenset({"max_rounds", "on_budget_exhausted", "backend"})
+#: The options each kernel family takes (beyond ``record_times``).
+_FAMILY_OPTIONS = {
+    "sync": frozenset({"max_rounds", "on_budget_exhausted", "backend"}),
+    "async": frozenset({"max_steps", "max_time", "view", "on_budget_exhausted", "backend"}),
+    "aux": frozenset({"max_rounds", "on_budget_exhausted", "backend"}),
+}
 
 #: Chunk size of the serial asynchronous global-view engine; the batched
 #: kernel must refill per-trial randomness buffers in chunks of exactly this
 #: size to reproduce the serial draw order.
 _ASYNC_CHUNK = 4096
 
-#: Default number of future ticks whose randomness the pooled clock-view
-#: fast path draws ahead of time as one ``(B, chunk)`` block per kind.
+#: Number of future ticks whose randomness the pooled clock-view chunks
+#: draw ahead of time as one ``(B, chunk)`` block per kind.
 _POOLED_CLOCK_CHUNK = 4096
 
 #: Reschedule exponentials the per-trial edge-clock loop draws ahead per
 #: trial and refill (a 512 KiB block at 64 trials); see :class:`_BlockDraws`.
 _CLOCK_BLOCK = 1024
+
+
+def _rejection(
+    protocol: str, options: dict, scenario: Optional[Scenario]
+) -> Optional[ReproError]:
+    """Why ``protocol`` cannot run as a batch with these options, or ``None``.
+
+    The one decision behind both :func:`is_batchable` and the errors
+    :func:`run_batch` raises.  Scenario rejections mirror the serial
+    engines, which refuse the same combinations with the same messages.
+    """
+    if protocol not in _PROTOCOL_FAMILIES:
+        return ProtocolError(
+            f"protocol {protocol!r} has no batched kernel; batchable protocols: "
+            f"{sorted(SYNC_BATCH_PROTOCOLS) + sorted(ASYNC_BATCH_PROTOCOLS) + sorted(AUX_BATCH_PROTOCOLS)}"
+        )
+    family, _ = _PROTOCOL_FAMILIES[protocol]
+    taken = _FAMILY_OPTIONS[family]
+    misapplied = sorted(set(options) - taken)
+    if misapplied:
+        return ProtocolError(
+            f"protocol {protocol!r} does not take {misapplied}; "
+            f"its batch options are {sorted(taken)}"
+        )
+    view = options.get("view", "global")
+    if family == "async" and view not in ASYNC_VIEWS:
+        return ProtocolError(
+            f"unknown asynchronous view {view!r}; expected one of {ASYNC_VIEWS}"
+        )
+    if scenario is None:
+        return None
+    if family == "sync" and scenario.delay is not None:
+        return ScenarioError(
+            "Delay skews asynchronous clock rates; synchronous rounds have no "
+            "clocks to slow down — use an asynchronous protocol"
+        )
+    if family == "aux" and scenario.runtime_active():
+        return ScenarioError(
+            f"protocol {protocol!r} is an analysis-only process; runtime "
+            "scenarios (loss, churn, dynamic graphs, delay) do not apply"
+        )
+    if view == "edge_clocks" and scenario.dynamic is not None:
+        return ScenarioError(
+            "dynamic-graph scenarios are not supported under the 'edge_clocks' "
+            "view: resampling the graph would change the per-pair clock set "
+            "itself; use the 'node_clocks' or 'global' view"
+        )
+    return None
 
 
 def is_batchable(
@@ -165,7 +222,8 @@ def is_batchable(
     Batched kernels cover the six realistic protocols (synchronous and
     asynchronous push / pull / push–pull under all three asynchronous
     views), the auxiliary processes ``ppx``/``ppy``, and the times-only
-    options; anything needing parents or traces falls back to the serial
+    options of :func:`run_batch`; anything else — ``record_trace`` included,
+    which needs the serial engines' traces — falls back to the serial
     engines.  Every runtime scenario — the adaptive adversaries
     (:class:`~repro.scenarios.AdaptiveCrash`,
     :class:`~repro.scenarios.AdaptiveLoss`) included — batches except where
@@ -174,51 +232,25 @@ def is_batchable(
     descriptive error): a :class:`~repro.scenarios.Delay` on a synchronous
     protocol, a :class:`~repro.scenarios.DynamicGraph` under the
     ``edge_clocks`` view, and any runtime scenario on an auxiliary process.
+    :func:`run_batch` raises exactly where this returns ``False``.
     """
-    options = dict(engine_options or {})
-    if options.pop("record_trace", False):
-        return False
-    scenario = as_scenario(scenario)
-    if protocol in SYNC_BATCH_PROTOCOLS:
-        if scenario is not None and scenario.delay is not None:
-            return False
-        return set(options) <= _SYNC_OPTIONS
-    if protocol in AUX_BATCH_PROTOCOLS:
-        if scenario is not None and scenario.runtime_active():
-            return False
-        return set(options) <= _AUX_OPTIONS
-    if protocol in ASYNC_BATCH_PROTOCOLS:
-        view = options.get("view", "global")
-        if view not in ASYNC_VIEWS:
-            return False
-        if (
-            view == "edge_clocks"
-            and scenario is not None
-            and scenario.dynamic is not None
-        ):
-            return False
-        return set(options) <= _ASYNC_OPTIONS
-    return False
+    return _rejection(protocol, dict(engine_options or {}), as_scenario(scenario)) is None
 
 
 def _prepare(
     graph: Graph,
     sources: Union[int, Sequence[int], np.ndarray],
-    mode: str,
-    valid_modes: tuple[str, ...],
     rngs: Optional[Sequence[np.random.Generator]],
     trials: Optional[int],
     seed: SeedLike,
     on_budget_exhausted: str,
-    pooled_rng: Optional[np.random.Generator] = None,
+    pooled_rng: Optional[np.random.Generator],
 ) -> tuple[np.ndarray, Optional[list[np.random.Generator]]]:
     """Validate inputs and normalise (sources, rngs) to per-trial sequences.
 
     In pooled mode (``pooled_rng`` given) no per-trial generators exist and
     the second return value is ``None``.
     """
-    if mode not in valid_modes:
-        raise ProtocolError(f"unknown mode {mode!r}; expected one of {valid_modes}")
     if on_budget_exhausted not in ("error", "partial"):
         raise ProtocolError(
             f"on_budget_exhausted must be 'error' or 'partial', got {on_budget_exhausted!r}"
@@ -515,91 +547,167 @@ class _ScenarioParts:
 
 
 # ---------------------------------------------------------------------- #
-# Synchronous batch kernel
+# What run_batch hands a loop body, and what it gets back
 # ---------------------------------------------------------------------- #
-def run_synchronous_batch(
-    graph: Graph,
-    sources: Union[int, Sequence[int], np.ndarray],
-    *,
-    mode: str = "push-pull",
-    rngs: Optional[Sequence[np.random.Generator]] = None,
-    trials: Optional[int] = None,
-    seed: SeedLike = None,
-    max_rounds: Optional[int] = None,
-    record_times: bool = True,
-    on_budget_exhausted: str = "error",
-    scenario: ScenarioLike = None,
-    pooled_rng: Optional[np.random.Generator] = None,
-    backend: Optional[str] = None,
-) -> BatchTimes:
-    """Simulate a batch of synchronous rumor-spreading trials at once.
+@dataclass(frozen=True)
+class _BatchJob:
+    """The validated inputs of one :func:`run_batch` call.
 
-    Args:
-        graph: the (connected) graph shared by every trial (the *initial*
-            graph under a dynamic-graph scenario).
-        sources: per-trial source vertices (length ``B``), or a single vertex
-            id used by all trials.  Note scenario source strategies are
-            applied by :func:`repro.core.protocols.spread` and
-            :func:`repro.analysis.montecarlo.run_trials`; this kernel always
-            uses the sources it is given.
-        mode: ``"push"``, ``"pull"``, or ``"push-pull"``.
-        rngs: per-trial generators (length ``B``).  Trial ``i`` consumes
-            randomness from ``rngs[i]`` exactly as a serial
-            :func:`~repro.core.sync_engine.run_synchronous` call would, so
-            fixed-seed results agree trial-for-trial with the serial engine
-            (scenarios included).
-        trials: batch size when ``sources`` is a scalar and ``rngs`` is not
-            given.
-        seed: master seed used to spawn per-trial generators when ``rngs``
-            is not given.
-        max_rounds: per-trial round budget (shared), defaulting to
-            :func:`~repro.core.sync_engine.default_max_rounds`.
-        record_times: record the full ``(B, n)`` per-vertex time matrix.
-            With ``False`` only per-trial spreading times are kept, which is
-            cheaper and enough for spreading-time statistics.
-        on_budget_exhausted: ``"error"`` raises :class:`SimulationError` if
-            any trial fails to complete; ``"partial"`` marks such trials
-            incomplete instead.
-        scenario: optional adversity scenario; loss (independent or
-            bursty), churn (random or targeted), and dynamic graphs apply
-            (``Delay`` raises — synchronous rounds have no clocks).
-        pooled_rng: one shared generator replacing the per-trial ones (no
-            serial equivalence; distribution-level agreement only).
-        backend: kernel backend for the round step — ``"numpy"``, ``"jit"``,
-            or ``"auto"`` (see :mod:`repro.core.kernels`; both backends are
-            bit-identical here).  ``None`` reads ``REPRO_KERNEL_BACKEND``
-            and then defaults to ``"auto"``.
-
-    Returns:
-        A :class:`~repro.core.result.BatchTimes` with round-valued times.
+    ``budget`` is the round budget of the synchronous and auxiliary
+    families and the step budget of the asynchronous one; ``time_budget``
+    is infinite for the round-based families.  ``kern`` is the resolved
+    backend module (the numpy one for the numpy-only bodies).
     """
-    source_array, generators = _prepare(
-        graph, sources, mode, SYNC_MODES, rngs, trials, seed, on_budget_exhausted, pooled_rng
+
+    graph: Graph
+    sources: np.ndarray
+    generators: Optional[list[np.random.Generator]]
+    pooled_rng: Optional[np.random.Generator]
+    mode: str
+    view: str
+    record_times: bool
+    parts: _ScenarioParts
+    kern: ModuleType
+    metrics: Optional[MetricsRegistry]
+    budget: int
+    time_budget: float
+
+
+class _Outcome(NamedTuple):
+    """A loop body's per-trial results."""
+
+    completed: np.ndarray
+    completion_time: np.ndarray
+    times: Optional[np.ndarray]
+    #: rounds (synchronous and auxiliary) or executed ticks (asynchronous)
+    counts: np.ndarray
+    num_informed: np.ndarray
+
+
+def _initial_informed(
+    n: int, sources: np.ndarray, record_times: bool
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Each trial's informed matrix, informed count and time matrix at t = 0."""
+    batch = sources.size
+    trial_rows = np.arange(batch, dtype=np.int64)
+    informed = np.zeros((batch, n), dtype=bool)
+    informed[trial_rows, sources] = True
+    times = None
+    if record_times:
+        times = np.full((batch, n), np.inf)
+        times[trial_rows, sources] = 0.0
+    return informed, np.ones(batch, dtype=np.int64), times
+
+
+def _delay_rates(
+    delay: Delay,
+    graph: Graph,
+    batch: int,
+    generators: Optional[list[np.random.Generator]],
+    pooled_rng: Optional[np.random.Generator],
+) -> np.ndarray:
+    """The ``(B, n)`` vertex clock rates of a :class:`~repro.scenarios.Delay`.
+
+    They are the first randomness each trial consumes, before any tick,
+    matching the serial engine.
+    """
+    return np.stack(
+        [
+            delay.draw_rates(
+                graph, pooled_rng if pooled_rng is not None else generators[b]
+            )
+            for b in range(batch)
+        ]
     )
-    scenario = as_scenario(scenario)
-    if scenario is not None and scenario.delay is not None:
-        raise ScenarioError(
-            "Delay skews asynchronous clock rates; synchronous rounds have no "
-            "clocks to slow down — use an asynchronous protocol"
+
+
+class _LiveSet:
+    """The live-trial working set of the round-based bodies.
+
+    Row ``i`` of the live arrays belongs to trial ``ids[i]``.  When trials
+    finish, :meth:`retire` moves their rows into the per-trial final
+    storage and compacts the rest, so finished trials stop paying any
+    per-round cost (and stop consuming randomness, like a serial run that
+    returned).  ``rngs`` is empty in pooled mode.
+    """
+
+    __slots__ = (
+        "n", "ids", "rngs", "informed", "count", "times",
+        "final_times", "rounds", "final_count", "completed", "completion_time",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        sources: np.ndarray,
+        generators: Optional[list[np.random.Generator]],
+        record_times: bool,
+    ) -> None:
+        batch = sources.size
+        self.n = n
+        self.ids = np.arange(batch, dtype=np.int64)
+        self.rngs = list(generators) if generators is not None else []
+        self.informed, self.count, self.times = _initial_informed(n, sources, record_times)
+        self.final_times = np.empty((batch, n)) if record_times else None
+        self.rounds = np.zeros(batch, dtype=np.int64)
+        self.final_count = np.full(batch, n, dtype=np.int64)
+        self.completed = np.zeros(batch, dtype=bool)
+        self.completion_time = np.full(batch, np.inf)
+
+    def retire(self, round_index: int) -> Optional[np.ndarray]:
+        """Retire the trials this round completed; the kept rows, or ``None``."""
+        finished = self.count == self.n
+        if not finished.any():
+            return None
+        done = np.flatnonzero(finished)
+        done_ids = self.ids[done]
+        self.completed[done_ids] = True
+        self.completion_time[done_ids] = float(round_index)
+        self.rounds[done_ids] = round_index
+        keep = np.flatnonzero(~finished)
+        if self.times is not None:
+            self.final_times[done_ids] = self.times[done]
+            self.times = self.times[keep]
+        self.informed = self.informed[keep]
+        self.count = self.count[keep]
+        if self.rngs:
+            self.rngs = [self.rngs[i] for i in keep]
+        self.ids = self.ids[keep]
+        return keep
+
+    def outcome(self, round_index: int) -> _Outcome:
+        """The per-trial results; trials still live executed every round."""
+        if self.ids.size:
+            self.rounds[self.ids] = round_index
+            self.final_count[self.ids] = self.count
+            if self.times is not None:
+                self.final_times[self.ids] = self.times
+        return _Outcome(
+            self.completed, self.completion_time, self.final_times,
+            self.rounds, self.final_count,
         )
-    parts = _ScenarioParts(scenario)
+
+
+# ---------------------------------------------------------------------- #
+# Synchronous rounds (pp / push / pull)
+# ---------------------------------------------------------------------- #
+def _sync_rounds(job: _BatchJob) -> _Outcome:
+    """The synchronous round loop.
+
+    Per live trial and round the randomness is drawn in the serial
+    engine's order: graph resample (at period boundaries), churn update,
+    burst channel draw, one ``random(n)`` contact block, loss uniforms.
+    The round itself is the backend's ``sync_round_step``.
+    """
+    graph, parts, kern, metrics = job.graph, job.parts, job.kern, job.metrics
+    pooled_rng = job.pooled_rng
     loss_prob = parts.loss_prob
     burst = parts.burst
     churn = parts.churn
     dynamic = parts.dynamic
-    protocol_name = _SYNC_MODE_NAMES[mode]
+    mode = job.mode
     n = graph.num_vertices
-    batch = source_array.size
-    budget = default_max_rounds(n) if max_rounds is None else int(max_rounds)
-    if budget < 0:
-        raise ProtocolError(f"max_rounds must be non-negative, got {max_rounds}")
-    if n == 1:
-        return _trivial_batch(protocol_name, graph, source_array, record_times, True)
-
-    kern = resolve_backend(backend)
-    metrics = current_metrics()
-    if metrics is not None:
-        metrics.gauge("engine.backend", kern.BACKEND_NAME)
+    batch = job.sources.size
     flat = flat_adjacency(graph)
     # Narrow copies of the CSR arrays: the neighbor-sampling gathers are the
     # hottest memory traffic in the round loop.  int32 covers flat (row,
@@ -615,27 +723,7 @@ def run_synchronous_batch(
     pull_allowed = mode in ("pull", "push-pull")
     push_allowed = mode in ("push", "push-pull")
 
-    # Live-trial working set, compacted whenever trials finish: row i of the
-    # live arrays belongs to trial live_ids[i].  Finished trials move their
-    # rows into the separate per-trial final storage and stop paying any
-    # per-round cost (and stop consuming randomness, like a serial run that
-    # returned).
-    live_ids = np.arange(batch, dtype=np.int64)
-    live_rngs = list(generators) if generators is not None else []
-    informed_live = np.zeros((batch, n), dtype=bool)
-    informed_live[live_ids, source_array] = True
-    informed_live_count = np.ones(batch, dtype=np.int64)
-    times_live = None
-    final_times = None
-    if record_times:
-        times_live = np.full((batch, n), np.inf)
-        times_live[live_ids, source_array] = 0.0
-        final_times = np.empty((batch, n))
-
-    final_rounds = np.zeros(batch, dtype=np.int64)
-    final_informed_count = np.full(batch, n, dtype=np.int64)
-    completed = np.zeros(batch, dtype=bool)
-    completion_time = np.full(batch, np.inf)
+    live_set = _LiveSet(n, job.sources, job.generators, job.record_times)
     # Contact-draw buffer (sliced to the live row count) plus the backend's
     # own round workspace (the numpy kernels preallocate their per-round
     # temporaries there; the jit kernels need none).
@@ -660,9 +748,11 @@ def run_synchronous_batch(
     )
 
     round_index = 0
-    while live_ids.size and round_index < budget:
+    while live_set.ids.size and round_index < job.budget:
         round_index += 1
-        live = live_ids.size
+        live = live_set.ids.size
+        live_rngs = live_set.rngs
+        informed_live = live_set.informed
         # Scenario randomness order per trial (matching the serial engine):
         # graph resample, churn update, contacts, loss flips.
         if dynamic is not None and round_index > 1 and (round_index - 1) % dynamic.period == 0:
@@ -763,33 +853,19 @@ def run_synchronous_batch(
             if kept is not None:
                 metrics.count("engine.messages_lost", int(kept.size - kept.sum()))
         if stacked is not None:
-            informed_live_count = kern.sync_round_step_dynamic(
+            live_set.count = kern.sync_round_step_dynamic(
                 stacked, row_offsets_wide[:live], draws, kept, up_live,
-                informed_live, times_live, round_index,
-                push_allowed, pull_allowed, ws, informed_live_count,
+                informed_live, live_set.times, round_index,
+                push_allowed, pull_allowed, ws, live_set.count,
             )
         else:
-            informed_live_count = kern.sync_round_step(
+            live_set.count = kern.sync_round_step(
                 csr_nw, draws, kept, up_live,
-                informed_live, times_live, round_index,
-                push_allowed, pull_allowed, ws, informed_live_count,
+                informed_live, live_set.times, round_index,
+                push_allowed, pull_allowed, ws, live_set.count,
             )
-        finished = informed_live_count == n
-        if finished.any():
-            done = np.flatnonzero(finished)
-            done_ids = live_ids[done]
-            completed[done_ids] = True
-            completion_time[done_ids] = float(round_index)
-            final_rounds[done_ids] = round_index
-            if times_live is not None:
-                final_times[done_ids] = times_live[done]
-            keep = np.flatnonzero(~finished)
-            informed_live = informed_live[keep]
-            if times_live is not None:
-                times_live = times_live[keep]
-            informed_live_count = informed_live_count[keep]
-            if pooled_rng is None:
-                live_rngs = [live_rngs[i] for i in keep]
+        keep = live_set.retire(round_index)
+        if keep is not None:
             if up_live is not None:
                 up_live = up_live[keep]
             if bad_live is not None:
@@ -801,106 +877,156 @@ def run_synchronous_batch(
                 # The concatenated neighbor array keeps dead segments until
                 # the next rebuild; the kept start offsets stay valid.
                 stacked = (stacked[0][keep], stacked[1][keep], stacked[2])
-            live_ids = live_ids[keep]
-
-    if live_ids.size:
-        # Budget exhausted with trials still live: they executed every round.
-        final_rounds[live_ids] = round_index
-        final_informed_count[live_ids] = informed_live_count
-        if times_live is not None:
-            final_times[live_ids] = times_live
-
-    if not completed.all() and on_budget_exhausted == "error":
-        _raise_incomplete(
-            protocol_name, graph, final_informed_count, completed, f"{budget} rounds"
-        )
-    if metrics is not None:
-        # Every informed vertex beyond the pre-informed sources received
-        # exactly one successful transmission.
-        metrics.count(
-            "engine.messages_delivered", int(final_informed_count.sum()) - batch
-        )
-    parts.record_budget_spent(metrics)
-
-    return BatchTimes(
-        protocol=protocol_name,
-        graph_name=graph.name,
-        num_vertices=n,
-        sources=source_array,
-        completed=completed,
-        completion_time=completion_time,
-        informed_time=final_times,
-        rounds=final_rounds,
-        steps=None,
-    )
+    return live_set.outcome(round_index)
 
 
 # ---------------------------------------------------------------------- #
-# Asynchronous batch kernel ("global" view)
+# Auxiliary rounds (ppx / ppy)
 # ---------------------------------------------------------------------- #
-def run_asynchronous_batch(
-    graph: Graph,
-    sources: Union[int, Sequence[int], np.ndarray],
-    *,
-    mode: str = "push-pull",
-    rngs: Optional[Sequence[np.random.Generator]] = None,
-    trials: Optional[int] = None,
-    seed: SeedLike = None,
-    max_steps: Optional[int] = None,
-    max_time: Optional[float] = None,
-    record_times: bool = True,
-    on_budget_exhausted: str = "error",
-    scenario: ScenarioLike = None,
-    pooled_rng: Optional[np.random.Generator] = None,
-    backend: Optional[str] = None,
-) -> BatchTimes:
-    """Simulate a batch of asynchronous trials under the ``"global"`` view.
+def _bump_neighbor_counts(
+    counts_flat: np.ndarray,
+    rows: np.ndarray,
+    verts: np.ndarray,
+    flat: FlatAdjacency,
+    n: int,
+) -> None:
+    """``counts_flat[r * n + w] += 1`` for every neighbor ``w`` of each ``(r, v)``.
+
+    The vectorised equivalent of the serial engine's "for each newly informed
+    vertex, bump every neighbor's informed count" loop, across batch rows.
+    """
+    degs = flat.degrees[verts]
+    total = int(degs.sum())
+    if total == 0:
+        return
+    stops = np.cumsum(degs)
+    within = np.arange(total, dtype=np.int64) - np.repeat(stops - degs, degs)
+    neighbors = flat.indices[np.repeat(flat.indptr[verts], degs) + within]
+    np.add.at(counts_flat, np.repeat(rows, degs) * n + neighbors, 1)
+
+
+def _aux_rounds(job: _BatchJob) -> _Outcome:
+    """The ``(B, n)`` generalization of
+    :func:`~repro.core.aux_processes.run_auxiliary_process`.
+
+    Per-vertex informed-neighbor counts are a batched integer matrix and the
+    push/pull commits are scatter operations across all live trials.
+    Per-trial randomness is consumed in exactly the serial engine's order —
+    one ``random(k_informed)`` push block, one ``random(k_candidates)`` pull
+    block, then one bounded-integer parent draw per pulling vertex (the
+    chosen parent never affects informing times, but the draw must happen to
+    keep the streams aligned).  The pooled mode skips the parent draws.
+    """
+    graph, pooled_rng, metrics = job.graph, job.pooled_rng, job.metrics
+    variant = job.mode
+    n = graph.num_vertices
+    batch = job.sources.size
+    flat = flat_adjacency(graph)
+    degrees = flat.degrees
+
+    live_set = _LiveSet(n, job.sources, job.generators, job.record_times)
+    # nbr_count[i, v] = |{w in Γ(v): w informed}| in trial i (round start).
+    nbr_count = np.zeros((batch, n), dtype=np.int64)
+    _bump_neighbor_counts(nbr_count.reshape(-1), live_set.ids, job.sources, flat, n)
+
+    round_index = 0
+    while live_set.ids.size and round_index < job.budget:
+        round_index += 1
+        live = live_set.ids.size
+        live_rngs = live_set.rngs
+        informed_live = live_set.informed
+        informed_live_count = live_set.count
+
+        # --- Push half: every informed vertex contacts a random neighbor. ---
+        rows_p, verts_p = np.nonzero(informed_live)  # row-major = serial's vertex order
+        push_u = np.empty(rows_p.size)
+        if pooled_rng is not None:
+            pooled_rng.random(out=push_u)
+        else:
+            stop = 0
+            for i in range(live):
+                # One rng.random(k_informed) per live trial per round — the
+                # exact draw the serial engine makes.
+                start, stop = stop, stop + int(informed_live_count[i])
+                live_rngs[i].random(out=push_u[start:stop])
+        contacts = flat.random_neighbors(verts_p, push_u)
+        informed_flat = informed_live.reshape(-1)
+        hit = ~informed_flat[rows_p * n + contacts]
+        push_rows = rows_p[hit]
+        push_verts = contacts[hit]
+
+        # --- Pull half: uninformed vertices pull with the variant's probability. ---
+        rows_c, verts_c = np.nonzero(~informed_live & (nbr_count > 0))
+        cand_counts = np.bincount(rows_c, minlength=live)
+        pull_u = np.empty(rows_c.size)
+        if pooled_rng is not None:
+            pooled_rng.random(out=pull_u)
+        else:
+            stop = 0
+            for i in range(live):
+                start, stop = stop, stop + int(cand_counts[i])
+                live_rngs[i].random(out=pull_u[start:stop])
+        k = nbr_count[rows_c, verts_c]
+        pulled = pull_u < pull_probabilities(variant, k, degrees[verts_c])
+        pull_rows = rows_c[pulled]
+        pull_verts = verts_c[pulled]
+        if pooled_rng is None and pull_rows.size:
+            # The serial engine draws a uniform informed parent per pulling
+            # vertex (rng.integers(k)); informing times never depend on the
+            # choice, but the draws must be consumed for stream alignment.
+            bounds = k[pulled]
+            pull_counts = np.bincount(pull_rows, minlength=live)
+            stop = 0
+            for i in range(live):
+                start, stop = stop, stop + int(pull_counts[i])
+                if stop > start:
+                    # repro: allow[RNG002] -- zero-count skip only: integers() over an empty bounds slice consumes no stream, so the guard cannot reorder draws
+                    live_rngs[i].integers(0, bounds[start:stop])
+        if metrics is not None:
+            metrics.count("engine.rounds", live)
+            # The serial engine's contacts: every informed vertex pushes and
+            # every pulling vertex pulls.
+            metrics.count("engine.messages_attempted", int(rows_p.size + pull_rows.size))
+
+        # --- Commit: pulls and pushes both stamp this round's timestamp. ---
+        new_mask = np.zeros((live, n), dtype=bool)
+        new_mask[pull_rows, pull_verts] = True
+        new_mask[push_rows, push_verts] = True
+        if live_set.times is not None:
+            live_set.times[new_mask] = float(round_index)
+        informed_live |= new_mask
+        rows_n, verts_n = np.nonzero(new_mask)
+        _bump_neighbor_counts(nbr_count.reshape(-1), rows_n, verts_n, flat, n)
+        live_set.count = informed_live.sum(axis=1)
+        keep = live_set.retire(round_index)
+        if keep is not None:
+            nbr_count = nbr_count[keep]
+    return live_set.outcome(round_index)
+
+
+# ---------------------------------------------------------------------- #
+# The asynchronous "global" view
+# ---------------------------------------------------------------------- #
+def _async_ticks(job: _BatchJob) -> _Outcome:
+    """The global-view tick loop.
 
     Every trial carries its own exponential time accumulator (the rate-``n``
     global Poisson clock) and every loop iteration advances all live trials
-    by one tick, with the contact exchange vectorised across trials.
-    Per-trial randomness is drawn from ``rngs[i]`` in chunks of the same
-    sizes and order as the serial
-    :func:`~repro.core.async_engine.run_asynchronous` global view, so
-    fixed-seed results agree trial-for-trial with the serial engine —
-    scenarios included (loss, burst loss, churn, targeted churn, delay,
-    and dynamic graphs all batch; dynamic graphs ride a per-trial padded
-    stacked CSR whose rows are resampled at each trial's own period
-    boundaries).
-
-    Args: as :func:`run_synchronous_batch`, with the asynchronous budgets
-        ``max_steps`` (clock ticks) and ``max_time`` (simulated time).
-        ``backend`` selects the tick-loop kernel (:mod:`repro.core.kernels`);
-        the per-trial modes are bit-identical across backends, the pooled
-        mode agrees in distribution only under ``"jit"``.
-
-    Returns:
-        A :class:`~repro.core.result.BatchTimes` with continuous times.
+    by one tick.  Per-trial randomness is drawn in chunks of the same sizes
+    and order as the serial
+    :func:`~repro.core.async_engine.run_asynchronous` global view (gaps,
+    callers, neighbor uniforms, loss uniforms; ``Delay`` rates first).  The
+    loop itself is the backend's ``async_tick_loop``: the per-trial modes
+    are bit-identical across backends, the pooled mode agrees in
+    distribution only under ``"jit"``.
     """
-    source_array, generators = _prepare(
-        graph, sources, mode, ASYNC_MODES, rngs, trials, seed, on_budget_exhausted, pooled_rng
-    )
-    scenario = as_scenario(scenario)
-    parts = _ScenarioParts(scenario)
+    graph, parts = job.graph, job.parts
+    generators, pooled_rng = job.generators, job.pooled_rng
+    step_budget, time_budget = job.budget, job.time_budget
     burst = parts.burst
-    delay = parts.delay
     dynamic = parts.dynamic
-    protocol_name = _ASYNC_MODE_NAMES[mode]
     n = graph.num_vertices
-    batch = source_array.size
-    step_budget = default_max_steps(n) if max_steps is None else int(max_steps)
-    if step_budget < 0:
-        raise ProtocolError(f"max_steps must be non-negative, got {max_steps}")
-    time_budget = np.inf if max_time is None else float(max_time)
-    if time_budget < 0:
-        raise ProtocolError(f"max_time must be non-negative, got {max_time}")
-    if n == 1:
-        return _trivial_batch(protocol_name, graph, source_array, record_times, False)
-
-    kern = resolve_backend(backend)
-    metrics = current_metrics()
-    if metrics is not None:
-        metrics.gauge("engine.backend", kern.BACKEND_NAME)
+    batch = job.sources.size
     flat = flat_adjacency(graph)
     degrees_nw = flat.degrees.astype(np.int32)
     max_offset_nw = degrees_nw - 1
@@ -911,34 +1037,19 @@ def run_asynchronous_batch(
     finite_time_budget = np.isfinite(time_budget)
     scale = 1.0 / n  # mean gap of the rate-n global clock
 
-    # Delay scenario: per-trial vertex rates drawn at trial start (the first
-    # randomness each trial consumes, matching the serial engine), with the
-    # cumulative-rate tables used to resolve weighted caller draws.
+    # Delay scenario: the cumulative-rate tables resolve weighted caller
+    # draws.
     rates_cum = None
     rates_total = None
     scales = None
-    if delay is not None:
-        rates = np.stack(
-            [
-                delay.draw_rates(
-                    graph, pooled_rng if pooled_rng is not None else generators[b]
-                )
-                for b in range(batch)
-            ]
+    if parts.delay is not None:
+        rates_cum = np.cumsum(
+            _delay_rates(parts.delay, graph, batch, generators, pooled_rng), axis=1
         )
-        rates_cum = np.cumsum(rates, axis=1)
         rates_total = rates_cum[:, -1].copy()
         scales = 1.0 / rates_total  # per-trial mean gap of the superposed clock
 
-    informed = np.zeros((batch, n), dtype=bool)
-    trial_rows = np.arange(batch, dtype=np.int64)
-    informed[trial_rows, source_array] = True
-    num_informed = np.ones(batch, dtype=np.int64)
-    times = None
-    if record_times:
-        times = np.full((batch, n), np.inf)
-        times[trial_rows, source_array] = 0.0
-
+    informed, num_informed, times = _initial_informed(n, job.sources, job.record_times)
     now = np.zeros(batch)
     completed = np.zeros(batch, dtype=bool)
     completion_time = np.full(batch, np.inf)
@@ -993,7 +1104,7 @@ def run_asynchronous_batch(
     # same chunked-draw protocol via AsyncState.draw_chunk), so the
     # equivalence-pinned randomness stream is backend independent.
     state = AsyncState(
-        n=n, batch=batch, mode=mode, chunk=_ASYNC_CHUNK,
+        n=n, batch=batch, mode=job.mode, chunk=_ASYNC_CHUNK,
         step_budget=step_budget, time_budget=time_budget,
         finite_time_budget=finite_time_budget,
         generators=generators, pooled_rng=pooled_rng,
@@ -1010,280 +1121,19 @@ def run_asynchronous_batch(
         live=live, completed=completed, completion_time=completion_time,
         overtime=overtime, steps=steps,
     )
-    kern.async_tick_loop(state)
+    job.kern.async_tick_loop(state)
     if overtime is not None:
         steps[overtime] -= 1  # the final draw was consumed, not executed
-    if metrics is not None:
-        # Delivered counts come from the backends' own drain-exit deltas
-        # (see kernels.numpy_backend / kernels.jit_backend); the totals
-        # here are budget-corrected tick counts only.
-        total_ticks = int(steps.sum())
-        metrics.count("engine.clock_ticks", total_ticks)
-        metrics.count("engine.messages_attempted", total_ticks)
-    parts.record_budget_spent(metrics)
-    if not completed.all() and on_budget_exhausted == "error":
-        _raise_incomplete(
-            protocol_name,
-            graph,
-            num_informed,
-            completed,
-            f"{step_budget} steps / time {time_budget}",
-        )
-    return BatchTimes(
-        protocol=protocol_name,
-        graph_name=graph.name,
-        num_vertices=n,
-        sources=source_array,
-        completed=completed,
-        completion_time=completion_time,
-        informed_time=times,
-        rounds=None,
-        steps=steps,
-    )
-
-
-# ---------------------------------------------------------------------- #
-# Auxiliary-process batch kernel (ppx / ppy)
-# ---------------------------------------------------------------------- #
-def _bump_neighbor_counts(
-    counts_flat: np.ndarray,
-    rows: np.ndarray,
-    verts: np.ndarray,
-    flat: FlatAdjacency,
-    n: int,
-) -> None:
-    """``counts_flat[r * n + w] += 1`` for every neighbor ``w`` of each ``(r, v)``.
-
-    The vectorised equivalent of the serial engine's "for each newly informed
-    vertex, bump every neighbor's informed count" loop, across batch rows.
-    """
-    degs = flat.degrees[verts]
-    total = int(degs.sum())
-    if total == 0:
-        return
-    stops = np.cumsum(degs)
-    within = np.arange(total, dtype=np.int64) - np.repeat(stops - degs, degs)
-    neighbors = flat.indices[np.repeat(flat.indptr[verts], degs) + within]
-    np.add.at(counts_flat, np.repeat(rows, degs) * n + neighbors, 1)
-
-
-def run_auxiliary_batch(
-    graph: Graph,
-    sources: Union[int, Sequence[int], np.ndarray],
-    *,
-    variant: str = "ppx",
-    rngs: Optional[Sequence[np.random.Generator]] = None,
-    trials: Optional[int] = None,
-    seed: SeedLike = None,
-    max_rounds: Optional[int] = None,
-    record_times: bool = True,
-    on_budget_exhausted: str = "error",
-    scenario: ScenarioLike = None,
-    pooled_rng: Optional[np.random.Generator] = None,
-    backend: Optional[str] = None,
-) -> BatchTimes:
-    """Simulate a batch of auxiliary-process (``ppx``/``ppy``) trials at once.
-
-    The ``(B, n)`` generalization of
-    :func:`~repro.core.aux_processes.run_auxiliary_process`: per-vertex
-    informed-neighbor counts are maintained as a batched integer matrix, the
-    pull probabilities come from the shared vectorised
-    :func:`~repro.core.aux_processes.pull_probabilities`, and the push/pull
-    commits are scatter operations across all live trials.
-
-    Per-trial randomness is consumed in exactly the serial engine's order —
-    one ``random(k_informed)`` push block, one ``random(k_candidates)`` pull
-    block, then one bounded-integer parent draw per pulling vertex (the
-    chosen parent never affects informing times, but the draw must happen to
-    keep the streams aligned) — so fixed-seed results agree trial-for-trial
-    with the serial engine.  ``pooled_rng`` switches to the shared-generator
-    mode (distributional agreement only; the parent draws are skipped).
-
-    Runtime scenarios (loss, churn, dynamic graphs, delay) do not apply to
-    the analysis-only processes and raise :class:`ScenarioError`, matching
-    :func:`repro.core.protocols.spread`.
-
-    Args: as :func:`run_synchronous_batch`, plus ``variant`` (``"ppx"`` or
-        ``"ppy"``).  ``backend`` is accepted for interface uniformity and
-        ignored: the auxiliary kernels have no compiled implementation
-        (their cost is dominated by the neighbor-count bookkeeping, not a
-        tick loop).
-
-    Returns:
-        A :class:`~repro.core.result.BatchTimes` with round-valued times.
-    """
-    source_array, generators = _prepare(
-        graph, sources, variant, AUX_VARIANTS, rngs, trials, seed, on_budget_exhausted, pooled_rng
-    )
-    scenario = as_scenario(scenario)
-    if scenario is not None and scenario.runtime_active():
-        raise ScenarioError(
-            f"protocol {variant!r} is an analysis-only process; runtime "
-            "scenarios (loss, churn, dynamic graphs, delay) do not apply"
-        )
-    n = graph.num_vertices
-    batch = source_array.size
-    budget = default_max_rounds(n) if max_rounds is None else int(max_rounds)
-    if budget < 0:
-        raise ProtocolError(f"max_rounds must be non-negative, got {max_rounds}")
-    if n == 1:
-        return _trivial_batch(variant, graph, source_array, record_times, True)
-
-    metrics = current_metrics()
-    flat = flat_adjacency(graph)
-    degrees = flat.degrees
-
-    # Live-trial working set, compacted as trials finish (see the
-    # synchronous kernel): finished trials stop consuming randomness.
-    live_ids = np.arange(batch, dtype=np.int64)
-    live_rngs = list(generators) if generators is not None else []
-    informed_live = np.zeros((batch, n), dtype=bool)
-    informed_live[live_ids, source_array] = True
-    informed_live_count = np.ones(batch, dtype=np.int64)
-    times_live = None
-    final_times = None
-    if record_times:
-        times_live = np.full((batch, n), np.inf)
-        times_live[live_ids, source_array] = 0.0
-        final_times = np.empty((batch, n))
-    # nbr_count[i, v] = |{w in Γ(v): w informed}| in trial i (round start).
-    nbr_count = np.zeros((batch, n), dtype=np.int64)
-    _bump_neighbor_counts(nbr_count.reshape(-1), live_ids, source_array, flat, n)
-
-    final_rounds = np.zeros(batch, dtype=np.int64)
-    final_informed_count = np.full(batch, n, dtype=np.int64)
-    completed = np.zeros(batch, dtype=bool)
-    completion_time = np.full(batch, np.inf)
-
-    round_index = 0
-    while live_ids.size and round_index < budget:
-        round_index += 1
-        live = live_ids.size
-        if metrics is not None:
-            metrics.count("engine.rounds", live)
-
-        # --- Push half: every informed vertex contacts a random neighbor. ---
-        rows_p, verts_p = np.nonzero(informed_live)  # row-major = serial's vertex order
-        push_u = np.empty(rows_p.size)
-        if pooled_rng is not None:
-            pooled_rng.random(out=push_u)
-        else:
-            stop = 0
-            for i in range(live):
-                # One rng.random(k_informed) per live trial per round — the
-                # exact draw the serial engine makes.
-                start, stop = stop, stop + int(informed_live_count[i])
-                live_rngs[i].random(out=push_u[start:stop])
-        contacts = flat.random_neighbors(verts_p, push_u)
-        informed_flat = informed_live.reshape(-1)
-        hit = ~informed_flat[rows_p * n + contacts]
-        push_rows = rows_p[hit]
-        push_verts = contacts[hit]
-
-        # --- Pull half: uninformed vertices pull with the variant's probability. ---
-        rows_c, verts_c = np.nonzero(~informed_live & (nbr_count > 0))
-        cand_counts = np.bincount(rows_c, minlength=live)
-        pull_u = np.empty(rows_c.size)
-        if pooled_rng is not None:
-            pooled_rng.random(out=pull_u)
-        else:
-            stop = 0
-            for i in range(live):
-                start, stop = stop, stop + int(cand_counts[i])
-                live_rngs[i].random(out=pull_u[start:stop])
-        k = nbr_count[rows_c, verts_c]
-        pulled = pull_u < pull_probabilities(variant, k, degrees[verts_c])
-        pull_rows = rows_c[pulled]
-        pull_verts = verts_c[pulled]
-        if pooled_rng is None and pull_rows.size:
-            # The serial engine draws a uniform informed parent per pulling
-            # vertex (rng.integers(k)); informing times never depend on the
-            # choice, but the draws must be consumed for stream alignment.
-            bounds = k[pulled]
-            pull_counts = np.bincount(pull_rows, minlength=live)
-            stop = 0
-            for i in range(live):
-                start, stop = stop, stop + int(pull_counts[i])
-                if stop > start:
-                    # repro: allow[RNG002] -- zero-count skip only: integers() over an empty bounds slice consumes no stream, so the guard cannot reorder draws
-                    live_rngs[i].integers(0, bounds[start:stop])
-
-        # --- Commit: pulls and pushes both stamp this round's timestamp. ---
-        new_mask = np.zeros((live, n), dtype=bool)
-        new_mask[pull_rows, pull_verts] = True
-        new_mask[push_rows, push_verts] = True
-        if times_live is not None:
-            times_live[new_mask] = float(round_index)
-        informed_live |= new_mask
-        rows_n, verts_n = np.nonzero(new_mask)
-        _bump_neighbor_counts(nbr_count.reshape(-1), rows_n, verts_n, flat, n)
-        informed_live_count = informed_live.sum(axis=1)
-
-        finished = informed_live_count == n
-        if finished.any():
-            done = np.flatnonzero(finished)
-            done_ids = live_ids[done]
-            completed[done_ids] = True
-            completion_time[done_ids] = float(round_index)
-            final_rounds[done_ids] = round_index
-            if times_live is not None:
-                final_times[done_ids] = times_live[done]
-            keep = np.flatnonzero(~finished)
-            informed_live = informed_live[keep]
-            nbr_count = nbr_count[keep]
-            if times_live is not None:
-                times_live = times_live[keep]
-            informed_live_count = informed_live_count[keep]
-            if pooled_rng is None:
-                live_rngs = [live_rngs[i] for i in keep]
-            live_ids = live_ids[keep]
-
-    if live_ids.size:
-        final_rounds[live_ids] = round_index
-        final_informed_count[live_ids] = informed_live_count
-        if times_live is not None:
-            final_times[live_ids] = times_live
-
-    if not completed.all() and on_budget_exhausted == "error":
-        _raise_incomplete(variant, graph, final_informed_count, completed, f"{budget} rounds")
-    if metrics is not None:
-        metrics.count(
-            "engine.messages_delivered", int(final_informed_count.sum()) - batch
-        )
-
-    return BatchTimes(
-        protocol=variant,
-        graph_name=graph.name,
-        num_vertices=n,
-        sources=source_array,
-        completed=completed,
-        completion_time=completion_time,
-        informed_time=final_times,
-        rounds=final_rounds,
-        steps=None,
-    )
+    return _Outcome(completed, completion_time, times, steps, num_informed)
 
 
 # ---------------------------------------------------------------------- #
 # Clock-queue asynchronous views (node_clocks / edge_clocks)
 # ---------------------------------------------------------------------- #
-def _run_clock_view_pooled(
-    graph: Graph,
-    source_array: np.ndarray,
-    mode: str,
-    pooled_rng: np.random.Generator,
-    step_budget: int,
-    time_budget: float,
-    record_times: bool,
-    on_budget_exhausted: str,
-    chunk: int,
-    protocol_name: str,
-    parts: Optional["_ScenarioParts"] = None,
-    kern: Optional[ModuleType] = None,
-) -> BatchTimes:
-    """The chunked pooled-RNG fast path shared by both clock-queue views.
+def _pooled_clock_chunks(job: _BatchJob) -> _Outcome:
+    """The chunked pooled-RNG path shared by both clock-queue views.
 
-    The per-trial kernel must keep the next-tick table and follow each
+    The per-trial table loop must keep the next-tick table and follow each
     trial's serial draw sequence, because serial draw-order equivalence
     pins exactly that sequence.  Pooled mode only promises
     agreement *in distribution*, and in distribution both views are the
@@ -1293,37 +1143,36 @@ def _run_clock_view_pooled(
     events arrive with ``Exp(1/n)`` gaps, a uniformly random caller, and a
     uniformly random neighbor as callee (the view equivalence of
     :mod:`repro.experiments.view_equivalence`).  That lets this path
-    pre-draw the whole randomness of the next ``chunk`` ticks as three
-    ``(B, chunk)`` blocks — gaps, callers, neighbor uniforms — resolve the
-    callee matrix in one vectorised gather, and run a lean per-tick loop
-    with no RNG calls and no argmin over the next-tick table at all.
+    pre-draw the whole randomness of the next ``_POOLED_CLOCK_CHUNK`` ticks
+    as three ``(B, chunk)`` blocks — gaps, callers, neighbor uniforms —
+    resolve the callee matrix in one vectorised gather, and run a lean
+    per-tick loop (the backend's ``clock_chunk_consume``) with no RNG calls
+    and no argmin over the next-tick table at all.
 
     Runtime scenarios keep the same shape: a :class:`~repro.scenarios.Delay`
     reweights the superposition (per-trial total rate, weighted caller
     draws resolved at block-refill time), loss/burst-loss add one uniform
     block, and churn updates fire inside the column loop at each trial's
     epoch boundaries.  Dynamic graphs never reach this path (the callee
-    blocks above are resolved against one fixed CSR); the dispatcher routes
-    them through the unchunked pooled table loop instead.
+    blocks above are resolved against one fixed CSR); they take the table
+    loop with per-tick pooled draws instead.
     """
+    graph, parts, kern, metrics = job.graph, job.parts, job.kern, job.metrics
+    pooled_rng = job.pooled_rng
+    assert pooled_rng is not None
+    step_budget, time_budget = job.budget, job.time_budget
     n = graph.num_vertices
-    batch = source_array.size
+    batch = job.sources.size
     flat = flat_adjacency(graph)
     degrees = flat.degrees
     start = flat.indptr[:-1]
     indices = flat.indices
-    mode_pp = mode == "push-pull"
-    push_allowed = mode in ("push", "push-pull")
+    mode_pp = job.mode == "push-pull"
+    push_allowed = job.mode in ("push", "push-pull")
     finite_time_budget = np.isfinite(time_budget)
     scale = 1.0 / n  # mean gap of the superposed rate-n tick process
+    chunk = _POOLED_CLOCK_CHUNK
 
-    if parts is None:
-        parts = _ScenarioParts(None)
-    if kern is None:
-        kern = resolve_backend(None)
-    metrics = current_metrics()
-    if metrics is not None:
-        metrics.gauge("engine.backend", kern.BACKEND_NAME)
     burst = parts.burst
     # Under a Delay every vertex v ticks at rate r_v (node clocks) — and
     # its edge-view pair clocks, rate r_v/deg(v) each, superpose to the
@@ -1333,10 +1182,9 @@ def _run_clock_view_pooled(
     rates_total = None
     trial_scales = None
     if parts.delay is not None:
-        rates = np.stack(
-            [parts.delay.draw_rates(graph, pooled_rng) for _ in range(batch)]
+        rates_cum = np.cumsum(
+            _delay_rates(parts.delay, graph, batch, None, pooled_rng), axis=1
         )
-        rates_cum = np.cumsum(rates, axis=1)
         rates_total = rates_cum[:, -1].copy()
         trial_scales = 1.0 / rates_total
     up = parts.initial_up(graph, batch)
@@ -1344,14 +1192,7 @@ def _run_clock_view_pooled(
     bad = np.zeros(batch, dtype=bool) if burst is not None else None
     next_epoch = np.ones(batch) if parts.needs_epochs else None
 
-    informed = np.zeros((batch, n), dtype=bool)
-    trial_rows = np.arange(batch, dtype=np.int64)
-    informed[trial_rows, source_array] = True
-    num_informed = np.ones(batch, dtype=np.int64)
-    times = None
-    if record_times:
-        times = np.full((batch, n), np.inf)
-        times[trial_rows, source_array] = 0.0
+    informed, num_informed, times = _initial_informed(n, job.sources, job.record_times)
     now = np.zeros(batch)
     steps = np.zeros(batch, dtype=np.int64)
     completed = np.zeros(batch, dtype=bool)
@@ -1402,7 +1243,6 @@ def _run_clock_view_pooled(
         # consumer walks its columns and mutates the per-trial state in
         # place (only epoch crossings still draw, from the pooled
         # generator — the jit backend delegates those blocks to numpy).
-        informed_before = int(num_informed.sum()) if metrics is not None else 0
         kern.clock_chunk_consume(
             rows, executed, width, tick_times, callers, callees, loss_block,
             informed, times, num_informed, steps, completed, completion_time,
@@ -1411,34 +1251,7 @@ def _run_clock_view_pooled(
         )
         if metrics is not None:
             metrics.count("engine.drain_returns")
-            metrics.count(
-                "engine.messages_delivered", int(num_informed.sum()) - informed_before
-            )
-
-    if not completed.all() and on_budget_exhausted == "error":
-        _raise_incomplete(
-            protocol_name,
-            graph,
-            num_informed,
-            completed,
-            f"{step_budget} steps / time {time_budget}",
-        )
-    if metrics is not None:
-        total_ticks = int(steps.sum())
-        metrics.count("engine.clock_ticks", total_ticks)
-        metrics.count("engine.messages_attempted", total_ticks)
-    parts.record_budget_spent(metrics)
-    return BatchTimes(
-        protocol=protocol_name,
-        graph_name=graph.name,
-        num_vertices=n,
-        sources=source_array,
-        completed=completed,
-        completion_time=completion_time,
-        informed_time=times,
-        rounds=None,
-        steps=steps,
-    )
+    return _Outcome(completed, completion_time, times, steps, num_informed)
 
 
 class _TickDraws:
@@ -1566,29 +1379,12 @@ def _retire_rows(
     return rows, table, np.arange(rows.size) * table.shape[1], rows * n
 
 
-def run_clock_view_batch(
-    graph: Graph,
-    sources: Union[int, Sequence[int], np.ndarray],
-    *,
-    mode: str = "push-pull",
-    view: str = "node_clocks",
-    rngs: Optional[Sequence[np.random.Generator]] = None,
-    trials: Optional[int] = None,
-    seed: SeedLike = None,
-    max_steps: Optional[int] = None,
-    max_time: Optional[float] = None,
-    record_times: bool = True,
-    on_budget_exhausted: str = "error",
-    scenario: ScenarioLike = None,
-    pooled_rng: Optional[np.random.Generator] = None,
-    pooled_chunk: Optional[int] = None,
-    backend: Optional[str] = None,
-) -> BatchTimes:
-    """Simulate a batch of asynchronous trials under a clock-queue view.
+def _clock_table(job: _BatchJob) -> _Outcome:
+    """The next-tick table loop of the clock-queue views.
 
     The serial engine realises the ``"node_clocks"`` and ``"edge_clocks"``
-    views with a priority queue of next-tick times; the batched kernel keeps
-    the same next-tick table as a ``(live, #clocks)`` matrix and replaces
+    views with a priority queue of next-tick times; this loop keeps the
+    same next-tick table as a ``(live, #clocks)`` matrix and replaces
     the heap pop with a vectorised per-row ``argmin`` — with continuous tick
     times the minimum entry *is* the heap's next event (ties have measure
     zero, and both resolutions pick the lowest index), so the event sequence
@@ -1612,7 +1408,7 @@ def run_clock_view_batch(
     and every generator ends in the serial engine's end state.
 
     Where a trial's per-tick stream is the reschedule exponential alone —
-    ``edge_clocks`` without loss and without churn-epoch draws — the kernel
+    ``edge_clocks`` without loss and without churn-epoch draws — the loop
     draws ``_CLOCK_BLOCK`` standard exponentials per trial at a time (the
     same draws as that many scalar calls, and ``exponential(s)`` is
     ``s * standard_exponential()``) and all live trials consume one block
@@ -1622,110 +1418,25 @@ def run_clock_view_batch(
     call reproduces, so it keeps per-tick scalar draws (as does the edge
     view under loss or churn).
 
-    Every runtime scenario applies under both views except a dynamic graph
-    under ``edge_clocks`` (the serial engine rejects it with the same
-    error: resampling would change the per-pair clock set itself).  Under
-    ``node_clocks`` a dynamic graph rides the per-trial padded stacked CSR
-    (:class:`_TrialGraphs`); the clocks themselves are graph independent
-    and are never redrawn.
-
-    **Pooled fast path.**  With ``pooled_rng`` the serial draw order no
-    longer constrains the kernel, and the per-tick scalar draws are chunked
-    into ``(B, chunk)`` blocks drawn ahead of time (see
-    :func:`_run_clock_view_pooled` — both views are, in distribution, the
-    same superposed Poisson process, so the next-tick table and its per-row
-    ``argmin`` disappear entirely).  ``pooled_chunk`` sets the block width
-    (default 4096 ticks); ``pooled_chunk=0`` keeps the legacy unchunked
-    pooled loop over the next-tick table, which draws per tick — it exists
-    as the benchmark baseline for the fast path.  A dynamic-graph scenario
-    also runs through the unchunked pooled loop (its pre-resolved callee
-    blocks assume a fixed graph).  Pooled samples agree with the per-trial
-    modes in distribution only (KS-tested in the suite).
-
-    Args: as :func:`run_asynchronous_batch`, plus ``view`` and
-        ``pooled_chunk``.  ``backend`` applies to the chunked pooled fast
-        path only (its consumer is a :mod:`repro.core.kernels` kernel, and
-        both backends produce identical results there); the per-trial and
-        unchunked pooled table loops are pinned to the serial draw order
-        and always run the numpy path.
-
-    Returns:
-        A :class:`~repro.core.result.BatchTimes` with continuous times.
+    Under ``node_clocks`` a dynamic graph rides the per-trial padded stacked
+    CSR (:class:`_TrialGraphs`); the clocks themselves are graph independent
+    and are never redrawn.  A pooled generator reaches this loop only with
+    a dynamic graph, and then draws per tick.
     """
-    if view not in CLOCK_VIEWS:
-        raise ProtocolError(
-            f"run_clock_view_batch serves the views {CLOCK_VIEWS}, got {view!r}"
-        )
-    scenario = as_scenario(scenario)
-    if scenario is not None and scenario.dynamic is not None and view == "edge_clocks":
-        raise ScenarioError(
-            "dynamic-graph scenarios are not supported under the 'edge_clocks' "
-            "view: resampling the graph would change the per-pair clock set "
-            "itself; use the 'node_clocks' or 'global' view"
-        )
-    parts = _ScenarioParts(scenario)
-    source_array, generators = _prepare(
-        graph, sources, mode, ASYNC_MODES, rngs, trials, seed, on_budget_exhausted, pooled_rng
-    )
-    protocol_name = _ASYNC_MODE_NAMES[mode]
+    graph, parts = job.graph, job.parts
+    generators, pooled_rng = job.generators, job.pooled_rng
+    step_budget, time_budget = job.budget, job.time_budget
+    mode = job.mode
     n = graph.num_vertices
-    batch = source_array.size
-    step_budget = default_max_steps(n) if max_steps is None else int(max_steps)
-    if step_budget < 0:
-        raise ProtocolError(f"max_steps must be non-negative, got {max_steps}")
-    time_budget = np.inf if max_time is None else float(max_time)
-    if time_budget < 0:
-        raise ProtocolError(f"max_time must be non-negative, got {max_time}")
-    if pooled_chunk is not None and pooled_chunk < 0:
-        raise ProtocolError(f"pooled_chunk must be non-negative, got {pooled_chunk}")
-    if pooled_chunk and pooled_rng is None:
-        # The chunked block draws exist only where the serial draw order
-        # does not constrain the kernel; silently running the per-trial
-        # path instead would time/benchmark the wrong kernel.
-        raise ProtocolError(
-            "pooled_chunk requires pooled_rng (the per-trial path is pinned "
-            "to the serial draw order and cannot chunk its draws)"
-        )
-    if n == 1:
-        return _trivial_batch(protocol_name, graph, source_array, record_times, False)
-    if pooled_rng is not None and pooled_chunk != 0 and parts.dynamic is None:
-        return _run_clock_view_pooled(
-            graph,
-            source_array,
-            mode,
-            pooled_rng,
-            step_budget,
-            time_budget,
-            record_times,
-            on_budget_exhausted,
-            _POOLED_CLOCK_CHUNK if pooled_chunk is None else int(pooled_chunk),
-            protocol_name,
-            parts,
-            kern=resolve_backend(backend),
-        )
-
+    batch = job.sources.size
     flat = flat_adjacency(graph)
     degrees = flat.degrees
-    node_view = view == "node_clocks"
-    # The next-tick table loops are pinned to the serial draw order and
-    # always run on the numpy path (see the docstring).
-    metrics = current_metrics()
-    if metrics is not None:
-        metrics.gauge("engine.backend", "numpy")
+    node_view = job.view == "node_clocks"
 
-    # Delay rates are the first randomness each trial consumes (before the
-    # initial next-tick block), matching the serial engine.
     rates = None
     node_scales = None
     if parts.delay is not None:
-        rates = np.stack(
-            [
-                parts.delay.draw_rates(
-                    graph, pooled_rng if pooled_rng is not None else generators[b]
-                )
-                for b in range(batch)
-            ]
-        )
+        rates = _delay_rates(parts.delay, graph, batch, generators, pooled_rng)
         node_scales = 1.0 / rates  # (B, n): mean gap of each vertex clock
 
     pair_caller = pair_callee = pair_scale = None
@@ -1769,14 +1480,7 @@ def run_clock_view_batch(
                     pair_scale if rates is None else pair_scale[b]
                 )
 
-    informed = np.zeros((batch, n), dtype=bool)
-    trial_rows = np.arange(batch, dtype=np.int64)
-    informed[trial_rows, source_array] = True
-    num_informed = np.ones(batch, dtype=np.int64)
-    times = None
-    if record_times:
-        times = np.full((batch, n), np.inf)
-        times[trial_rows, source_array] = 0.0
+    informed, num_informed, times = _initial_informed(n, job.sources, job.record_times)
     steps = np.zeros(batch, dtype=np.int64)
     completed = np.zeros(batch, dtype=bool)
     completion_time = np.full(batch, np.inf)
@@ -1784,10 +1488,9 @@ def run_clock_view_batch(
     mode_pp = mode == "push-pull"
     push_allowed = mode in ("push", "push-pull")
 
-    # Scenario state, indexed by absolute trial row: see
-    # run_asynchronous_batch.  Dynamic graphs only reach the node view
-    # (edge_clocks rejected above) and never touch the next-tick table —
-    # vertex clocks are graph independent.
+    # Scenario state, indexed by absolute trial row: see _async_ticks.
+    # Dynamic graphs only reach the node view (edge_clocks is rejected) and
+    # never touch the next-tick table — vertex clocks are graph independent.
     burst = parts.burst
     dynamic = parts.dynamic
     lossy = parts.lossy
@@ -1930,36 +1633,16 @@ def run_clock_view_batch(
                 rows, table, slot_base, cell_base = _retire_rows(
                     keep, rows, table, draws, n
                 )
+    return _Outcome(completed, completion_time, times, steps, num_informed)
 
-    if not completed.all() and on_budget_exhausted == "error":
-        _raise_incomplete(
-            protocol_name,
-            graph,
-            num_informed,
-            completed,
-            f"{step_budget} steps / time {time_budget}",
-        )
-    if metrics is not None:
-        total_ticks = int(steps.sum())
-        metrics.count("engine.clock_ticks", total_ticks)
-        metrics.count("engine.messages_attempted", total_ticks)
-        metrics.count("engine.messages_delivered", int(num_informed.sum()) - batch)
-    parts.record_budget_spent(metrics)
-    return BatchTimes(
-        protocol=protocol_name,
-        graph_name=graph.name,
-        num_vertices=n,
-        sources=source_array,
-        completed=completed,
-        completion_time=completion_time,
-        informed_time=times,
-        rounds=None,
-        steps=steps,
-    )
+
+#: The bodies whose hot loop is a :mod:`repro.core.kernels` kernel; the
+#: others always run numpy code.
+_KERNEL_BODIES = (_sync_rounds, _async_ticks, _pooled_clock_chunks)
 
 
 # ---------------------------------------------------------------------- #
-# Uniform entry point
+# The entry point
 # ---------------------------------------------------------------------- #
 def run_batch(
     graph: Graph,
@@ -1972,83 +1655,157 @@ def run_batch(
     record_times: bool = True,
     scenario: ScenarioLike = None,
     pooled_rng: Optional[np.random.Generator] = None,
-    **options: object,
+    max_rounds: Optional[int] = None,
+    max_steps: Optional[int] = None,
+    max_time: Optional[float] = None,
+    view: Optional[str] = None,
+    on_budget_exhausted: str = "error",
+    backend: Optional[str] = None,
+    **unknown: object,
 ) -> BatchTimes:
-    """Run a batch of trials of any batchable protocol.
+    """Simulate a batch of trials of any batchable protocol at once.
 
-    The batched analogue of :func:`repro.core.protocols.spread`: dispatches
-    on the canonical protocol name to the synchronous, asynchronous (any of
-    the three views), or auxiliary-process batch kernel.  ``options`` are
-    forwarded to the kernel (``max_rounds`` / ``max_steps`` / ``max_time`` /
-    ``view`` / ``on_budget_exhausted`` / ``backend``).  ``scenario`` applies a
-    :mod:`repro.scenarios` adversity model; note that source strategies are
-    *not* applied here (``sources`` is explicit — use
-    :func:`~repro.analysis.montecarlo.run_trials` or
-    :func:`~repro.core.protocols.spread` for that).  ``pooled_rng`` switches
-    to the pooled single-generator mode (see the module docstring).
+    The batched analogue of :func:`repro.core.protocols.spread`, and the one
+    entry point of this module.
+
+    Args:
+        graph: the (connected) graph shared by every trial (the *initial*
+            graph under a dynamic-graph scenario).
+        sources: per-trial source vertices (length ``B``), or a single vertex
+            id used by all trials.  Scenario source strategies are *not*
+            applied here (use :func:`~repro.analysis.montecarlo.run_trials`
+            or :func:`~repro.core.protocols.spread` for that).
+        protocol: a canonical protocol name with a batched body:
+            ``pp``/``push``/``pull``, ``pp-a``/``push-a``/``pull-a``, or
+            ``ppx``/``ppy``.
+        rngs: per-trial generators (length ``B``).  Trial ``i`` consumes
+            randomness from ``rngs[i]`` exactly as a serial run would, so
+            fixed-seed results agree trial-for-trial with the serial engine
+            (scenarios included).
+        trials: batch size when ``sources`` is a scalar and ``rngs`` is not
+            given.
+        seed: master seed used to spawn per-trial generators when ``rngs``
+            is not given.
+        record_times: record the full ``(B, n)`` per-vertex time matrix.
+            With ``False`` only per-trial spreading times are kept, which is
+            cheaper and enough for spreading-time statistics.
+        scenario: optional :mod:`repro.scenarios` adversity model.
+        pooled_rng: one shared generator replacing the per-trial ones (no
+            serial equivalence; distribution-level agreement only).
+        max_rounds: per-trial round budget of the synchronous protocols and
+            ``ppx``/``ppy``, defaulting to
+            :func:`~repro.core.sync_engine.default_max_rounds`.
+        max_steps: per-trial clock-tick budget of the asynchronous
+            protocols, defaulting to
+            :func:`~repro.core.async_engine.default_max_steps`.
+        max_time: per-trial simulated-time budget of the asynchronous
+            protocols (unbounded by default).
+        view: the asynchronous view — ``"global"`` (default),
+            ``"node_clocks"`` or ``"edge_clocks"``.
+        on_budget_exhausted: ``"error"`` raises :class:`SimulationError` if
+            any trial fails to complete; ``"partial"`` marks such trials
+            incomplete instead.
+        backend: kernel backend — ``"numpy"``, ``"jit"``, or ``"auto"`` (see
+            :mod:`repro.core.kernels`).  ``None`` reads
+            ``REPRO_KERNEL_BACKEND`` and then defaults to ``"auto"``.  The
+            auxiliary rounds and the per-trial clock-view table loop always
+            run numpy code.
+
+    Returns:
+        A :class:`~repro.core.result.BatchTimes` with round-valued times
+        (synchronous protocols, ``ppx``/``ppy``) or continuous times.
+
+    Raises:
+        ProtocolError: for a protocol without a batched body, an option its
+            family does not take (for example ``view`` on ``pp`` or
+            ``max_steps`` on ``ppx``), an unknown view, a negative budget,
+            or invalid sources and generators.
+        ScenarioError: where the serial engine rejects the scenario (see
+            :func:`is_batchable`).
+        SimulationError: when trials stay incomplete under
+            ``on_budget_exhausted="error"``.
     """
     metrics = current_metrics()
     if metrics is not None:
         metrics.count("engine.kernel_invocations")
-    if protocol in AUX_BATCH_PROTOCOLS:
-        return run_auxiliary_batch(
-            graph,
-            sources,
-            variant=protocol,
-            rngs=rngs,
-            trials=trials,
-            seed=seed,
-            record_times=record_times,
-            scenario=scenario,
-            pooled_rng=pooled_rng,
-            **options,
+    budgets = {"max_rounds": max_rounds, "max_steps": max_steps, "max_time": max_time}
+    given = {name: value for name, value in {**budgets, "view": view}.items() if value is not None}
+    scenario = as_scenario(scenario)
+    rejection = _rejection(protocol, {**given, **unknown}, scenario)
+    if rejection is not None:
+        raise rejection
+    for name, value in budgets.items():
+        if value is not None and value < 0:
+            raise ProtocolError(f"{name} must be non-negative, got {value}")
+    family, mode = _PROTOCOL_FAMILIES[protocol]
+    view = view or "global"
+    source_array, generators = _prepare(
+        graph, sources, rngs, trials, seed, on_budget_exhausted, pooled_rng
+    )
+    n = graph.num_vertices
+    batch = source_array.size
+    synchronous = family != "async"
+    if n == 1:
+        return _trivial_batch(protocol, graph, source_array, record_times, synchronous)
+
+    parts = _ScenarioParts(scenario)
+    if family == "sync":
+        body = _sync_rounds
+    elif family == "aux":
+        body = _aux_rounds
+    elif view == "global":
+        body = _async_ticks
+    elif pooled_rng is not None and parts.dynamic is None:
+        body = _pooled_clock_chunks
+    else:
+        body = _clock_table
+    kern = resolve_backend(backend if body in _KERNEL_BODIES else "numpy")
+    if metrics is not None:
+        metrics.gauge("engine.backend", kern.BACKEND_NAME)
+    if synchronous:
+        budget = default_max_rounds(n) if max_rounds is None else int(max_rounds)
+        time_budget = np.inf
+    else:
+        budget = default_max_steps(n) if max_steps is None else int(max_steps)
+        time_budget = np.inf if max_time is None else float(max_time)
+    outcome = body(
+        _BatchJob(
+            graph=graph, sources=source_array, generators=generators,
+            pooled_rng=pooled_rng, mode=mode, view=view, record_times=record_times,
+            parts=parts, kern=kern, metrics=metrics,
+            budget=budget, time_budget=time_budget,
         )
-    if protocol in SYNC_BATCH_PROTOCOLS:
-        return run_synchronous_batch(
-            graph,
-            sources,
-            mode=SYNC_BATCH_PROTOCOLS[protocol],
-            rngs=rngs,
-            trials=trials,
-            seed=seed,
-            record_times=record_times,
-            scenario=scenario,
-            pooled_rng=pooled_rng,
-            **options,
-        )
-    if protocol in ASYNC_BATCH_PROTOCOLS:
-        view = options.pop("view", "global")
-        if view in CLOCK_VIEWS:
-            return run_clock_view_batch(
-                graph,
-                sources,
-                mode=ASYNC_BATCH_PROTOCOLS[protocol],
-                view=view,
-                rngs=rngs,
-                trials=trials,
-                seed=seed,
-                record_times=record_times,
-                scenario=scenario,
-                pooled_rng=pooled_rng,
-                **options,
+    )
+
+    if metrics is not None:
+        if not synchronous:
+            total_ticks = int(outcome.counts.sum())
+            metrics.count("engine.clock_ticks", total_ticks)
+            metrics.count("engine.messages_attempted", total_ticks)
+        if body is not _async_ticks:
+            # Every informed vertex beyond the source received exactly one
+            # successful transmission.  (The tick-loop backends of the
+            # global view count their deliveries as they drain.)
+            metrics.count(
+                "engine.messages_delivered", int(outcome.num_informed.sum()) - batch
             )
-        if view != "global":
-            raise ProtocolError(
-                f"unknown asynchronous view {view!r}; expected one of {ASYNC_VIEWS}"
-            )
-        return run_asynchronous_batch(
+    parts.record_budget_spent(metrics)
+    if not outcome.completed.all() and on_budget_exhausted == "error":
+        _raise_incomplete(
+            protocol,
             graph,
-            sources,
-            mode=ASYNC_BATCH_PROTOCOLS[protocol],
-            rngs=rngs,
-            trials=trials,
-            seed=seed,
-            record_times=record_times,
-            scenario=scenario,
-            pooled_rng=pooled_rng,
-            **options,
+            outcome.num_informed,
+            outcome.completed,
+            f"{budget} rounds" if synchronous else f"{budget} steps / time {time_budget}",
         )
-    raise ProtocolError(
-        f"protocol {protocol!r} has no batched kernel; batchable protocols: "
-        f"{sorted(SYNC_BATCH_PROTOCOLS) + sorted(ASYNC_BATCH_PROTOCOLS) + sorted(AUX_BATCH_PROTOCOLS)}"
+    return BatchTimes(
+        protocol=protocol,
+        graph_name=graph.name,
+        num_vertices=n,
+        sources=source_array,
+        completed=outcome.completed,
+        completion_time=outcome.completion_time,
+        informed_time=outcome.times,
+        rounds=outcome.counts if synchronous else None,
+        steps=None if synchronous else outcome.counts,
     )

@@ -147,10 +147,10 @@ def warmup_kernels(backend: Optional[str] = None) -> str:
         on_budget_exhausted="partial",
         backend=backend,
     )
-    batch_engine.run_synchronous_batch(graph, 0, seed=0, **common)
-    batch_engine.run_asynchronous_batch(graph, 0, seed=0, **common)
-    batch_engine.run_clock_view_batch(
-        graph, 0, pooled_rng=as_generator(0), **common
+    batch_engine.run_batch(graph, 0, "pp", seed=0, **common)
+    batch_engine.run_batch(graph, 0, "pp-a", seed=0, **common)
+    batch_engine.run_batch(
+        graph, 0, "pp-a", view="node_clocks", pooled_rng=as_generator(0), **common
     )
     return resolved.BACKEND_NAME
 
@@ -158,7 +158,8 @@ def warmup_kernels(backend: Optional[str] = None) -> str:
 class AsyncState:
     """Everything the asynchronous ``"global"`` tick loop reads and writes.
 
-    Built by :func:`~repro.core.batch_engine.run_asynchronous_batch` and
+    Built by the global-view tick loop of
+    :func:`~repro.core.batch_engine.run_batch` and
     handed to the selected backend's ``async_tick_loop``, so both backends
     consume one identically-prepared bundle (same buffer layout, same
     pre-drawn randomness protocol) and cannot drift apart.  All arrays are

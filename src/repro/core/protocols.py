@@ -108,21 +108,13 @@ shards a trial budget across the session's persistent process pool
 (:mod:`repro.analysis.pool`; sized by ``REPRO_MAX_WORKERS``, start method
 via ``REPRO_MP_START_METHOD``), with every protocol of the table above
 supported through the same chunked ``run_trials`` calls the serial path
-makes:
-
-=====================  ========================================================
-transport              behaviour
-=====================  ========================================================
-``parallel="shared"``  default — workers write spreading times / coverage
-                       fractions straight into parent-owned shared-memory
-                       matrices, and graphs travel once as shared CSR arrays
-``parallel="pickle"``  legacy — graph pickled per chunk, samples pickled back
-=====================  ========================================================
-
-Both transports are bit-identical for a fixed ``(seed, trials,
-num_workers)`` (pinned by the equivalence harness) and reuse one pool
-across whole experiment sweeps (``sweep_family(parallel=True)``,
-``experiments.theorem1.run(parallel=True)``, ``experiments.scenarios``).
+makes.  Workers write spreading times and coverage fractions straight into
+parent-owned shared-memory matrices, graphs travel once as shared CSR
+arrays, the result is bit-identical to a serial replay of the same chunk
+plan for a fixed ``(seed, trials, num_workers)`` (pinned by the
+equivalence harness), and one pool serves whole experiment sweeps
+(``sweep_family(parallel=True)``, ``experiments.theorem1.run(parallel=True)``,
+``experiments.scenarios``).
 
 **Telemetry.**  The observability layer (:mod:`repro.telemetry`) threads
 through every path above with zero cost when off: coverage traces ingest
@@ -148,7 +140,7 @@ batched clock       node_clocks,     numpy     kernel ``(B, n)`` time matrix (ta
 views               edge_clocks      (pinned)  loops are numpy-pinned; pooled chunked
                                                path runs either backend)
 batched ppx/ppy     (rounds)         numpy     kernel ``(B, n)`` time matrix
-parallel (shared)   all of the       both      workers write per-chunk time-matrix
+parallel            all of the       both      workers write per-chunk time-matrix
                     above                      rows into one shared ``(trials, n)``
                                                coverage matrix; metrics snapshots
                                                merge at chunk return

@@ -141,7 +141,7 @@ def run(
                 if parallel:
                     sample = run_trials_parallel(
                         graph, 0, protocol,
-                        num_workers=num_workers, parallel="shared", **cell_kwargs,
+                        num_workers=num_workers, **cell_kwargs,
                     )
                 else:
                     sample = run_trials(graph, 0, protocol, **cell_kwargs)
@@ -368,7 +368,7 @@ def sweep_scenarios(
                 if parallel:
                     sample = run_trials_parallel(
                         graph, 0, protocol,
-                        num_workers=num_workers, parallel="shared", **cell_kwargs,
+                        num_workers=num_workers, **cell_kwargs,
                     )
                 else:
                     sample = run_trials(graph, 0, protocol, **cell_kwargs)

@@ -134,17 +134,6 @@ class TestInjectedFaults:
         assert "parallel.chunk_retries" not in counters
         assert "parallel.serial_fallbacks" not in counters
 
-    def test_pickle_transport_heals_too(self, graph, monkeypatch):
-        expected = run_trials_parallel(
-            graph, 0, "pp", trials=8, seed=23, num_workers=2, parallel="pickle"
-        )
-        shutdown_pool()
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "crash")
-        sample = run_trials_parallel(
-            graph, 0, "pp", trials=8, seed=23, num_workers=2, parallel="pickle"
-        )
-        assert sample.times == expected.times
-
     def test_adaptive_scenario_sweep_survives_faults(self, graph, monkeypatch):
         # The tentpole meets the satellites: an adaptive-adversary sweep
         # under injected crashes must match the undisturbed sweep exactly,

@@ -27,20 +27,7 @@ class TestWorkerHelpers:
         assert sample.num_trials == 5
         assert sample.protocol == "pp"
 
-    def test_chunk_runner_with_family(self):
-        spec = ParallelTrialSpec(
-            protocol="pp",
-            source=0,
-            trials=4,
-            trial_seed=5,
-            family_name="complete",
-            size=16,
-            graph_seed=1,
-        )
-        sample = _run_chunk(spec)
-        assert sample.num_vertices == 16
-
-    def test_chunk_runner_requires_graph_or_family(self):
+    def test_chunk_runner_requires_a_graph(self):
         spec = ParallelTrialSpec(protocol="pp", source=0, trials=2, trial_seed=1)
         with pytest.raises(AnalysisError):
             _run_chunk(spec)
@@ -97,22 +84,13 @@ class TestRunTrialsParallel:
 
 
 class TestTransports:
-    """The zero-copy shared transport vs the legacy pickling transport."""
+    """The zero-copy shared-memory transport, the only one."""
 
     def test_invalid_transport_rejected(self):
         graph = star_graph(8)
-        with pytest.raises(AnalysisError):
-            run_trials_parallel(graph, 0, "pp", trials=4, seed=1, parallel="mmap")
-
-    def test_shared_equals_pickle_bit_for_bit(self):
-        graph = complete_graph(20)
-        kwargs = dict(trials=11, seed=23, num_workers=3, fractions=(0.5, 0.9))
-        pickled = run_trials_parallel(graph, 0, "pp", parallel="pickle", **kwargs)
-        shared = run_trials_parallel(graph, 0, "pp", parallel="shared", **kwargs)
-        assert shared.times == pickled.times
-        assert shared.fraction_times == pickled.fraction_times
-        assert shared.source == pickled.source
-        assert shared.graph_name == pickled.graph_name
+        for transport in ("mmap", "pickle"):
+            with pytest.raises(AnalysisError):
+                run_trials_parallel(graph, 0, "pp", trials=4, seed=1, parallel=transport)
 
     def test_shared_family_mode(self):
         sample = run_trials_parallel(

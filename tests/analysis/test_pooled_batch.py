@@ -15,6 +15,7 @@ from scipy import stats as scipy_stats
 
 from helpers.equivalence import assert_same_distribution
 from repro.analysis.montecarlo import run_trials
+from repro.core import batch_engine
 from repro.core.batch_engine import run_batch
 from repro.core.kernels import jit_backend
 from repro.errors import AnalysisError, ProtocolError
@@ -181,44 +182,13 @@ class TestPooledDistribution:
 
 
 class TestChunkedPooledClockViews:
-    """The PR-4 pooled-only fast path of ``run_clock_view_batch``.
+    """The pooled clock views on a static graph.
 
-    With a pooled generator the kernel pre-draws ``(B, chunk)`` randomness
-    blocks and drops the next-tick table entirely (both clock views are the
-    same superposed Poisson process in distribution); ``pooled_chunk=0``
-    keeps the legacy unchunked pooled loop as the reference.
+    With a pooled generator the batch engine pre-draws ``(B, chunk)``
+    randomness blocks and drops the next-tick table entirely (both clock
+    views are the same superposed Poisson process in distribution); the
+    serial engine and the per-trial table loop are the references.
     """
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("view", ["node_clocks", "edge_clocks"])
-    def test_chunked_matches_unchunked_pooled_distribution(self, view, backend):
-        graph = random_regular_graph(24, 4, seed=3)
-        trials = 300
-        chunked = run_batch(
-            graph,
-            0,
-            "pp-a",
-            trials=trials,
-            pooled_rng=np.random.default_rng(7),
-            view=view,
-            backend=backend,
-        )
-        unchunked = run_batch(
-            graph,
-            0,
-            "pp-a",
-            trials=trials,
-            pooled_rng=np.random.default_rng(8),
-            view=view,
-            pooled_chunk=0,
-            backend=backend,
-        )
-        assert_same_distribution(
-            chunked.spreading_times(),
-            unchunked.spreading_times(),
-            min_pvalue=0.01,
-            label=f"chunked vs unchunked pooled {view}",
-        )
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("view", ["node_clocks", "edge_clocks"])
@@ -251,7 +221,7 @@ class TestChunkedPooledClockViews:
             label=f"chunked pooled vs serial {mode_protocol} {view}",
         )
 
-    def test_chunked_is_reproducible_and_respects_small_chunks(self):
+    def test_chunked_is_reproducible_and_respects_small_chunks(self, monkeypatch):
         graph = random_regular_graph(24, 4, seed=3)
         a = run_batch(
             graph, 0, "pp-a", trials=40, pooled_rng=np.random.default_rng(5),
@@ -263,9 +233,10 @@ class TestChunkedPooledClockViews:
         )
         assert np.array_equal(a.completion_time, b.completion_time)
         # A tiny chunk width forces many block refills; results stay valid.
+        monkeypatch.setattr(batch_engine, "_POOLED_CLOCK_CHUNK", 7)
         tiny = run_batch(
             graph, 0, "pp-a", trials=40, pooled_rng=np.random.default_rng(5),
-            view="node_clocks", pooled_chunk=7,
+            view="node_clocks",
         )
         assert tiny.completed.all()
 
@@ -337,21 +308,3 @@ class TestChunkedPooledClockViews:
             min_pvalue=0.01,
             label="pooled dynamic fallback vs per-trial node_clocks",
         )
-
-    def test_invalid_pooled_chunk_rejected(self):
-        graph = complete_graph(8)
-        with pytest.raises(ProtocolError):
-            run_batch(
-                graph, 0, "pp-a", trials=4, pooled_rng=np.random.default_rng(1),
-                view="node_clocks", pooled_chunk=-1,
-            )
-
-    def test_pooled_chunk_without_pooled_rng_rejected(self):
-        # The per-trial path is pinned to the serial draw order; silently
-        # ignoring pooled_chunk there would benchmark the wrong kernel.
-        graph = complete_graph(8)
-        with pytest.raises(ProtocolError):
-            run_batch(
-                graph, 0, "pp-a", trials=4, seed=1,
-                view="node_clocks", pooled_chunk=64,
-            )

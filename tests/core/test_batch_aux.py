@@ -15,7 +15,7 @@ import pytest
 from helpers.equivalence import assert_batch_matches_serial, assert_trials_paths_agree
 from repro.analysis import montecarlo
 from repro.analysis.montecarlo import run_trials
-from repro.core.batch_engine import is_batchable, run_auxiliary_batch, run_batch
+from repro.core.batch_engine import is_batchable, run_batch
 from repro.errors import AnalysisError, ProtocolError, ScenarioError, SimulationError
 from repro.graphs import complete_graph, cycle_graph, star_graph
 from repro.graphs.base import Graph
@@ -66,8 +66,8 @@ class TestScenarioRules:
 
     def test_kernel_rejects_runtime_scenarios(self):
         with pytest.raises(ScenarioError, match="analysis-only"):
-            run_auxiliary_batch(
-                complete_graph(8), 0, variant="ppx", trials=2, seed=0,
+            run_batch(
+                complete_graph(8), 0, "ppx", trials=2, seed=0,
                 scenario=MessageLoss(0.2),
             )
 
@@ -95,12 +95,12 @@ class TestScenarioRules:
 class TestKernelBehaviour:
     def test_validation(self):
         with pytest.raises(ProtocolError):
-            run_auxiliary_batch(star_graph(8), 0, variant="ppz", trials=2, seed=0)
+            run_batch(star_graph(8), 0, "ppz", trials=2, seed=0)
         with pytest.raises(ProtocolError):
-            run_auxiliary_batch(star_graph(8), [0, 99], variant="ppx", seed=0)
+            run_batch(star_graph(8), [0, 99], "ppx", seed=0)
         disconnected = Graph(4, [(0, 1), (2, 3)], name="two-edges")
         with pytest.raises(ProtocolError):
-            run_auxiliary_batch(disconnected, 0, variant="ppx", trials=2, seed=0)
+            run_batch(disconnected, 0, "ppx", trials=2, seed=0)
 
     def test_trivial_single_vertex_graph(self):
         batched = run_batch(Graph(1, [], name="dot"), 0, "ppx", trials=3, seed=0)
@@ -109,7 +109,7 @@ class TestKernelBehaviour:
 
     def test_budget_exhaustion_raises_by_default(self):
         with pytest.raises(SimulationError):
-            run_auxiliary_batch(cycle_graph(64), 0, variant="ppy", trials=3, seed=1, max_rounds=2)
+            run_batch(cycle_graph(64), 0, "ppy", trials=3, seed=1, max_rounds=2)
 
     def test_partial_budget_matches_serial(self):
         assert_batch_matches_serial(

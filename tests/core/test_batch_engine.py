@@ -20,9 +20,7 @@ from repro.core.batch_engine import (
     ASYNC_BATCH_PROTOCOLS,
     SYNC_BATCH_PROTOCOLS,
     is_batchable,
-    run_asynchronous_batch,
     run_batch,
-    run_synchronous_batch,
 )
 from repro.core.protocols import spread
 from repro.core.result import BatchTimes
@@ -96,10 +94,10 @@ class TestBudgets:
     def test_sync_partial_matches_serial(self):
         graph = star_graph(32)
         sources = [1] * 6
-        batched = run_synchronous_batch(
+        batched = run_batch(
             graph,
             sources,
-            mode="push",
+            "push",
             rngs=spawn_generators(6, 11),
             max_rounds=3,
             on_budget_exhausted="partial",
@@ -116,10 +114,10 @@ class TestBudgets:
     def test_async_partial_matches_serial(self, options):
         graph = star_graph(24)
         sources = [1] * 6
-        batched = run_asynchronous_batch(
+        batched = run_batch(
             graph,
             sources,
-            mode="push-pull",
+            "pp-a",
             rngs=spawn_generators(6, 13),
             on_budget_exhausted="partial",
             **options,
@@ -133,13 +131,14 @@ class TestBudgets:
 
     def test_exhaustion_raises_by_default(self):
         with pytest.raises(SimulationError):
-            run_synchronous_batch(star_graph(32), 1, mode="push", trials=4, seed=3, max_rounds=1)
+            run_batch(star_graph(32), 1, "push", trials=4, seed=3, max_rounds=1)
         with pytest.raises(SimulationError):
-            run_asynchronous_batch(star_graph(32), 1, trials=4, seed=3, max_steps=2)
+            run_batch(star_graph(32), 1, "pp-a", trials=4, seed=3, max_steps=2)
 
     def test_zero_step_budget_is_incomplete_not_hung(self):
-        batched = run_asynchronous_batch(
-            star_graph(8), 1, trials=3, seed=1, max_steps=0, on_budget_exhausted="partial"
+        batched = run_batch(
+            star_graph(8), 1, "pp-a", trials=3, seed=1, max_steps=0,
+            on_budget_exhausted="partial",
         )
         assert not batched.completed.any()
         assert (batched.steps == 0).all()
@@ -148,7 +147,31 @@ class TestBudgets:
 class TestValidation:
     def test_bad_mode_rejected(self):
         with pytest.raises(ProtocolError):
-            run_synchronous_batch(star_graph(8), 0, mode="smoke", trials=2, seed=0)
+            run_batch(star_graph(8), 0, "smoke", trials=2, seed=0)
+
+    @pytest.mark.parametrize(
+        "protocol, option",
+        [
+            ("pp", {"view": "node_clocks"}),
+            ("ppx", {"max_steps": 5}),
+            ("pp-a", {"max_rounds": 3}),
+            ("pp", {"pooled_chunk": 3}),
+        ],
+        ids=["view-on-pp", "max_steps-on-ppx", "max_rounds-on-pp-a", "unknown-option"],
+    )
+    def test_misapplied_option_rejected_at_the_boundary(self, protocol, option):
+        """An option the protocol's family does not take is a ProtocolError
+        naming the protocol and the options it does take."""
+        with pytest.raises(ProtocolError, match=rf"protocol '{protocol}' does not take") as error:
+            run_batch(complete_graph(8), 0, protocol, trials=2, seed=1, **option)
+        assert "on_budget_exhausted" in str(error.value)
+        assert not is_batchable(protocol, option)
+
+    @pytest.mark.parametrize("option", ["max_rounds", "max_steps", "max_time"])
+    def test_negative_budget_rejected(self, option):
+        protocol = "pp" if option == "max_rounds" else "pp-a"
+        with pytest.raises(ProtocolError, match=f"{option} must be non-negative"):
+            run_batch(star_graph(8), 0, protocol, trials=2, seed=0, **{option: -1})
 
     def test_bad_source_rejected(self):
         with pytest.raises(ProtocolError):

@@ -19,7 +19,7 @@ from helpers.equivalence import assert_same_distribution, assert_trials_paths_ag
 from repro.analysis import montecarlo
 from repro.analysis.montecarlo import ASYNC_AUTO_MIN_TRIALS, run_trials
 from repro.core.async_engine import ASYNC_VIEWS, run_asynchronous
-from repro.core.batch_engine import is_batchable, run_batch, run_clock_view_batch
+from repro.core.batch_engine import is_batchable, run_batch
 from repro.core.kernels import jit_backend
 from repro.errors import AnalysisError, ProtocolError, ScenarioError
 from repro.graphs import complete_graph, star_graph
@@ -100,8 +100,8 @@ class TestScenarioEligibility:
     )
     def test_runtime_scenarios_are_batchable_under_clock_views(self, view, scenario):
         assert is_batchable("pp-a", {"view": view}, scenario)
-        batched = run_clock_view_batch(
-            complete_graph(8), 4, view=view, trials=3, seed=0, scenario=scenario,
+        batched = run_batch(
+            complete_graph(8), 4, "pp-a", view=view, trials=3, seed=0, scenario=scenario,
             max_steps=300, on_budget_exhausted="partial",
         )
         assert batched.sources.size == 3
@@ -123,8 +123,8 @@ class TestScenarioEligibility:
         with pytest.raises(ScenarioError, match=message):
             run_asynchronous(graph, 0, view="edge_clocks", seed=0, scenario=dynamic)
         with pytest.raises(ScenarioError, match=message):
-            run_clock_view_batch(
-                graph, 0, view="edge_clocks", trials=2, seed=0, scenario=dynamic
+            run_batch(
+                graph, 0, "pp-a", view="edge_clocks", trials=2, seed=0, scenario=dynamic
             )
         # run_trials: auto falls back to the serial engine, which raises the
         # same error; a forced batch fails fast in the dispatcher.
@@ -159,12 +159,12 @@ class TestScenarioEligibility:
 class TestKernelBehaviour:
     def test_validation(self):
         with pytest.raises(ProtocolError):
-            run_clock_view_batch(star_graph(8), 0, view="global", trials=2, seed=0)
+            run_batch(star_graph(8), 0, "pp-a", view="smoke", trials=2, seed=0)
         with pytest.raises(ProtocolError):
-            run_clock_view_batch(star_graph(8), 0, view="node_clocks", mode="smoke", trials=2, seed=0)
+            run_batch(star_graph(8), 0, "smoke", view="node_clocks", trials=2, seed=0)
         disconnected = Graph(4, [(0, 1), (2, 3)], name="two-edges")
         with pytest.raises(ProtocolError):
-            run_clock_view_batch(disconnected, 0, view="edge_clocks", trials=2, seed=0)
+            run_batch(disconnected, 0, "pp-a", view="edge_clocks", trials=2, seed=0)
 
     @pytest.mark.parametrize("view", CLOCK_VIEWS)
     def test_trivial_single_vertex_graph(self, view):
@@ -174,8 +174,8 @@ class TestKernelBehaviour:
 
     @pytest.mark.parametrize("view", CLOCK_VIEWS)
     def test_zero_step_budget_is_incomplete_not_hung(self, view):
-        batched = run_clock_view_batch(
-            star_graph(8), 1, view=view, trials=3, seed=1,
+        batched = run_batch(
+            star_graph(8), 1, "pp-a", view=view, trials=3, seed=1,
             max_steps=0, on_budget_exhausted="partial",
         )
         assert not batched.completed.any()

@@ -18,7 +18,7 @@ import pytest
 from helpers.equivalence import KERNEL_CASES, assert_kernel_case, case_ids
 from repro.analysis.montecarlo import run_trials
 from repro.core import kernels
-from repro.core.batch_engine import is_batchable, run_clock_view_batch
+from repro.core.batch_engine import is_batchable, run_batch
 from repro.core.kernels import (
     KERNEL_BACKENDS,
     available_backends,
@@ -137,8 +137,8 @@ class TestPurePythonJit:
         # stream in exactly the numpy order — same seed, same results.
         graph = random_regular_graph(24, 4, seed=3)
         results = {
-            backend: run_clock_view_batch(
-                graph, 0, view="node_clocks", trials=50,
+            backend: run_batch(
+                graph, 0, "pp-a", view="node_clocks", trials=50,
                 pooled_rng=np.random.default_rng(11), scenario=scenario,
                 backend=backend,
             )

@@ -49,11 +49,11 @@ def test_registered_kernel_matches_serial(case, backend):
 
 @pytest.mark.parametrize("case", PARALLEL_CASES, ids=case_ids(PARALLEL_CASES))
 def test_registered_parallel_transports_agree(case):
-    """The PR-4 gate: parallel="shared" ≡ parallel="pickle" ≡ serial replay."""
+    """The pool run ≡ a serial replay of its chunk plan."""
     assert_parallel_case(case)
 
 
-def test_parallel_registry_covers_both_transports():
+def test_parallel_registry_coverage():
     """The registry must stay non-empty and exercise coverage fractions,
     scenarios, and a non-default asynchronous view at least once."""
     assert PARALLEL_CASES

@@ -25,12 +25,11 @@ Usage:
   ``tests/core/test_kernel_equivalence.py`` parametrizes over the registry,
   so adding a kernel to the registry *is* adding it to the equivalence
   gate.  Distribution-level checks share :func:`assert_same_distribution`.
-* **Parallel transports**: :data:`PARALLEL_CASES` registers
+* **Parallel runs**: :data:`PARALLEL_CASES` registers
   :func:`repro.analysis.parallel.run_trials_parallel` settings;
-  :func:`assert_parallel_case` pins the zero-copy ``parallel="shared"``
-  transport bit-identical to the legacy ``"pickle"`` transport *and* to a
-  serial replay of the same chunk plan through
-  :func:`~repro.analysis.montecarlo.run_trials` — the PR-4 contract.
+  :func:`assert_parallel_case` pins the zero-copy shared-memory pool run
+  bit-identical to a serial replay of the same chunk plan through
+  :func:`~repro.analysis.montecarlo.run_trials`.
 """
 
 from __future__ import annotations
@@ -492,15 +491,15 @@ register_case(
 
 
 # --------------------------------------------------------------------- #
-# The parallel-transport registry (PR 4)
+# The parallel-run registry
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class ParallelCase:
     """One registered ``run_trials_parallel`` equivalence setting.
 
-    Replayed three ways — serial chunk replay, ``parallel="pickle"``,
-    ``parallel="shared"`` — which must produce bit-identical samples for
-    the fixed ``(seed, trials, num_workers)`` triple.
+    Replayed twice — serial chunk replay and the pool run — which must
+    produce bit-identical samples for the fixed ``(seed, trials,
+    num_workers)`` triple.
     """
 
     id: str
@@ -536,7 +535,7 @@ def register_parallel_case(
     scenario=None,
     **engine_options,
 ) -> ParallelCase:
-    """Register a parallel-transport setting in the shared equivalence gate."""
+    """Register a parallel-run setting in the shared equivalence gate."""
     case = ParallelCase(
         id=id,
         protocol=protocol,
@@ -555,7 +554,7 @@ def register_parallel_case(
 
 
 def assert_parallel_case(case: ParallelCase):
-    """Shared transport ≡ pickling transport ≡ serial chunk replay, bit for bit."""
+    """Pool run ≡ serial chunk replay, bit for bit."""
     graph = case.graph_builder()
     options = case.options()
     # The serial reference: replay the deterministic chunk plan through
@@ -587,21 +586,15 @@ def assert_parallel_case(case: ParallelCase):
         scenario=case.scenario,
         engine_options=options,
     )
-    pickled = run_trials_parallel(
-        graph, case.source, case.protocol, parallel="pickle", **kwargs
+    sample = run_trials_parallel(graph, case.source, case.protocol, **kwargs)
+    assert sample.times == expected.times, (
+        f"the pool run diverged from the serial chunk replay for {case.id}"
     )
-    shared = run_trials_parallel(
-        graph, case.source, case.protocol, parallel="shared", **kwargs
-    )
-    for label, sample in (("pickle", pickled), ("shared", shared)):
-        assert sample.times == expected.times, (
-            f"parallel={label!r} diverged from the serial chunk replay for {case.id}"
-        )
-        assert sample.fraction_times == expected.fraction_times
-        assert sample.source == expected.source
-        assert sample.graph_name == expected.graph_name
-        assert sample.num_vertices == expected.num_vertices
-    return shared
+    assert sample.fraction_times == expected.fraction_times
+    assert sample.source == expected.source
+    assert sample.graph_name == expected.graph_name
+    assert sample.num_vertices == expected.num_vertices
+    return sample
 
 
 register_parallel_case(

@@ -102,15 +102,30 @@ class TestEngineCounters:
         assert counters["engine.messages_attempted"] == counters["engine.clock_ticks"]
         assert 0 < counters["engine.messages_delivered"] <= counters["engine.clock_ticks"]
 
-    def test_batch_and_serial_agree_on_invariants(self, small_cycle):
+    @pytest.mark.parametrize(
+        "protocol, view",
+        [
+            *[(protocol, None) for protocol in ("pp", "push", "pull", "ppx", "ppy")],
+            *[
+                (protocol, view)
+                for protocol in ("pp-a", "push-a", "pull-a")
+                for view in ("global", "node_clocks", "edge_clocks")
+            ],
+        ],
+    )
+    def test_batch_and_serial_agree_on_invariants(self, small_cycle, protocol, view):
+        options = {"view": view} if view else None
         by_path = {}
         for batch in (True, False):
             registry = MetricsRegistry()
             with collecting_metrics(registry):
-                run_trials(small_cycle, 0, "pp", trials=5, seed=11, batch=batch)
+                run_trials(
+                    small_cycle, 0, protocol, trials=5, seed=11, batch=batch,
+                    engine_options=options,
+                )
             by_path[batch] = registry.snapshot()["counters"]
-        for key in ("engine.rounds", "engine.messages_attempted", "analysis.trials"):
-            assert by_path[True][key] == by_path[False][key], key
+        for key in INVARIANT_COUNTERS:
+            assert by_path[True].get(key) == by_path[False].get(key), key
 
     def test_metrics_never_change_the_sample(self, small_cycle):
         plain = run_trials(small_cycle, 0, "pp-a", trials=4, seed=9, batch=True)

@@ -186,13 +186,7 @@ class TestParallelTracing:
         assert np.array_equal(recorder.times_matrix(), replay.times_matrix())
         assert sample.num_trials == 9
 
-    def test_trace_requires_shared_transport_and_concrete_graph(self):
-        graph = cycle_graph(8)
-        with pytest.raises(AnalysisError, match="shared"):
-            run_trials_parallel(
-                graph, 0, "pp", trials=4, seed=1, num_workers=2,
-                parallel="pickle", trace=CoverageRecorder(),
-            )
+    def test_trace_requires_concrete_graph(self):
         with pytest.raises(AnalysisError, match="concrete Graph"):
             run_trials_parallel(
                 "cycle", 0, "pp", trials=4, seed=1, size=8, num_workers=2,
