@@ -40,6 +40,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.budgets import parse_count_budget, parse_time_budget
 from repro.core.result import ContactEvent, SpreadingResult
 from repro.errors import ProtocolError, ScenarioError, SimulationError
 from repro.graphs.base import Graph
@@ -159,12 +160,8 @@ def run_asynchronous(
             f"on_budget_exhausted must be 'error' or 'partial', got {on_budget_exhausted!r}"
         )
     n = graph.num_vertices
-    step_budget = default_max_steps(n) if max_steps is None else int(max_steps)
-    if step_budget < 0:
-        raise ProtocolError(f"max_steps must be non-negative, got {max_steps}")
-    time_budget = math.inf if max_time is None else float(max_time)
-    if time_budget < 0:
-        raise ProtocolError(f"max_time must be non-negative, got {max_time}")
+    step_budget = parse_count_budget("max_steps", max_steps, default_max_steps(n))
+    time_budget = parse_time_budget(max_time)
 
     protocol_name = _PROTOCOL_NAMES[mode]
     if n == 1:

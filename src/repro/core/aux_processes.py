@@ -35,6 +35,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.budgets import parse_count_budget
 from repro.core.flatgraph import flat_adjacency
 from repro.core.result import SpreadingResult
 from repro.core.sync_engine import default_max_rounds
@@ -142,7 +143,7 @@ def run_auxiliary_process(
         )
 
     n = graph.num_vertices
-    budget = default_max_rounds(n) if max_rounds is None else int(max_rounds)
+    budget = parse_count_budget("max_rounds", max_rounds, default_max_rounds(n))
     rng = as_generator(seed)
     flat = flat_adjacency(graph)
     adjacency = graph.adjacency

@@ -24,8 +24,10 @@ times-only result.  The bodies, by kernel family:
   vectorised :func:`~repro.core.aux_processes.pull_probabilities`.
 * **The global tick loop** (the asynchronous trio under the ``"global"``
   view, :func:`_async_ticks`) — per-trial exponential time accumulators
-  advance all live trials by one Poisson tick per iteration, with the
-  rumor exchange vectorised across trials.
+  and randomness buffers; the numpy backend moves the live trials in
+  lockstep, one tick each per column, and resolves every refill in blocks
+  of ticks for all of them at once, with the rumor exchange vectorised
+  across trials.
 * **The clock-view table loop** (``"node_clocks"`` and ``"edge_clocks"``,
   :func:`_clock_table`) — the serial priority queue becomes a next-tick
   matrix with one row per live trial, whose per-row ``argmin`` is the next
@@ -81,7 +83,7 @@ overhead.  A pooled dynamic graph (node view only) keeps the table loop,
 drawing per tick from the shared generator.
 
 **Kernel backends.**  The hot loops themselves — the synchronous round
-step, the flattened asynchronous tick loop, and the pooled clock-view
+step, the block-resolved asynchronous tick loop, and the pooled clock-view
 chunk consumer — live in :mod:`repro.core.kernels` with interchangeable
 ``"numpy"`` and numba-compiled ``"jit"`` implementations, selected per
 call with the ``backend=`` option (default ``"auto"``); see the package
@@ -104,6 +106,7 @@ import numpy as np
 
 from repro.core.async_engine import ASYNC_VIEWS, default_max_steps
 from repro.core.aux_processes import pull_probabilities
+from repro.core.budgets import parse_count_budget, parse_time_budget
 from repro.core.flatgraph import FlatAdjacency, flat_adjacency
 from repro.core.kernels import AsyncState, resolve_backend
 from repro.core.result import BatchTimes
@@ -264,6 +267,8 @@ def _prepare(
                 "with a scalar source, pass per-trial rngs, a pooled_rng with an "
                 "explicit trials count, or an explicit trials count"
             )
+        if int(batch) < 1:
+            raise ProtocolError(f"a batch needs at least one trial, got trials={batch}")
         source_array = np.full(int(batch), int(sources), dtype=np.int64)
     else:
         source_array = np.asarray(sources, dtype=np.int64)
@@ -1011,14 +1016,15 @@ def _async_ticks(job: _BatchJob) -> _Outcome:
     """The global-view tick loop.
 
     Every trial carries its own exponential time accumulator (the rate-``n``
-    global Poisson clock) and every loop iteration advances all live trials
-    by one tick.  Per-trial randomness is drawn in chunks of the same sizes
-    and order as the serial
+    global Poisson clock).  Per-trial randomness is drawn in chunks of the
+    same sizes and order as the serial
     :func:`~repro.core.async_engine.run_asynchronous` global view (gaps,
     callers, neighbor uniforms, loss uniforms; ``Delay`` rates first).  The
-    loop itself is the backend's ``async_tick_loop``: the per-trial modes
-    are bit-identical across backends, the pooled mode agrees in
-    distribution only under ``"jit"``.
+    loop itself is the backend's ``async_tick_loop``: the numpy one moves
+    the live trials in lockstep and consumes each refill in blocks of ticks
+    resolved for all of them at once, the jit one drains trial by trial.
+    The per-trial modes are bit-identical across backends, the pooled mode
+    agrees in distribution only under ``"jit"``.
     """
     graph, parts = job.graph, job.parts
     generators, pooled_rng = job.generators, job.pooled_rng
@@ -1728,23 +1734,28 @@ def run_batch(
     metrics = current_metrics()
     if metrics is not None:
         metrics.count("engine.kernel_invocations")
-    budgets = {"max_rounds": max_rounds, "max_steps": max_steps, "max_time": max_time}
-    given = {name: value for name, value in {**budgets, "view": view}.items() if value is not None}
+    named = {
+        "max_rounds": max_rounds, "max_steps": max_steps, "max_time": max_time, "view": view
+    }
+    given = {name: value for name, value in named.items() if value is not None}
     scenario = as_scenario(scenario)
     rejection = _rejection(protocol, {**given, **unknown}, scenario)
     if rejection is not None:
         raise rejection
-    for name, value in budgets.items():
-        if value is not None and value < 0:
-            raise ProtocolError(f"{name} must be non-negative, got {value}")
     family, mode = _PROTOCOL_FAMILIES[protocol]
+    n = graph.num_vertices
+    synchronous = family != "async"
+    if synchronous:
+        budget = parse_count_budget("max_rounds", max_rounds, default_max_rounds(n))
+        time_budget = np.inf
+    else:
+        budget = parse_count_budget("max_steps", max_steps, default_max_steps(n))
+        time_budget = parse_time_budget(max_time)
     view = view or "global"
     source_array, generators = _prepare(
         graph, sources, rngs, trials, seed, on_budget_exhausted, pooled_rng
     )
-    n = graph.num_vertices
     batch = source_array.size
-    synchronous = family != "async"
     if n == 1:
         return _trivial_batch(protocol, graph, source_array, record_times, synchronous)
 
@@ -1762,12 +1773,6 @@ def run_batch(
     kern = resolve_backend(backend if body in _KERNEL_BODIES else "numpy")
     if metrics is not None:
         metrics.gauge("engine.backend", kern.BACKEND_NAME)
-    if synchronous:
-        budget = default_max_rounds(n) if max_rounds is None else int(max_rounds)
-        time_budget = np.inf
-    else:
-        budget = default_max_steps(n) if max_steps is None else int(max_steps)
-        time_budget = np.inf if max_time is None else float(max_time)
     outcome = body(
         _BatchJob(
             graph=graph, sources=source_array, generators=generators,

@@ -3,7 +3,7 @@
 The batched Monte Carlo engine separates *orchestration* (validation,
 scenario unpacking, RNG stream management, result assembly — all of which
 stays in :mod:`repro.core.batch_engine`) from the *hot loops* that consume
-the pre-drawn randomness: the synchronous round step, the flattened
+the pre-drawn randomness: the synchronous round step, the block-resolved
 asynchronous tick loop of the ``"global"`` view, and the pooled clock-view
 chunk consumer.  Those loops live here as pure-array kernel functions with
 two interchangeable implementations:

@@ -4,20 +4,33 @@ The synchronous round step works in the flat address space of the raveled
 ``(live, n)`` arrays with narrow-dtype gathers, ``casting="unsafe"``
 contact arithmetic and preallocated round buffers.
 
-The two asynchronous kernels share one column consumer
+The two asynchronous kernels share one block consumer
 (:class:`_TickColumns`).  Live trials move in lockstep (each executes one
 tick per column and all of them refill at the same tick), so a block of
 ticks can be resolved for every live trial at once: the tick times as one
 sequential ``cumsum`` along the tick axis and the contacts as flat
-``(trial, vertex)`` positions.  The consumer then walks the block column by
-column and does only what depends on state the block cannot know in
-advance.  No resolved value depends on the order of the draws, so the RNG
-stream, pooled modes included, is the serial engines'.
+``(trial, vertex)`` positions, row-major.  No resolved value depends on the
+order of the draws, so the RNG stream, pooled modes included, is the
+serial engines'.
+
+The consumer takes a block one of two ways, decided once per kernel call
+from its inputs.  A run with no per-contact scenario state (no loss
+uniforms, up/down mask, epoch or resample boundaries, dynamic graph or
+adaptive jammer: every run without a scenario, and ``Delay``) is resolved
+a whole block at once by earliest-arrival relaxation.  Every contact is
+fixed before the block and informs exactly when its source endpoint was
+informed at an earlier tick, so the block's informing ticks are the
+earliest arrivals along time-respecting contact paths, and a few
+vectorised min-relaxation sweeps reach the same least fixed point the
+column walk computes tick by tick.  Every other run walks the block column
+by column, doing only what depends on state the block cannot know in
+advance; it is the only path for exchanges whose outcome depends on tick
+order.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
@@ -30,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 BACKEND_NAME = "numpy"
 
 #: Ticks per resolved block of the asynchronous kernels.  It bounds every
-#: block buffer at ``(_BLOCK_TICKS, live)`` and the work wasted when trials
+#: block buffer at ``(live, _BLOCK_TICKS)`` and the work wasted when trials
 #: retire early in a block.
 _BLOCK_TICKS = 256
 
@@ -198,26 +211,50 @@ def sync_round_step_dynamic(
 
 
 # ---------------------------------------------------------------------- #
-# Asynchronous kernels: the shared column consumer
+# Asynchronous kernels: the shared block consumer
 # ---------------------------------------------------------------------- #
+#: Arrival column of a vertex not informed yet: above every column of a
+#: block, since ``_BLOCK_TICKS`` bounds the width.
+_UNINFORMED = np.iinfo(np.int16).max
+
+
 class _TickColumns:
-    """The per-column exchange of both asynchronous kernels.
+    """The block consumer of both asynchronous kernels.
 
     A block is ``width`` consecutive ticks of the live trials ``rows``,
-    resolved column-major: ``tick_times[j]`` holds every row's ``j``-th
-    tick time and ``caller_pos[j]`` / ``callees[j]`` the flat positions of
-    its contact's endpoints in the raveled ``(B, n)`` state.  Under a
-    dynamic graph a resample may replace a trial's graph mid-block, so
-    ``callees`` carries the neighbor uniforms instead and every column
+    resolved row-major: ``tick_times[i, j]`` holds row ``i``'s ``j``-th
+    tick time and ``caller_pos[i, j]`` / ``callees[i, j]`` the flat
+    positions of its contact's endpoints in the raveled ``(B, n)`` state.
+    Under a dynamic graph a resample may replace a trial's graph mid-block,
+    so ``callees`` carries the neighbor uniforms instead and every column
     resolves its own callees.
 
-    :meth:`consume` walks the columns in order and does only what depends
-    on state the block cannot know in advance: the time budget, epoch and
-    resample boundaries (which draw from the trial's generator, so they
-    fire column by column in row order), the burst channel's loss
-    threshold, crashed endpoints, the adaptive jammer and the exchange.
-    Retired rows leave the block at once.  The instance holds the run's
-    per-trial state, indexed by absolute trial row.
+    :meth:`consume` resolves a block one of two ways, fixed for the kernel
+    call by its inputs:
+
+    * **Relaxation** (:meth:`_relax`) takes every run with no per-contact
+      scenario state: no loss uniforms, no up/down mask, no epoch or
+      resample boundaries, no dynamic graph, no adaptive jammer.  That is
+      every run without a scenario, and ``Delay``, which only weights the
+      caller draws.  Each row has one contact per tick, fixed before the
+      block, and at tick ``j`` a vertex learns the rumor exactly when its
+      partner (the caller under push, the callee under pull) learned it at
+      an earlier tick.  The block's informing ticks are therefore earliest
+      arrivals along time-respecting contact paths, and vectorised
+      min-relaxation sweeps over one arrival column per vertex converge to
+      the least fixed point of that recurrence, which is what the column
+      walk computes.  Contacts are ordered by column, not by tick time, so
+      a zero gap cannot create a tie.
+    * **The column walk** (:meth:`_walk`) takes every other run.  It walks
+      the columns in order and does only what depends on state the block
+      cannot know in advance: the time budget, epoch and resample
+      boundaries (which draw from the trial's generator, so they fire
+      column by column in row order), the burst channel's loss threshold,
+      crashed endpoints, the adaptive jammer and the exchange.  Retired
+      rows leave the block at once.
+
+    The instance holds the run's per-trial state, indexed by absolute
+    trial row.
     """
 
     __slots__ = (
@@ -226,6 +263,7 @@ class _TickColumns:
         "time_budget", "finite_time_budget", "mode_pp", "push_allowed",
         "parts", "bad", "up", "up_flat", "next_epoch", "next_resample",
         "has_boundaries", "trial_graphs", "generators", "pooled_rng", "floor",
+        "arrival", "moved",
     )
 
     def __init__(
@@ -285,6 +323,19 @@ class _TickColumns:
         # A lower bound on the earliest boundary pending for a live row: a
         # column whose tick times all lie below it skips the boundary scan.
         self.floor = floor
+        # Relaxed runs keep every flat position's arrival column between
+        # blocks: -1 once informed, _UNINFORMED before.  `parts.lossy`
+        # covers loss, the burst channel and the adaptive jammer.
+        relaxed = not (
+            parts.lossy or up is not None or self.has_boundaries or trial_graphs is not None
+        )
+        self.arrival = (
+            np.where(self.informed_flat, np.int16(-1), np.int16(_UNINFORMED))
+            if relaxed
+            else None
+        )
+        # The positions a relaxation sweep lowered, cleared after each sweep.
+        self.moved = np.zeros(informed.size, dtype=bool) if relaxed else None
 
     def consume(
         self,
@@ -295,13 +346,149 @@ class _TickColumns:
         callees: np.ndarray,
         loss: Optional[np.ndarray],
     ) -> np.ndarray:
-        """Consume one resolved ``(width, rows.size)`` block.
+        """Consume one resolved ``(rows.size, width)`` block.
 
         ``executed`` is the tick count every row reached before the block.
         A row that completes or runs out of time retires at its column;
         the survivors' ``now`` and ``steps`` are written at the end.
         Returns the indices into ``rows`` of the survivors.
         """
+        if self.arrival is not None:
+            return self._relax(rows, executed, tick_times, caller_pos, callees)
+        return self._walk(
+            rows,
+            executed,
+            np.ascontiguousarray(tick_times.T),
+            np.ascontiguousarray(caller_pos.T),
+            np.ascontiguousarray(callees.T),
+            None if loss is None else np.ascontiguousarray(loss.T),
+        )
+
+    def _relax(
+        self,
+        rows: np.ndarray,
+        executed: int,
+        tick_times: np.ndarray,
+        caller_pos: np.ndarray,
+        callee_pos: np.ndarray,
+    ) -> np.ndarray:
+        """Resolve a block at once by earliest-arrival relaxation.
+
+        Each contact is an arc from its source endpoint to its target (push:
+        caller to callee, pull: callee to caller, push-pull: both), and the
+        arc at column ``j`` fires when the source's arrival is below ``j``
+        and the target's above it, lowering the target's to ``j``.  Arcs
+        whose target was informed before the block, and arcs at or past
+        their row's first over-budget tick, never fire.  Arcs from a source
+        informed before the block all fire in the first sweep; after that
+        an arc can only fire in the sweep after its source moved, so each
+        sweep checks just the arcs leaving the positions the previous one
+        lowered, until none fires.
+        """
+        n = self.n
+        arrival, moved = self.arrival, self.moved
+        assert arrival is not None and moved is not None  # relaxed runs only
+        live = self.live
+        width = tick_times.shape[1]
+        caller_open = arrival.take(caller_pos) >= 0
+        callee_open = arrival.take(callee_pos) >= 0
+        cut = None
+        if self.finite_time_budget and tick_times.max() > self.time_budget:
+            # Like the serial engine: a row's first over-budget tick is
+            # popped but not executed, and nothing after it runs.  Such a
+            # contact is dropped as if both endpoints were informed.
+            over = tick_times > self.time_budget
+            cut = np.where(over.any(axis=1), over.argmax(axis=1), width)
+            in_budget = np.arange(width) < cut[:, None]
+            caller_open &= in_budget
+            callee_open &= in_budget
+        # Seeds: contacts from an informed endpoint to an open one.
+        if self.mode_pp:
+            seed = np.flatnonzero(caller_open != callee_open)
+            seed_target = np.where(
+                caller_open.take(seed), caller_pos.take(seed), callee_pos.take(seed)
+            )
+        elif self.push_allowed:
+            seed = np.flatnonzero(callee_open > caller_open)
+            seed_target = callee_pos.take(seed)
+        else:
+            seed = np.flatnonzero(caller_open > callee_open)
+            seed_target = caller_pos.take(seed)
+        np.minimum.at(arrival, seed_target, (seed % width).astype(np.int16))
+        fired_contacts, fired_targets = [seed], [seed_target]
+        # The arcs between two open endpoints, by direction.
+        dormant = np.flatnonzero(caller_open & callee_open)
+        caller_d = caller_pos.take(dormant)
+        callee_d = callee_pos.take(dormant)
+        arcs = []
+        if self.push_allowed:
+            arcs.append((caller_d, callee_d))
+        if self.mode_pp or not self.push_allowed:
+            arcs.append((callee_d, caller_d))
+        lowered = seed_target
+        while lowered.size and dormant.size:
+            moved[lowered] = True
+            checks = [
+                (np.flatnonzero(moved.take(source)), source, target)
+                for source, target in arcs
+            ]
+            moved[lowered] = False
+            lowered_now = []
+            for check, source, target in checks:
+                column = (dormant.take(check) % width).astype(np.int16)
+                check_target = target.take(check)
+                fire = arrival.take(source.take(check)) < column
+                fire &= column < arrival.take(check_target)
+                fired = check_target[fire]
+                np.minimum.at(arrival, fired, column[fire])
+                fired_contacts.append(dormant.take(check[fire]))
+                fired_targets.append(fired)
+                lowered_now.append(fired)
+            lowered = np.concatenate(lowered_now)
+        target = np.concatenate(fired_targets)
+        if target.size:
+            local, column = np.divmod(np.concatenate(fired_contacts), width)
+            # A target's arrival is the column of the one arc that informed
+            # it: the other arcs that fired on it lie later in its row.
+            first = arrival.take(target) == column
+            target, local, column = target[first], local[first], column[first]
+            arrival[target] = -1
+            self.informed_flat[target] = True
+            if self.times_flat is not None:
+                self.times_flat[target] = tick_times[local, column]
+            counts = self.num_informed.take(rows) + np.bincount(local, minlength=rows.size)
+            self.num_informed[rows] = counts
+            done = np.flatnonzero(counts == n)
+            if done.size:
+                # A complete row retires at its last informing column.
+                last = np.zeros(rows.size, dtype=column.dtype)
+                np.maximum.at(last, local, column)
+                last = last[done]
+                done_rows = rows[done]
+                self.completed[done_rows] = True
+                self.completion_time[done_rows] = tick_times[done, last]
+                self.steps[done_rows] = executed + last + 1
+                live[done_rows] = False
+        if cut is not None:
+            over_rows = np.flatnonzero(cut < width)
+            over_rows = over_rows[live.take(rows[over_rows])]
+            self._retire_overtime(rows[over_rows], executed + cut[over_rows])
+        kept = np.flatnonzero(live.take(rows))
+        survivors = rows[kept]
+        self.now[survivors] = tick_times[kept, -1]
+        self.steps[survivors] = executed + width
+        return kept
+
+    def _walk(
+        self,
+        rows: np.ndarray,
+        executed: int,
+        tick_times: np.ndarray,
+        caller_pos: np.ndarray,
+        callees: np.ndarray,
+        loss: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """Consume a column-major ``(width, rows.size)`` block column by column."""
         n = self.n
         informed_flat = self.informed_flat
         times_flat = self.times_flat
@@ -418,7 +605,7 @@ class _TickColumns:
         self.steps[rows] = executed + width
         return kept
 
-    def _retire_overtime(self, gone: np.ndarray, executed: int) -> None:
+    def _retire_overtime(self, gone: np.ndarray, executed: Union[int, np.ndarray]) -> None:
         self.live[gone] = False
         if self.overtime is None:
             self.steps[gone] = executed
@@ -544,23 +731,21 @@ def _resolve_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Resolve ticks ``lo:hi`` of the live rows' buffered chunk.
 
-    Returns ``(tick_times, caller_pos, callees, loss)``, column-major, as
+    Returns ``(tick_times, caller_pos, callees, loss)``, row-major, as
     :meth:`_TickColumns.consume` takes them.
     """
-    row_base = rows * state.n
-    tick_times = np.empty((hi - lo + 1, rows.size))
-    tick_times[0] = state.now.take(rows)
-    tick_times[1:] = state.gaps[rows, lo:hi].T
+    row_base = (rows * state.n)[:, None]
+    tick_times = np.empty((rows.size, hi - lo + 1))
+    tick_times[:, 0] = state.now.take(rows)
+    tick_times[:, 1:] = state.gaps[rows, lo:hi]
     # A sequential sum along the tick axis, seeded with `now`: bit-identical
     # to adding one gap per tick, which `now + cumsum(gaps)` is not.
-    np.cumsum(tick_times, axis=0, out=tick_times)
-    callers = np.ascontiguousarray(state.callers[rows, lo:hi].T)
-    uniforms = np.ascontiguousarray(state.nbr_uniforms[rows, lo:hi].T)
-    loss = None
-    if state.loss_uniforms is not None:
-        loss = np.ascontiguousarray(state.loss_uniforms[rows, lo:hi].T)
+    np.cumsum(tick_times, axis=1, out=tick_times)
+    callers = state.callers[rows, lo:hi]
+    uniforms = state.nbr_uniforms[rows, lo:hi]
+    loss = None if state.loss_uniforms is None else state.loss_uniforms[rows, lo:hi]
     if state.trial_graphs is not None:
-        return tick_times[1:], callers + row_base, uniforms, loss
+        return tick_times[:, 1:], callers + row_base, uniforms, loss
     # Contact selection on the static CSR's narrow dtypes, as in
     # sync_round_step: the unsafe cast truncates toward zero like .astype.
     degrees = state.degrees
@@ -573,7 +758,7 @@ def _resolve_block(
     np.minimum(offsets, state.max_offset.take(callers), out=offsets)
     offsets += state.start.take(callers)
     callees = state.indices.take(offsets) + row_base
-    return tick_times[1:], callers + row_base, callees, loss
+    return tick_times[:, 1:], callers + row_base, callees, loss
 
 
 # ---------------------------------------------------------------------- #
@@ -611,9 +796,9 @@ def clock_chunk_consume(
     All randomness (``tick_times`` / ``callers`` / ``callees`` /
     ``loss_block``) is already resolved by the engine; only churn/burst
     epoch crossings draw from ``pooled_rng`` mid-block.  The block goes to
-    the shared column consumer in column-major sub-blocks of
-    ``_BLOCK_TICKS`` ticks, with contacts as flat positions.  Mutates the
-    absolute per-trial state in place.
+    the shared block consumer in row-major sub-blocks of ``_BLOCK_TICKS``
+    ticks, with contacts as flat positions.  Mutates the absolute
+    per-trial state in place.
     """
     columns = _TickColumns(
         n=n,
@@ -644,14 +829,14 @@ def clock_chunk_consume(
     for lo in range(0, width, _BLOCK_TICKS):
         hi = min(lo + _BLOCK_TICKS, width)
         live_rows = rows[local]
-        row_base = live_rows * n
+        row_base = (live_rows * n)[:, None]
         kept = columns.consume(
             live_rows,
             executed + lo,
-            np.ascontiguousarray(tick_times[local, lo:hi].T),
-            np.add(callers[local, lo:hi].T, row_base, order="C"),
-            np.add(callees[local, lo:hi].T, row_base, order="C"),
-            None if loss_block is None else np.ascontiguousarray(loss_block[local, lo:hi].T),
+            tick_times[local, lo:hi],
+            callers[local, lo:hi] + row_base,
+            callees[local, lo:hi] + row_base,
+            None if loss_block is None else loss_block[local, lo:hi],
         )
         local = local[kept]
         if local.size == 0:

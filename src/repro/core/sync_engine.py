@@ -31,6 +31,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.budgets import parse_count_budget
 from repro.core.flatgraph import FlatAdjacency, flat_adjacency
 from repro.core.result import ContactEvent, SpreadingResult
 from repro.errors import ProtocolError, ScenarioError, SimulationError
@@ -138,9 +139,7 @@ def run_synchronous(
             f"on_budget_exhausted must be 'error' or 'partial', got {on_budget_exhausted!r}"
         )
     n = graph.num_vertices
-    budget = default_max_rounds(n) if max_rounds is None else int(max_rounds)
-    if budget < 0:
-        raise ProtocolError(f"max_rounds must be non-negative, got {max_rounds}")
+    budget = parse_count_budget("max_rounds", max_rounds, default_max_rounds(n))
 
     rng = as_generator(seed)
     flat = flat_adjacency(graph)

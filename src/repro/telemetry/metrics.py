@@ -33,7 +33,11 @@ Metric name conventions used by the built-in instrumentation:
 ``engine.messages_delivered``             contacts that informed a new vertex
 ``engine.messages_lost``                  contacts suppressed by loss scenarios
 ``engine.kernel_invocations``             batched kernel entries
-``engine.drain_returns``                  status-code drain exits (jit loop)
+``engine.drain_returns``                  kernel loop returns: jit global
+                                          view, one per status-code drain
+                                          exit; numpy global view, one per
+                                          live trial per refill; pooled
+                                          clock chunks, one per chunk
 ``analysis.trials``                       Monte Carlo trials completed
 ``analysis.batch_seconds`` (timer)        wall time inside the batched path
 ``analysis.serial_seconds`` (timer)       wall time inside the serial path

@@ -16,19 +16,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.montecarlo import run_trials
 from repro.core.batch_engine import (
     ASYNC_BATCH_PROTOCOLS,
     SYNC_BATCH_PROTOCOLS,
+    _ScenarioParts,
     is_batchable,
     run_batch,
 )
+from repro.core.flatgraph import flat_adjacency
+from repro.core.kernels.numpy_backend import _TickColumns
 from repro.core.protocols import spread
 from repro.core.result import BatchTimes
 from repro.errors import ProtocolError, SimulationError
 from repro.graphs import complete_graph, cycle_graph, path_graph, star_graph
 from repro.graphs.base import Graph
 from repro.graphs.random_graphs import random_regular_graph
-from repro.randomness.rng import spawn_generators
+from repro.randomness.rng import as_generator, spawn_generators
 
 ALL_BATCH_PROTOCOLS = sorted(SYNC_BATCH_PROTOCOLS) + sorted(ASYNC_BATCH_PROTOCOLS)
 
@@ -172,6 +176,44 @@ class TestValidation:
         protocol = "pp" if option == "max_rounds" else "pp-a"
         with pytest.raises(ProtocolError, match=f"{option} must be non-negative"):
             run_batch(star_graph(8), 0, protocol, trials=2, seed=0, **{option: -1})
+
+    @pytest.mark.parametrize("batch", [True, False], ids=["batch", "serial"])
+    @pytest.mark.parametrize(
+        "protocol, option, value",
+        [
+            ("pp-a", "max_time", math.nan),
+            ("pp-a", "max_steps", math.nan),
+            ("pp-a", "max_steps", math.inf),
+            ("pp", "max_rounds", math.nan),
+            ("pp", "max_rounds", math.inf),
+            ("ppx", "max_rounds", math.nan),
+            ("ppx", "max_rounds", math.inf),
+        ],
+    )
+    def test_non_finite_budget_rejected_on_every_path(self, protocol, option, value, batch):
+        """A NaN budget, or an infinite count, is a ProtocolError naming the
+        option on the batched and the serial path alike."""
+        options = {option: value, "on_budget_exhausted": "partial"}
+        with pytest.raises(ProtocolError, match=option):
+            run_trials(
+                cycle_graph(8), 0, protocol, trials=2, seed=1, batch=batch,
+                engine_options=options,
+            )
+
+    def test_infinite_time_budget_is_unbounded_on_every_path(self):
+        runs = [
+            run_trials(
+                cycle_graph(8), 0, "pp-a", trials=2, seed=1, batch=batch,
+                engine_options={"max_time": math.inf},
+            )
+            for batch in (True, False)
+        ]
+        assert runs[0].times == runs[1].times
+        assert all(math.isfinite(t) for t in runs[0].times)
+
+    def test_negative_trial_count_rejected(self):
+        with pytest.raises(ProtocolError, match="at least one trial"):
+            run_batch(star_graph(8), 0, "pp", trials=-3, seed=0)
 
     def test_bad_source_rejected(self):
         with pytest.raises(ProtocolError):
@@ -317,3 +359,96 @@ class TestCompletionMasking:
         assert np.array_equal(times.max(axis=1), batched.completion_time)
         assert np.array_equal(times[:, 0], np.zeros(batch))
         assert np.array_equal(batched.rounds.astype(float), batched.completion_time)
+
+
+_BLOCK_GRAPHS = [
+    star_graph(12),
+    cycle_graph(10),
+    complete_graph(6),
+    random_regular_graph(16, 3, seed=4),
+]
+
+
+def _block_consumer(n, informed, now, mode, budget, record_times, with_overtime):
+    """Fresh per-trial state, and a no-scenario consumer writing to it."""
+    rows = informed.shape[0]
+    state = dict(
+        informed=informed.copy(),
+        times=np.where(informed, 0.0, np.inf) if record_times else None,
+        num_informed=informed.sum(axis=1),
+        steps=np.zeros(rows, dtype=np.int64),
+        completed=np.zeros(rows, dtype=bool),
+        completion_time=np.full(rows, np.inf),
+        live=np.ones(rows, dtype=bool),
+        now=now.copy(),
+        overtime=np.zeros(rows, dtype=bool) if with_overtime else None,
+    )
+    columns = _TickColumns(
+        n=n, **state, time_budget=budget, finite_time_budget=bool(np.isfinite(budget)),
+        mode_pp=mode == "push-pull", push_allowed=mode in ("push", "push-pull"),
+        parts=_ScenarioParts(None), bad=None, up=None, next_epoch=None,
+        next_resample=None, trial_graphs=None, generators=(), pooled_rng=None,
+        floor=np.inf,
+    )
+    return state, columns
+
+
+class TestRelaxedBlockConsumer:
+    """Earliest-arrival relaxation resolves a block exactly as the column
+    walk does, from dense mid-run states the registry reaches only by
+    chance."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        graph=st.sampled_from(_BLOCK_GRAPHS),
+        rows_live=st.integers(min_value=1, max_value=40),
+        width=st.integers(min_value=1, max_value=300),
+        mode=st.sampled_from(["push-pull", "push", "pull"]),
+        density=st.floats(min_value=0.0, max_value=1.0),
+        budget_at=st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.2)),
+        record_times=st.booleans(),
+        with_overtime=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_relaxation_equals_column_walk(
+        self, graph, rows_live, width, mode, density, budget_at, record_times,
+        with_overtime, seed,
+    ):
+        rng = as_generator(seed)
+        n = graph.num_vertices
+        flat = flat_adjacency(graph)
+        # The live rows are a sorted subset of a larger batch, as after
+        # retirements, and every one of them still misses a vertex.
+        total_rows = rows_live + int(rng.integers(0, 5))
+        rows = np.sort(rng.choice(total_rows, size=rows_live, replace=False))
+        informed = rng.random((total_rows, n)) < density
+        informed[np.arange(total_rows), rng.integers(0, n, total_rows)] = False
+        now = rng.random(total_rows)
+        gaps = rng.exponential(1.0 / n, (rows_live, width))
+        gaps[rng.random(gaps.shape) < 0.1] = 0.0  # ties in time, never in column
+        tick_times = now[rows][:, None] + np.cumsum(gaps, axis=1)
+        budget = np.inf
+        if budget_at is not None:
+            low, high = tick_times.min(), tick_times.max()
+            budget = low + budget_at * (high - low)
+        callers = rng.integers(0, n, (rows_live, width))
+        offsets = (rng.random(callers.shape) * flat.degrees[callers]).astype(np.int64)
+        callees = flat.indices[flat.indptr[callers] + offsets]
+        row_base = (rows * n)[:, None]
+        block = (tick_times, callers + row_base, callees + row_base)
+        executed = int(rng.integers(0, 10_000))
+
+        relaxed, columns = _block_consumer(
+            n, informed, now, mode, budget, record_times, with_overtime
+        )
+        kept = columns.consume(rows, executed, *block, None)
+        walked, columns = _block_consumer(
+            n, informed, now, mode, budget, record_times, with_overtime
+        )
+        walk_kept = columns._walk(
+            rows, executed, *(np.ascontiguousarray(a.T) for a in block), None
+        )
+        assert np.array_equal(kept, walk_kept)
+        for name, value in walked.items():
+            if value is not None:
+                assert np.array_equal(relaxed[name], value), name

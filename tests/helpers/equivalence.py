@@ -472,10 +472,23 @@ def _cycle96():
     return cycle_graph(96)
 
 
+_LONG_SOURCES = (0, 17, 40, 63, 80, 95)
 for _view in ("global", "node_clocks", "edge_clocks"):
-    register_case(
-        f"{_view}-long-push", "push-a", _cycle96, (0, 17, 40, 63, 80, 95), 71, view=_view
-    )
+    register_case(f"{_view}-long-push", "push-a", _cycle96, _LONG_SOURCES, 71, view=_view)
+# Without a scenario the global view resolves each block by earliest-arrival
+# relaxation: long runs of every mode cross refills, a wide batch puts many
+# rows in one block and completes several of them in the same block, and a
+# time budget past the first refill cuts rows part-way through a block.
+register_case("global-long-pp", "pp-a", _cycle96, _LONG_SOURCES, 79)
+register_case("global-long-pull", "pull-a", _cycle96, _LONG_SOURCES, 81)
+register_case(
+    "global-wide-pp", "pp-a", lambda: random_regular_graph(128, 3, seed=7),
+    tuple(range(0, 128, 2)), 83,
+)
+register_case(
+    "global-long-time-budget", "push-a", _cycle96, _LONG_SOURCES, 85,
+    max_time=60.0, on_budget_exhausted="partial",
+)
 register_case(
     "edge_clocks-long-delay", "push-a", lambda: cycle_graph(64), (0, 21, 42), 73,
     scenario=Delay(low=0.5, high=2.0), view="edge_clocks",
