@@ -48,7 +48,9 @@ batched fast path whenever the scenario vectorises (see
 from __future__ import annotations
 
 import math
+import numbers
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -219,13 +221,10 @@ def _resolve_source(source: SourceSpec, graph: Graph, rng: np.random.Generator) 
 
 
 def _resolve_batch_width(batch: BatchSpec, num_vertices: int) -> int:
-    """Map the ``batch`` argument to a positive batch width."""
+    """Map a validated ``batch`` argument to a positive batch width."""
     if batch is True or batch in ("auto", "pooled"):
         return max(1, min(DEFAULT_BATCH_WIDTH, AUTO_BATCH_ELEMENT_BUDGET // max(1, num_vertices)))
-    width = int(batch)
-    if width < 1:
-        raise AnalysisError(f"batch width must be positive, got {batch}")
-    return width
+    return int(batch)
 
 
 def _scenario_fixed_source(scenario: Optional[Scenario], graph: Graph) -> Optional[int]:
@@ -256,7 +255,9 @@ def batch_dispatch_decision(
         engine_options: engine options the trials will run with (the
             asynchronous ``view`` lives here).
         scenario: optional adversity scenario (or spec string).
-        batch: the runner's ``batch`` argument.
+        batch: the runner's ``batch`` argument, validated here: anything
+            but ``True``, ``False``, ``"auto"``, ``"pooled"`` or a positive
+            integer width raises :class:`AnalysisError`.
         trials: number of trials the caller intends to run (used by the
             ``"auto"`` narrow-asynchronous-batch heuristic; pass ``None`` to
             skip that check).
@@ -274,6 +275,15 @@ def batch_dispatch_decision(
         debuggability on both outcomes (the negative reason is also used
         verbatim in the error raised when batching was explicitly forced).
     """
+    if not (
+        isinstance(batch, bool)
+        or (isinstance(batch, str) and batch in ("auto", "pooled"))
+        or (isinstance(batch, numbers.Integral) and batch > 0)
+    ):
+        raise AnalysisError(
+            "batch must be True, False, 'auto', 'pooled' or a positive integer "
+            f"width, got {batch!r}"
+        )
     traced = " [coverage tracing active; it never affects dispatch]" if trace is not None else ""
     if batch is False:
         return False, "batch=False forces the serial path" + traced
@@ -475,23 +485,7 @@ def run_trials(
             trace=trace,
         )
         if use_batch:
-            if metrics is not None:
-                with metrics.timer("analysis.batch_seconds"):
-                    sample = _run_trials_batched(
-                        graph_or_factory,
-                        source,
-                        protocol,
-                        trials,
-                        seed,
-                        tuple(fractions),
-                        options,
-                        _resolve_batch_width(batch, graph_or_factory.num_vertices),
-                        scenario,
-                        batch == "pooled",
-                        trace,
-                    )
-                metrics.count("analysis.trials", trials)
-            else:
+            with metrics.timer("analysis.batch_seconds") if metrics is not None else nullcontext():
                 sample = _run_trials_batched(
                     graph_or_factory,
                     source,
@@ -505,6 +499,8 @@ def run_trials(
                     batch == "pooled",
                     trace,
                 )
+            if metrics is not None:
+                metrics.count("analysis.trials", trials)
             if collector is not None:
                 collector.add(
                     trace.trace(protocol=protocol, graph_name=sample.graph_name)

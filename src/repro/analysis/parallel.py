@@ -645,16 +645,15 @@ def run_trials_parallel(
             "first and pass it directly"
         )
     scenario = as_scenario(scenario)
-    if batch not in (False, "auto"):
-        # Fail fast in the parent on an impossible forced-batch setting
-        # instead of surfacing the error from inside a worker process.
-        # Chunks always run on a concrete graph, hence fixed_graph=True;
-        # the shared predicate is the same one run_trials dispatches on.
-        use_batch, reason = batch_dispatch_decision(
-            protocol, engine_options, scenario, batch, None, fixed_graph=True
-        )
-        if not use_batch:
-            raise _forced_batch_error(batch, reason)
+    # Fail fast in the parent on a malformed or impossible forced-batch
+    # setting instead of surfacing the error from inside a worker process.
+    # Chunks always run on a concrete graph, hence fixed_graph=True; the
+    # shared predicate is the same one run_trials dispatches on.
+    use_batch, reason = batch_dispatch_decision(
+        protocol, engine_options, scenario, batch, None, fixed_graph=True
+    )
+    if not use_batch and batch is not False and batch != "auto":
+        raise _forced_batch_error(batch, reason)
     workers = default_worker_count() if num_workers is None else int(num_workers)
     if workers < 1:
         raise AnalysisError(f"num_workers must be positive, got {num_workers}")

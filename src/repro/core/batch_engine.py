@@ -88,7 +88,10 @@ chunk consumer — live in :mod:`repro.core.kernels` with interchangeable
 ``"numpy"`` and numba-compiled ``"jit"`` implementations, selected per
 call with the ``backend=`` option (default ``"auto"``); see the package
 docstring for the per-kernel equivalence guarantees.  The auxiliary rounds
-and the clock-view table loop run numpy code only.
+and the clock-view table loop run numpy code only.  The three asynchronous
+bodies share one state, an :class:`~repro.core.kernels.AsyncState` that
+:func:`_async_state` builds once per run and the kernels take whole; its
+methods hold the boundary crossing and the rumor exchange they all use.
 
 The output is a times-only :class:`~repro.core.result.BatchTimes` record:
 batched runs never build parents, infection kinds, or traces.  Callers that
@@ -97,6 +100,7 @@ need those (coupling experiments, trace debugging) use the serial engines.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import compress
 from types import ModuleType
@@ -114,7 +118,7 @@ from repro.core.sync_engine import default_max_rounds
 from repro.errors import ProtocolError, ReproError, ScenarioError, SimulationError
 from repro.graphs.base import Graph
 from repro.randomness.rng import SeedLike, spawn_generators
-from repro.scenarios.base import Delay, DynamicGraph, Scenario, ScenarioLike, as_scenario
+from repro.scenarios.base import DynamicGraph, Scenario, ScenarioLike, as_scenario
 from repro.telemetry.metrics import MetricsRegistry, current_metrics
 
 __all__ = [
@@ -260,20 +264,32 @@ def _prepare(
         )
     if pooled_rng is not None and rngs is not None:
         raise ProtocolError("pass either per-trial rngs or a pooled_rng, not both")
-    if np.ndim(sources) == 0:
+    if trials is not None and not isinstance(trials, numbers.Integral):
+        raise ProtocolError(f"trials must be an integer, got {trials!r}")
+    source_array = np.asarray(sources)
+    if source_array.ndim > 1 or (
+        source_array.size and not np.issubdtype(source_array.dtype, np.integer)
+    ):
+        raise ProtocolError(
+            f"sources must be a vertex id or a 1-D sequence of vertex ids, got {sources!r}"
+        )
+    if source_array.ndim == 0:
         batch = len(rngs) if rngs is not None else trials
         if batch is None:
             raise ProtocolError(
                 "with a scalar source, pass per-trial rngs, a pooled_rng with an "
                 "explicit trials count, or an explicit trials count"
             )
-        if int(batch) < 1:
+        if batch < 1:
             raise ProtocolError(f"a batch needs at least one trial, got trials={batch}")
-        source_array = np.full(int(batch), int(sources), dtype=np.int64)
+        source_array = np.full(batch, source_array, dtype=np.int64)
     else:
-        source_array = np.asarray(sources, dtype=np.int64)
+        source_array = source_array.astype(np.int64)
     if source_array.size < 1:
         raise ProtocolError("a batch needs at least one trial")
+    if trials is not None and trials != source_array.size:
+        given = "sources" if np.ndim(sources) else "generators"
+        raise ProtocolError(f"trials={trials} disagrees with the {source_array.size} {given} given")
     if pooled_rng is not None:
         generators = None
     elif rngs is None:
@@ -506,50 +522,6 @@ class _ScenarioParts:
         states = bad if rows is None else bad[rows]
         return np.where(states, self.burst.p_loss_bad, self.burst.p_loss_good)
 
-    def cross_boundaries(
-        self,
-        b: int,
-        t: float,
-        rng: np.random.Generator,
-        n: int,
-        up: Optional[np.ndarray],
-        bad: Optional[np.ndarray],
-        next_epoch: Optional[np.ndarray],
-        next_resample: Optional[np.ndarray],
-        trial_graphs: Optional["_TrialGraphs"],
-        informed: Optional[np.ndarray] = None,
-    ) -> None:
-        """Fire trial ``b``'s epoch/resample boundaries up to time ``t``.
-
-        The single definition of the batched kernels' boundary interleave —
-        chronological order, epoch (churn update, then burst draw) before a
-        resample on ties — matching the serial engines' draw order exactly.
-        All three batch tick loops call this, so the equivalence-pinned
-        contract cannot drift between them.  ``informed`` is the ``(B, n)``
-        informed matrix an adaptive crash adversary observes (it draws
-        nothing, so the RNG stream matches the oblivious engines').
-        """
-        while True:
-            epoch_at = next_epoch[b] if next_epoch is not None else np.inf
-            resample_at = next_resample[b] if next_resample is not None else np.inf
-            if min(epoch_at, resample_at) > t:
-                return
-            if epoch_at <= resample_at:
-                if self.churn_updates:
-                    # repro: allow[RNG002] -- epoch schedule is deterministic in time, not in drawn values; this method IS the pinned boundary-interleave contract
-                    up[b] = self.churn.step(up[b], rng.random(n))
-                elif self.adaptive_churn:
-                    self.crash_budget[b] -= self.churn.crash_step(
-                        up[b], informed[b], self.crash_order, self.crash_budget[b]
-                    )
-                if bad is not None:
-                    # repro: allow[RNG002] -- epoch schedule is deterministic in time, not in drawn values; this method IS the pinned boundary-interleave contract
-                    bad[b] = self.burst.step_state(bad[b], rng.random())
-                next_epoch[b] += 1.0
-            else:
-                trial_graphs.resample(b, self.dynamic, rng)
-                next_resample[b] += float(self.dynamic.period)
-
 
 # ---------------------------------------------------------------------- #
 # What run_batch hands a loop body, and what it gets back
@@ -602,28 +574,6 @@ def _initial_informed(
         times = np.full((batch, n), np.inf)
         times[trial_rows, sources] = 0.0
     return informed, np.ones(batch, dtype=np.int64), times
-
-
-def _delay_rates(
-    delay: Delay,
-    graph: Graph,
-    batch: int,
-    generators: Optional[list[np.random.Generator]],
-    pooled_rng: Optional[np.random.Generator],
-) -> np.ndarray:
-    """The ``(B, n)`` vertex clock rates of a :class:`~repro.scenarios.Delay`.
-
-    They are the first randomness each trial consumes, before any tick,
-    matching the serial engine.
-    """
-    return np.stack(
-        [
-            delay.draw_rates(
-                graph, pooled_rng if pooled_rng is not None else generators[b]
-            )
-            for b in range(batch)
-        ]
-    )
 
 
 class _LiveSet:
@@ -1010,6 +960,61 @@ def _aux_rounds(job: _BatchJob) -> _Outcome:
 
 
 # ---------------------------------------------------------------------- #
+# The one state of the asynchronous bodies
+# ---------------------------------------------------------------------- #
+def _async_state(job: _BatchJob) -> AsyncState:
+    """The one state of an asynchronous batch (see :class:`AsyncState`).
+
+    Each trial's ``Delay`` rates come first, through its own generator (or
+    the pooled one): they are its first randomness, as in the serial
+    engines.  Everything is indexed by absolute trial row; the bodies mask
+    retired rows instead of compacting the state.
+    """
+    graph, parts = job.graph, job.parts
+    n = graph.num_vertices
+    batch = job.sources.size
+    dynamic = parts.dynamic
+    informed, num_informed, times = _initial_informed(n, job.sources, job.record_times)
+    finite_time_budget = bool(np.isfinite(job.time_budget))
+    state = AsyncState(
+        n=n, batch=batch, mode_pp=job.mode == "push-pull",
+        push_allowed=job.mode in ("push", "push-pull"),
+        step_budget=job.budget, time_budget=job.time_budget,
+        finite_time_budget=finite_time_budget,
+        generators=job.generators, pooled_rng=job.pooled_rng,
+        rates=None, rates_cum=None,
+        informed=informed, times=times, num_informed=num_informed,
+        now=np.zeros(batch), steps=np.zeros(batch, dtype=np.int64),
+        live=np.full(batch, job.budget > 0),
+        completed=np.zeros(batch, dtype=bool), completion_time=np.full(batch, np.inf),
+        overtime=np.zeros(batch, dtype=bool) if finite_time_budget else None,
+        parts=parts, up=parts.initial_up(graph, batch),
+        bad=np.zeros(batch, dtype=bool) if parts.burst is not None else None,
+        next_epoch=np.ones(batch) if parts.needs_epochs else None,
+        next_resample=np.full(batch, float(dynamic.period)) if dynamic is not None else None,
+        trial_graphs=_TrialGraphs(graph, batch) if dynamic is not None else None,
+        has_boundaries=parts.needs_epochs or dynamic is not None,
+    )
+    parts.init_adaptive(graph, batch)
+    state.boundary_floor = float(state.pending(np.arange(batch)).min())
+    if parts.delay is not None:
+        state.rates = np.stack(
+            [parts.delay.draw_rates(graph, state.rng_for(b)) for b in range(batch)]
+        )
+        state.rates_cum = np.cumsum(state.rates, axis=1)
+    return state
+
+
+def _async_outcome(state: AsyncState) -> _Outcome:
+    """An asynchronous body's per-trial results."""
+    if state.overtime is not None:
+        state.steps[state.overtime] -= 1  # popped, not executed
+    return _Outcome(
+        state.completed, state.completion_time, state.times, state.steps, state.num_informed
+    )
+
+
+# ---------------------------------------------------------------------- #
 # The asynchronous "global" view
 # ---------------------------------------------------------------------- #
 def _async_ticks(job: _BatchJob) -> _Outcome:
@@ -1026,111 +1031,31 @@ def _async_ticks(job: _BatchJob) -> _Outcome:
     The per-trial modes are bit-identical across backends, the pooled mode
     agrees in distribution only under ``"jit"``.
     """
-    graph, parts = job.graph, job.parts
-    generators, pooled_rng = job.generators, job.pooled_rng
-    step_budget, time_budget = job.budget, job.time_budget
-    burst = parts.burst
-    dynamic = parts.dynamic
-    n = graph.num_vertices
-    batch = job.sources.size
-    flat = flat_adjacency(graph)
-    degrees_nw = flat.degrees.astype(np.int32)
-    max_offset_nw = degrees_nw - 1
-    start_nw = flat.indptr[:-1].astype(np.int32)
-    indices_nw = flat.indices.astype(np.int32)
-    trial_graphs = _TrialGraphs(graph, batch) if dynamic is not None else None
-
-    finite_time_budget = np.isfinite(time_budget)
-    scale = 1.0 / n  # mean gap of the rate-n global clock
-
-    # Delay scenario: the cumulative-rate tables resolve weighted caller
-    # draws.
-    rates_cum = None
-    rates_total = None
-    scales = None
-    if parts.delay is not None:
-        rates_cum = np.cumsum(
-            _delay_rates(parts.delay, graph, batch, generators, pooled_rng), axis=1
-        )
-        rates_total = rates_cum[:, -1].copy()
-        scales = 1.0 / rates_total  # per-trial mean gap of the superposed clock
-
-    informed, num_informed, times = _initial_informed(n, job.sources, job.record_times)
-    now = np.zeros(batch)
-    completed = np.zeros(batch, dtype=bool)
-    completion_time = np.full(batch, np.inf)
-
-    # Scenario state, indexed by absolute trial row (this kernel masks rows
-    # instead of compacting them): churn up/down matrices, burst channel
-    # states, the per-trial epoch/resample boundary clocks, and a
-    # loss-uniform buffer mirroring the serial chunk order (gaps, callers,
-    # neighbor uniforms, loss uniforms).
-    up = parts.initial_up(graph, batch)
-    parts.init_adaptive(graph, batch)
-    bad = np.zeros(batch, dtype=bool) if burst is not None else None
-    next_epoch = np.ones(batch) if parts.needs_epochs else None
-    next_resample = (
-        np.full(batch, float(dynamic.period)) if dynamic is not None else None
-    )
-    # Scalar lower bound on the earliest pending boundary over all trials:
-    # the per-row boundary scan is skipped while every tick time is provably
-    # below it (one max-reduce instead of gathers, compares, and any()).
-    has_boundaries = next_epoch is not None or next_resample is not None
-    boundary_floor = np.inf
-    if next_epoch is not None:
-        boundary_floor = 1.0
-    if next_resample is not None:
-        boundary_floor = min(boundary_floor, float(dynamic.period))
-
+    state = _async_state(job)
+    batch = state.batch
+    flat = flat_adjacency(job.graph)
+    # Narrow copies of the static CSR for the blocks' contact gathers.
+    state.degrees = flat.degrees.astype(np.int32)
+    state.max_offset = state.degrees - 1
+    state.start = flat.indptr[:-1].astype(np.int32)
+    state.indices = flat.indices.astype(np.int32)
     # Per-trial randomness buffers mirroring the serial engine's chunked
-    # draws: refilled (exponential gaps, callers, neighbor uniforms — in that
-    # order) whenever exhausted, with chunk size min(4096, remaining budget).
-    # A trial can only run out of step budget at a buffer boundary (chunks
-    # never outlive the budget), so the budget check lives in the refill.
-    gaps = np.empty((batch, _ASYNC_CHUNK))
-    callers = np.empty((batch, _ASYNC_CHUNK), dtype=np.int32)
-    nbr_uniforms = np.empty((batch, _ASYNC_CHUNK))
-    loss_uniforms = np.empty((batch, _ASYNC_CHUNK)) if parts.lossy else None
-    positions = np.zeros(batch, dtype=np.int64)
-    buffer_lengths = np.zeros(batch, dtype=np.int64)
-    # Executed ticks are implied by the buffer bookkeeping — ticks consumed
-    # in retired chunks plus the in-chunk position — so the loop never pays
-    # a per-tick `steps[rows] += 1` scatter.  The one correction: a trial
-    # retired by the time budget consumed (but did not execute) its final
-    # draw, tracked in `overtime` and subtracted at the end.
-    chunk_base = np.zeros(batch, dtype=np.int64)
-    overtime = np.zeros(batch, dtype=bool) if finite_time_budget else None
-
-    live = num_informed < n
-    if step_budget == 0:
-        live[:] = False
-    steps = np.zeros(batch, dtype=np.int64)
-    # Hand the fully-prepared working set to the selected backend's tick
-    # loop: both backends consume one identical bundle (same buffer layout,
-    # same chunked-draw protocol via AsyncState.draw_chunk), so the
-    # equivalence-pinned randomness stream is backend independent.
-    state = AsyncState(
-        n=n, batch=batch, mode=job.mode, chunk=_ASYNC_CHUNK,
-        step_budget=step_budget, time_budget=time_budget,
-        finite_time_budget=finite_time_budget,
-        generators=generators, pooled_rng=pooled_rng,
-        scale=scale, scales=scales, rates_cum=rates_cum, rates_total=rates_total,
-        degrees=degrees_nw, max_offset=max_offset_nw,
-        start=start_nw, indices=indices_nw, trial_graphs=trial_graphs,
-        parts=parts, up=up, bad=bad,
-        next_epoch=next_epoch, next_resample=next_resample,
-        boundary_floor=boundary_floor, has_boundaries=has_boundaries,
-        gaps=gaps, callers=callers, nbr_uniforms=nbr_uniforms,
-        loss_uniforms=loss_uniforms, positions=positions,
-        buffer_lengths=buffer_lengths, chunk_base=chunk_base,
-        informed=informed, times=times, num_informed=num_informed, now=now,
-        live=live, completed=completed, completion_time=completion_time,
-        overtime=overtime, steps=steps,
-    )
+    # draws: refilled (exponential gaps, callers, neighbor uniforms, loss
+    # uniforms — in that order) whenever exhausted, with chunk size
+    # min(4096, remaining budget).  A trial can only run out of step budget
+    # at a buffer boundary (chunks never outlive the budget), so the budget
+    # check lives in the refill.  The jit drain counts a trial's executed
+    # ticks as the ticks of its retired chunks plus its in-chunk position.
+    state.chunk = _ASYNC_CHUNK
+    state.gaps = np.empty((batch, _ASYNC_CHUNK))
+    state.callers = np.empty((batch, _ASYNC_CHUNK), dtype=np.int32)
+    state.nbr_uniforms = np.empty((batch, _ASYNC_CHUNK))
+    state.loss_uniforms = np.empty((batch, _ASYNC_CHUNK)) if job.parts.lossy else None
+    state.positions = np.zeros(batch, dtype=np.int64)
+    state.buffer_lengths = np.zeros(batch, dtype=np.int64)
+    state.chunk_base = np.zeros(batch, dtype=np.int64)
     job.kern.async_tick_loop(state)
-    if overtime is not None:
-        steps[overtime] -= 1  # the final draw was consumed, not executed
-    return _Outcome(completed, completion_time, times, steps, num_informed)
+    return _async_outcome(state)
 
 
 # ---------------------------------------------------------------------- #
@@ -1163,48 +1088,13 @@ def _pooled_clock_chunks(job: _BatchJob) -> _Outcome:
     blocks above are resolved against one fixed CSR); they take the table
     loop with per-tick pooled draws instead.
     """
-    graph, parts, kern, metrics = job.graph, job.parts, job.kern, job.metrics
+    state = _async_state(job)
     pooled_rng = job.pooled_rng
     assert pooled_rng is not None
-    step_budget, time_budget = job.budget, job.time_budget
-    n = graph.num_vertices
-    batch = job.sources.size
-    flat = flat_adjacency(graph)
-    degrees = flat.degrees
-    start = flat.indptr[:-1]
-    indices = flat.indices
-    mode_pp = job.mode == "push-pull"
-    push_allowed = job.mode in ("push", "push-pull")
-    finite_time_budget = np.isfinite(time_budget)
-    scale = 1.0 / n  # mean gap of the superposed rate-n tick process
-    chunk = _POOLED_CLOCK_CHUNK
-
-    burst = parts.burst
-    # Under a Delay every vertex v ticks at rate r_v (node clocks) — and
-    # its edge-view pair clocks, rate r_v/deg(v) each, superpose to the
-    # same r_v — so the pooled process has per-trial total rate sum(r_v)
-    # and rate-weighted callers.
-    rates_cum = None
-    rates_total = None
-    trial_scales = None
-    if parts.delay is not None:
-        rates_cum = np.cumsum(
-            _delay_rates(parts.delay, graph, batch, None, pooled_rng), axis=1
-        )
-        rates_total = rates_cum[:, -1].copy()
-        trial_scales = 1.0 / rates_total
-    up = parts.initial_up(graph, batch)
-    parts.init_adaptive(graph, batch)
-    bad = np.zeros(batch, dtype=bool) if burst is not None else None
-    next_epoch = np.ones(batch) if parts.needs_epochs else None
-
-    informed, num_informed, times = _initial_informed(n, job.sources, job.record_times)
-    now = np.zeros(batch)
-    steps = np.zeros(batch, dtype=np.int64)
-    completed = np.zeros(batch, dtype=bool)
-    completion_time = np.full(batch, np.inf)
-
-    live = num_informed < n
+    n = state.n
+    live, steps = state.live, state.steps
+    flat = flat_adjacency(job.graph)
+    degrees, start, indices = flat.degrees, flat.indptr[:-1], flat.indices
     while True:
         rows = np.flatnonzero(live)
         if rows.size == 0:
@@ -1213,51 +1103,45 @@ def _pooled_clock_chunks(job: _BatchJob) -> _Outcome:
         # executes one tick per column and leaves the set when it retires,
         # so one scalar tracks the remaining step budget for the block.
         executed = int(steps[rows[0]])
-        remaining = step_budget - executed
+        remaining = state.step_budget - executed
         if remaining <= 0:
             live[rows] = False
             break
-        width = min(chunk, remaining)
-        if trial_scales is None:
-            gaps = pooled_rng.exponential(scale, (rows.size, width))
-        else:
-            gaps = pooled_rng.exponential(
-                trial_scales[rows][:, None], (rows.size, width)
-            )
-        tick_times = np.cumsum(gaps, axis=1)
-        tick_times += now[rows][:, None]
-        if rates_cum is None:
+        width = min(_POOLED_CLOCK_CHUNK, remaining)
+        # Under a Delay every vertex v ticks at rate r_v (node clocks) — and
+        # its edge-view pair clocks, rate r_v/deg(v) each, superpose to the
+        # same r_v — so the pooled process has per-trial total rate sum(r_v)
+        # and rate-weighted callers.
+        if state.rates is None:
+            gaps = pooled_rng.exponential(1.0 / n, (rows.size, width))
             callers = pooled_rng.integers(0, n, (rows.size, width))
         else:
+            gaps = pooled_rng.exponential(
+                1.0 / state.rates_cum[rows, -1:], (rows.size, width)
+            )
             caller_uniforms = pooled_rng.random((rows.size, width))
             callers = np.empty((rows.size, width), dtype=np.int64)
             for j, b in enumerate(rows):
-                callers[j] = np.minimum(
-                    np.searchsorted(
-                        rates_cum[b], caller_uniforms[j] * rates_total[b], side="right"
-                    ),
-                    n - 1,
-                )
+                callers[j] = state.weighted_callers(b, caller_uniforms[j])
+        tick_times = np.cumsum(gaps, axis=1)
+        tick_times += state.now[rows][:, None]
         uniforms = pooled_rng.random((rows.size, width))
-        loss_block = pooled_rng.random((rows.size, width)) if parts.lossy else None
+        loss_block = pooled_rng.random((rows.size, width)) if job.parts.lossy else None
         deg = degrees[callers]
         offsets = (uniforms * deg).astype(np.int64)
         np.minimum(offsets, deg - 1, out=offsets)
         callees = indices[start[callers] + offsets]
 
         # Everything random about the block is resolved; the backend's
-        # consumer walks its columns and mutates the per-trial state in
-        # place (only epoch crossings still draw, from the pooled
-        # generator — the jit backend delegates those blocks to numpy).
-        kern.clock_chunk_consume(
-            rows, executed, width, tick_times, callers, callees, loss_block,
-            informed, times, num_informed, steps, completed, completion_time,
-            live, now, n, time_budget, finite_time_budget, mode_pp,
-            push_allowed, parts, bad, up, next_epoch, pooled_rng,
+        # consumer walks its columns and mutates the state in place (only
+        # epoch crossings still draw, from the pooled generator — the jit
+        # backend delegates those blocks to numpy).
+        job.kern.clock_chunk_consume(
+            state, rows, executed, tick_times, callers, callees, loss_block
         )
-        if metrics is not None:
-            metrics.count("engine.drain_returns")
-    return _Outcome(completed, completion_time, times, steps, num_informed)
+        if job.metrics is not None:
+            job.metrics.count("engine.drain_returns")
+    return _async_outcome(state)
 
 
 class _TickDraws:
@@ -1429,26 +1313,20 @@ def _clock_table(job: _BatchJob) -> _Outcome:
     and are never redrawn.  A pooled generator reaches this loop only with
     a dynamic graph, and then draws per tick.
     """
-    graph, parts = job.graph, job.parts
+    state = _async_state(job)
     generators, pooled_rng = job.generators, job.pooled_rng
-    step_budget, time_budget = job.budget, job.time_budget
-    mode = job.mode
-    n = graph.num_vertices
-    batch = job.sources.size
-    flat = flat_adjacency(graph)
+    n, batch = state.n, state.batch
+    flat = flat_adjacency(job.graph)
     degrees = flat.degrees
     node_view = job.view == "node_clocks"
+    rates = state.rates
 
-    rates = None
-    node_scales = None
-    if parts.delay is not None:
-        rates = _delay_rates(parts.delay, graph, batch, generators, pooled_rng)
-        node_scales = 1.0 / rates  # (B, n): mean gap of each vertex clock
-
-    pair_caller = pair_callee = pair_scale = None
+    pair_caller = pair_callee = pair_scale = node_scales = None
     if node_view:
         # One rate-r_v clock per vertex (r_v = 1 without a Delay): the
         # first ticks are the serial engine's initial exponential block.
+        if rates is not None:
+            node_scales = 1.0 / rates  # (B, n): mean gap of each vertex clock
         next_tick = np.empty((batch, n))
         if pooled_rng is not None:
             if node_scales is None:
@@ -1486,38 +1364,26 @@ def _clock_table(job: _BatchJob) -> _Outcome:
                     pair_scale if rates is None else pair_scale[b]
                 )
 
-    informed, num_informed, times = _initial_informed(n, job.sources, job.record_times)
-    steps = np.zeros(batch, dtype=np.int64)
-    completed = np.zeros(batch, dtype=bool)
-    completion_time = np.full(batch, np.inf)
-    finite_time_budget = np.isfinite(time_budget)
-    mode_pp = mode == "push-pull"
-    push_allowed = mode in ("push", "push-pull")
-
-    # Scenario state, indexed by absolute trial row: see _async_ticks.
     # Dynamic graphs only reach the node view (edge_clocks is rejected) and
     # never touch the next-tick table — vertex clocks are graph independent.
-    burst = parts.burst
-    dynamic = parts.dynamic
-    lossy = parts.lossy
-    up = parts.initial_up(graph, batch)
-    parts.init_adaptive(graph, batch)
-    bad = np.zeros(batch, dtype=bool) if burst is not None else None
-    next_epoch = np.ones(batch) if parts.needs_epochs else None
-    next_resample = (
-        np.full(batch, float(dynamic.period)) if dynamic is not None else None
-    )
-    trial_graphs = _TrialGraphs(graph, batch) if dynamic is not None else None
+    trial_graphs = state.trial_graphs
+    lossy = job.parts.lossy
     draws: _TickDraws
     if pooled_rng is not None:
         draws = _PooledDraws(pooled_rng, batch)
-    elif node_view or lossy or parts.churn_updates:
+    elif node_view or lossy or job.parts.churn_updates:
         # The tick's uniforms (or epoch draws) interleave with its
         # reschedule, which no block call reproduces.
         draws = _ScalarDraws(generators)
     else:
         draws = _BlockDraws(generators)
 
+    # What the loop reads, bound once: the loop costs tens of microseconds
+    # per tick.
+    steps, step_budget = state.steps, state.step_budget
+    time_budget, finite_time_budget = state.time_budget, state.finite_time_budget
+    has_boundaries = state.has_boundaries
+    cross, exchange = state.cross, state.exchange
     # The live trials (absolute ids, ascending) and the next-tick table
     # aligned with them; both shrink only when trials retire.  Every live
     # trial takes one tick per iteration, so `executed` is each one's step
@@ -1548,24 +1414,11 @@ def _clock_table(job: _BatchJob) -> _Outcome:
                     break
                 idx = idx[keep]
                 tick_time = tick_time[keep]
-        if next_epoch is not None or next_resample is not None:
+        if has_boundaries and tick_time.max() >= state.boundary_floor:
             # Boundaries crossed in (previous event, now] fire before the
             # exchange, chronologically, epoch before resample on ties —
             # the serial engine's interleaved draws.
-            if next_epoch is None:
-                bound = next_resample.take(rows)
-            elif next_resample is None:
-                bound = next_epoch.take(rows)
-            else:
-                bound = np.minimum(next_epoch.take(rows), next_resample.take(rows))
-            crossing = tick_time >= bound
-            if crossing.any():
-                for b, t in zip(rows[crossing], tick_time[crossing]):
-                    rng = pooled_rng if pooled_rng is not None else generators[b]
-                    parts.cross_boundaries(
-                        b, t, rng, n, up, bad, next_epoch, next_resample,
-                        trial_graphs, informed,
-                    )
+            cross(rows, tick_time)
         executed += 1
         # The tick's draws in the serial order: neighbor uniform (node view
         # only), loss uniform (when lossy), reschedule exponential.
@@ -1590,56 +1443,12 @@ def _clock_table(job: _BatchJob) -> _Outcome:
             pairs = idx if rates is None else rows * pair_caller.size + idx
             resched = resched * pair_scale.take(pairs)
         table.put(slot_base + idx, tick_time + resched)
-
-        caller_cells = cell_base + caller
-        callee_cells = cell_base + callee
-        caller_informed = informed.take(caller_cells)
-        callee_informed = informed.take(callee_cells)
-        if mode_pp:
-            active = caller_informed != callee_informed
-            targets = np.where(caller_informed, callee_cells, caller_cells)
-        elif push_allowed:
-            active = caller_informed & ~callee_informed
-            targets = callee_cells
-        else:
-            active = ~caller_informed & callee_informed
-            targets = caller_cells
-        if loss_u is not None and parts.adaptive_loss is None:
-            active &= loss_u >= parts.loss_threshold(bad, rows)
-        if up is not None:
-            # Crashed endpoints suppress the exchange in either direction.
-            active &= up.take(caller_cells) & up.take(callee_cells)
-        if parts.adaptive_loss is not None:
-            # At this point `active` is exactly the would-transmit mask
-            # (informative direction between two up vertices): jam those
-            # whose pre-drawn loss uniform fires, while budget remains.
-            jam = active & (loss_u < parts.adaptive_loss.p) & (
-                parts.jam_budget[rows] > 0
-            )
-            if jam.any():
-                parts.jam_budget[rows[jam]] -= 1
-                active &= ~jam
-        if active.any():
-            hit = np.flatnonzero(active)
-            hit_rows = rows[hit]
-            hit_cells = targets[hit]
-            informed.put(hit_cells, True)
-            if times is not None:
-                times.put(hit_cells, tick_time[hit])
-            num_informed[hit_rows] += 1
-            full = num_informed[hit_rows] == n
-            if full.any():
-                done = hit[full]
-                done_rows = hit_rows[full]
-                completed[done_rows] = True
-                completion_time[done_rows] = tick_time[done]
-                steps[done_rows] = executed
-                keep = np.ones(rows.size, dtype=bool)
-                keep[done] = False
-                rows, table, slot_base, cell_base = _retire_rows(
-                    keep, rows, table, draws, n
-                )
-    return _Outcome(completed, completion_time, times, steps, num_informed)
+        done = exchange(rows, cell_base + caller, cell_base + callee, tick_time, loss_u, executed)
+        if done is not None:
+            keep = np.ones(rows.size, dtype=bool)
+            keep[done] = False
+            rows, table, slot_base, cell_base = _retire_rows(keep, rows, table, draws, n)
+    return _async_outcome(state)
 
 
 #: The bodies whose hot loop is a :mod:`repro.core.kernels` kernel; the
@@ -1689,7 +1498,7 @@ def run_batch(
             fixed-seed results agree trial-for-trial with the serial engine
             (scenarios included).
         trials: batch size when ``sources`` is a scalar and ``rngs`` is not
-            given.
+            given; otherwise, if given, it must equal their length.
         seed: master seed used to spawn per-trial generators when ``rngs``
             is not given.
         record_times: record the full ``(B, n)`` per-vertex time matrix.
@@ -1725,7 +1534,9 @@ def run_batch(
         ProtocolError: for a protocol without a batched body, an option its
             family does not take (for example ``view`` on ``pp`` or
             ``max_steps`` on ``ppx``), an unknown view, a negative budget,
-            or invalid sources and generators.
+            invalid sources and generators (sources that are not integral or
+            not 1-D, a non-integral ``trials``, or a ``trials`` that
+            disagrees with the sources or generators).
         ScenarioError: where the serial engine rejects the scenario (see
             :func:`is_batchable`).
         SimulationError: when trials stay incomplete under
@@ -1787,13 +1598,9 @@ def run_batch(
             total_ticks = int(outcome.counts.sum())
             metrics.count("engine.clock_ticks", total_ticks)
             metrics.count("engine.messages_attempted", total_ticks)
-        if body is not _async_ticks:
-            # Every informed vertex beyond the source received exactly one
-            # successful transmission.  (The tick-loop backends of the
-            # global view count their deliveries as they drain.)
-            metrics.count(
-                "engine.messages_delivered", int(outcome.num_informed.sum()) - batch
-            )
+        # Every informed vertex beyond the source received exactly one
+        # successful transmission.
+        metrics.count("engine.messages_delivered", int(outcome.num_informed.sum()) - batch)
     parts.record_budget_spent(metrics)
     if not outcome.completed.all() and on_budget_exhausted == "error":
         _raise_incomplete(

@@ -10,7 +10,7 @@ two interchangeable implementations:
 
 ``numpy``
     :mod:`repro.core.kernels.numpy_backend` — the reference vectorised
-    kernels, extracted verbatim from the engine.  Always available.
+    kernels.  Always available.
 ``jit``
     :mod:`repro.core.kernels.jit_backend` — Numba ``@njit(cache=True)``
     loops over the CSR ``indptr``/``indices`` arrays, per trial and per
@@ -20,10 +20,14 @@ two interchangeable implementations:
 ``auto``
     ``jit`` when numba is importable, ``numpy`` otherwise (never warns).
 
+Both asynchronous kernels take an :class:`AsyncState`, the one state of an
+asynchronous batch, which the engine builds once per run.
+
 **Equivalence contract.**  All trial-level randomness is drawn *outside*
-the kernels (by the engine or the shared :meth:`AsyncState.draw_chunk` /
-``_ScenarioParts.cross_boundaries`` helpers), in the serial engines'
-documented order; the kernels are deterministic functions of those draws.
+the compiled loops (by the engine or by :class:`AsyncState`'s
+:meth:`~AsyncState.draw_chunk` and :meth:`~AsyncState.cross_boundaries`),
+in the serial engines' documented order; the kernels are deterministic
+functions of those draws.
 Consequently the per-trial RNG modes are **bit-identical** across backends
 — the full ``KERNEL_CASES`` registry replays under both — and the pooled
 modes agree in distribution (the jit backend drains pooled buffers trial
@@ -156,45 +160,51 @@ def warmup_kernels(backend: Optional[str] = None) -> str:
 
 
 class AsyncState:
-    """Everything the asynchronous ``"global"`` tick loop reads and writes.
+    """The one state of an asynchronous batch.
 
-    Built by the global-view tick loop of
-    :func:`~repro.core.batch_engine.run_batch` and
-    handed to the selected backend's ``async_tick_loop``, so both backends
-    consume one identically-prepared bundle (same buffer layout, same
-    pre-drawn randomness protocol) and cannot drift apart.  All arrays are
-    indexed by absolute trial row; a backend that compacts its working set
-    (the numpy loop does) keeps its own local-row mapping and writes
-    results back through these arrays.
+    ``_async_state`` in :mod:`repro.core.batch_engine` builds it once for
+    each of the engine's three asynchronous bodies (the ``"global"`` tick
+    loop, the pooled clock chunks and the clock-view table loop), and the
+    body hands it whole to the backend's ``async_tick_loop`` or
+    ``clock_chunk_consume``.  Every array is indexed by absolute trial row;
+    a backend that compacts its working set keeps its own row mapping and
+    writes results back through these arrays.
+
+    It holds the run's shape, budgets and generators; each trial's
+    ``Delay`` vertex rates (``rates``, drawn once, before any tick) and
+    their running sums (``rates_cum``, the rate-weighted caller table);
+    the trial state (``informed``, ``times``, ``num_informed``, ``now``,
+    ``steps``, ``live``, ``completed``, ``completion_time`` and
+    ``overtime``, which marks the rows whose ``steps`` count a popped but
+    unexecuted over-budget tick); and the scenario state (``parts`` with
+    the adversary budgets, ``up``, ``bad``, ``next_epoch``,
+    ``next_resample``, ``trial_graphs`` and ``boundary_floor``, a lower
+    bound on the earliest boundary pending for a live row).  Only the
+    global tick loop adds to it: its narrow CSR and its chunk buffers.
     """
 
     __slots__ = (
-        # problem shape / protocol
-        "n", "batch", "mode", "chunk",
-        # budgets
+        # problem shape, protocol, budgets, randomness sources
+        "n", "batch", "mode_pp", "push_allowed",
         "step_budget", "time_budget", "finite_time_budget",
-        # randomness sources
         "generators", "pooled_rng",
-        # clock rates (Delay scenario)
-        "scale", "scales", "rates_cum", "rates_total",
-        # static CSR (narrow) and the per-trial dynamic stacked CSR
-        "degrees", "max_offset", "start", "indices", "trial_graphs",
+        # Delay clock rates
+        "rates", "rates_cum",
+        # trial state
+        "informed", "times", "num_informed", "now", "steps", "live",
+        "completed", "completion_time", "overtime",
         # scenario state
-        "parts", "up", "bad", "next_epoch", "next_resample",
-        "boundary_floor", "has_boundaries",
-        # per-trial randomness buffers (serial chunk protocol)
+        "parts", "up", "bad", "next_epoch", "next_resample", "trial_graphs",
+        "has_boundaries", "boundary_floor",
+        # the global tick loop's narrow CSR and per-trial chunk buffers
+        "degrees", "max_offset", "start", "indices", "chunk",
         "gaps", "callers", "nbr_uniforms", "loss_uniforms",
         "positions", "buffer_lengths", "chunk_base",
-        # trial state
-        "informed", "times", "num_informed", "now",
-        "live", "completed", "completion_time", "overtime", "steps",
     )
 
     def __init__(self, **fields: object) -> None:
-        for name in self.__slots__:
-            setattr(self, name, fields.pop(name))
-        if fields:
-            raise TypeError(f"unknown AsyncState fields: {sorted(fields)}")
+        for name, value in fields.items():
+            setattr(self, name, value)
 
     def rng_for(self, trial: int) -> np.random.Generator:
         """The generator that owns ``trial``'s randomness stream."""
@@ -202,53 +212,167 @@ class AsyncState:
             return self.pooled_rng
         return self.generators[trial]
 
-    def draw_chunk(
-        self,
-        rng: np.random.Generator,
-        trial: int,
-        chunk: int,
-        row: int,
-        gaps: Optional[np.ndarray] = None,
-        callers: Optional[np.ndarray] = None,
-        nbr_uniforms: Optional[np.ndarray] = None,
-        loss_uniforms: Optional[np.ndarray] = None,
-    ) -> None:
-        """Refill one trial's randomness buffers with ``chunk`` draws.
+    def weighted_callers(self, trial: int, uniforms: np.ndarray) -> np.ndarray:
+        """One caller per uniform, chosen in proportion to ``trial``'s rates."""
+        cumulative = self.rates_cum[trial]
+        return np.minimum(
+            np.searchsorted(cumulative, uniforms * cumulative[-1], side="right"),
+            self.n - 1,
+        )
+
+    def draw_chunk(self, trial: int, chunk: int) -> None:
+        """Refill ``trial``'s chunk buffers with the draws of its next ``chunk`` ticks.
 
         The single definition of the serial engine's per-chunk draw order
-        (exponential gaps, callers, neighbor uniforms, loss uniforms) shared
-        by both backends, so the equivalence-pinned stream cannot drift.
-        ``trial`` addresses the per-trial rate tables (absolute row);
-        ``row`` addresses the buffers, which a compacting backend passes as
-        local arrays (defaulting to the state's own).
+        (exponential gaps, callers, neighbor uniforms, loss uniforms),
+        shared by both backends' global tick loops.  Under a ``Delay`` the
+        superposed clock has rate ``sum(r_v)`` and callers are
+        rate-weighted; resolving the caller uniforms now does not move them
+        in the stream.
         """
-        n = self.n
-        if gaps is None:
-            gaps = self.gaps
-        if callers is None:
-            callers = self.callers
-        if nbr_uniforms is None:
-            nbr_uniforms = self.nbr_uniforms
-        if loss_uniforms is None:
-            loss_uniforms = self.loss_uniforms
-        gaps[row, :chunk] = rng.exponential(
-            self.scale if self.scales is None else self.scales[trial], chunk
-        )
-        if self.rates_cum is not None:
-            # Weighted caller selection: resolve the whole chunk of uniforms
-            # against the trial's cumulative rates now (the draw order is
-            # what serial equivalence pins, not when they are transformed).
-            caller_uniforms = rng.random(chunk)
-            callers[row, :chunk] = np.minimum(
-                np.searchsorted(
-                    self.rates_cum[trial],
-                    caller_uniforms * self.rates_total[trial],
-                    side="right",
-                ),
-                n - 1,
-            )
+        rng = self.rng_for(trial)
+        if self.rates_cum is None:
+            self.gaps[trial, :chunk] = rng.exponential(1.0 / self.n, chunk)
+            self.callers[trial, :chunk] = rng.integers(0, self.n, chunk)
         else:
-            callers[row, :chunk] = rng.integers(0, n, chunk)
-        nbr_uniforms[row, :chunk] = rng.random(chunk)
-        if loss_uniforms is not None:
-            loss_uniforms[row, :chunk] = rng.random(chunk)
+            self.gaps[trial, :chunk] = rng.exponential(1.0 / self.rates_cum[trial, -1], chunk)
+            self.callers[trial, :chunk] = self.weighted_callers(trial, rng.random(chunk))
+        self.nbr_uniforms[trial, :chunk] = rng.random(chunk)
+        if self.loss_uniforms is not None:
+            self.loss_uniforms[trial, :chunk] = rng.random(chunk)
+
+    def pending(self, rows: np.ndarray) -> np.ndarray:
+        """Each row's earliest pending epoch or resample boundary."""
+        bound = np.full(rows.size, np.inf)
+        if self.next_epoch is not None:
+            np.minimum(bound, self.next_epoch.take(rows), out=bound)
+        if self.next_resample is not None:
+            np.minimum(bound, self.next_resample.take(rows), out=bound)
+        return bound
+
+    def cross(
+        self, rows: np.ndarray, tick_time: np.ndarray, skip: Optional[np.ndarray] = None
+    ) -> None:
+        """Fire every boundary that each row's ``tick_time`` crosses, in row order.
+
+        Rows in ``skip`` (retiring on the time budget) cross nothing.
+        Afterwards ``boundary_floor`` is the earliest boundary still
+        pending for ``rows``.
+        """
+        bound = self.pending(rows)
+        crossing = tick_time >= bound
+        if skip is not None:
+            crossing &= ~skip
+        if crossing.any():
+            for b, t in zip(rows[crossing].tolist(), tick_time[crossing].tolist()):
+                self.cross_boundaries(b, t)
+            bound = self.pending(rows)
+        self.boundary_floor = float(bound.min())
+
+    def cross_boundaries(self, b: int, t: float) -> None:
+        """Fire trial ``b``'s epoch and resample boundaries up to time ``t``.
+
+        The one definition of the batched boundary interleave: chronological
+        order, the epoch (churn update, then burst draw) before a resample
+        on ties, drawing from ``b``'s generator exactly as the serial
+        engines do.  An adaptive crash adversary observes ``b``'s informed
+        set and draws nothing.
+        """
+        parts, up, bad = self.parts, self.up, self.bad
+        next_epoch, next_resample = self.next_epoch, self.next_resample
+        rng = self.rng_for(b)
+        while True:
+            epoch_at = next_epoch[b] if next_epoch is not None else np.inf
+            resample_at = next_resample[b] if next_resample is not None else np.inf
+            if min(epoch_at, resample_at) > t:
+                return
+            if epoch_at <= resample_at:
+                if parts.churn_updates:
+                    # repro: allow[RNG002] -- epoch schedule is deterministic in time, not in drawn values; this method IS the pinned boundary-interleave contract
+                    up[b] = parts.churn.step(up[b], rng.random(self.n))
+                elif parts.adaptive_churn:
+                    parts.crash_budget[b] -= parts.churn.crash_step(
+                        up[b], self.informed[b], parts.crash_order, parts.crash_budget[b]
+                    )
+                if bad is not None:
+                    # repro: allow[RNG002] -- epoch schedule is deterministic in time, not in drawn values; this method IS the pinned boundary-interleave contract
+                    bad[b] = parts.burst.step_state(bad[b], rng.random())
+                next_epoch[b] += 1.0
+            else:
+                self.trial_graphs.resample(b, parts.dynamic, rng)
+                next_resample[b] += float(parts.dynamic.period)
+
+    def exchange(
+        self,
+        rows: np.ndarray,
+        caller_pos: np.ndarray,
+        callee_pos: np.ndarray,
+        tick_time: np.ndarray,
+        loss: Optional[np.ndarray],
+        executed: int,
+        skip: Optional[np.ndarray] = None,
+    ) -> Optional[np.ndarray]:
+        """One tick of each row in ``rows``: the rumor exchange of its contact.
+
+        Row ``i``'s contact joins the flat positions ``caller_pos[i]`` and
+        ``callee_pos[i]`` of the raveled ``(B, n)`` state at time
+        ``tick_time[i]``, with the pre-drawn loss uniform ``loss[i]``
+        (``loss`` is ``None`` when the run draws none).  One contact per
+        row, so the exchange vectorises with no conflicts: push informs the
+        callee, pull the caller, and push-pull exactly the uninformed
+        endpoint of an informative contact.  The loss threshold is read
+        after the tick's boundaries fired, so the burst channel's state sets
+        it; crashed endpoints suppress the exchange in either direction; the
+        adaptive jammer sees exactly the would-transmit contacts and jams
+        those whose uniform fires while budget remains.  Rows in ``skip``
+        (retiring on the time budget) exchange nothing.
+
+        A row that completes records ``executed`` steps and leaves ``live``.
+        Returns the indices into ``rows`` of those rows, or ``None``.
+        """
+        informed = self.informed
+        caller_informed = informed.take(caller_pos)
+        callee_informed = informed.take(callee_pos)
+        if self.mode_pp:
+            active = caller_informed != callee_informed
+        elif self.push_allowed:
+            active = caller_informed > callee_informed
+        else:
+            active = caller_informed < callee_informed
+        if skip is not None:
+            active &= ~skip
+        parts = self.parts
+        jammer = parts.adaptive_loss
+        if loss is not None and jammer is None:
+            active &= loss >= parts.loss_threshold(self.bad, rows)
+        if self.up is not None:
+            active &= self.up.take(caller_pos) & self.up.take(callee_pos)
+        if jammer is not None:
+            jam = active & (loss < jammer.p) & (parts.jam_budget.take(rows) > 0)
+            if jam.any():
+                parts.jam_budget[rows[jam]] -= 1
+                active &= ~jam
+        if not active.any():
+            return None
+        hit = np.flatnonzero(active)
+        hit_rows = rows[hit]
+        if self.mode_pp:
+            targets = np.where(caller_informed, callee_pos, caller_pos)[hit]
+        elif self.push_allowed:
+            targets = callee_pos[hit]
+        else:
+            targets = caller_pos[hit]
+        informed.reshape(-1)[targets] = True
+        if self.times is not None:
+            self.times.reshape(-1)[targets] = tick_time[hit]
+        counts = self.num_informed[hit_rows] + 1
+        self.num_informed[hit_rows] = counts
+        if counts.max() < self.n:
+            return None
+        done = hit[counts == self.n]
+        done_rows = rows[done]
+        self.completed[done_rows] = True
+        self.completion_time[done_rows] = tick_time[done]
+        self.steps[done_rows] = executed
+        self.live[done_rows] = False
+        return done

@@ -20,10 +20,12 @@ are deterministic given it, so:
 
 The asynchronous drain returns control to Python with a per-trial status
 code whenever a trial needs something a nopython region cannot do — a
-buffer refill, an epoch/resample crossing (both draw from
-``numpy.random.Generator`` objects) — and the driver resumes it; a
-boundary break happens *before* the pending draw is consumed, so the tick
-time is recomputed from the identical floats on re-entry.
+buffer refill (:meth:`~repro.core.kernels.AsyncState.draw_chunk`) or an
+epoch/resample crossing
+(:meth:`~repro.core.kernels.AsyncState.cross_boundaries`), both of which
+draw from ``numpy.random.Generator`` objects — and the Python loop resumes it.
+A boundary break happens *before* the pending draw is consumed, so the
+tick time is recomputed from the identical floats on re-entry.
 
 Without numba the module still imports: the kernels stay plain-Python
 (the resolver then routes ``backend="jit"`` to numpy with a warning), and
@@ -338,61 +340,51 @@ def _async_drain_impl(
 _async_drain = _compile(_async_drain_impl)
 
 
+def _mode_code(state: "AsyncState") -> int:
+    """The drains' exchange rule: 0 push, 1 pull, 2 push-pull."""
+    return 2 if state.mode_pp else (0 if state.push_allowed else 1)
+
+
+def _jammer(parts: "_ScenarioParts") -> tuple[bool, float, np.ndarray]:
+    """Whether an adaptive jammer is present, its loss probability and budgets."""
+    if parts.adaptive_loss is None:
+        return False, 0.0, _I64
+    return True, float(parts.adaptive_loss.p), parts.jam_budget
+
+
 def async_tick_loop(state: "AsyncState") -> None:
     """Drain an :class:`~repro.core.kernels.AsyncState` to completion.
 
     The compiled drain does all per-tick work; this driver handles
     everything that needs a :class:`numpy.random.Generator` — chunk
-    refills via the shared :meth:`AsyncState.draw_chunk` (same draw order
-    as the numpy backend) and epoch/resample crossings via
-    ``parts.cross_boundaries`` — plus retirements.  A retired trial's row
-    costs the drain nothing (it is dropped from the ``rows`` list), so the
-    active set is compact by construction.  The stacked-CSR arrays are
-    re-fetched every pass: a resample can reallocate them.
+    refills and epoch/resample crossings, through the state's own methods
+    (the numpy backend's draw order) — plus retirements.  A retired
+    trial's row costs the drain nothing (it is dropped from the ``rows``
+    list), so the active set is compact by construction.  The boundary
+    bounds, the loss thresholds and the stacked-CSR arrays are re-read
+    every pass: a crossing moves the first two, and a resample can
+    reallocate the last.
     """
     parts = state.parts
-    n = state.n
     live = state.live
-    if not live.any():
-        return
-    mode_code = 2 if state.mode == "push-pull" else (0 if state.mode == "push" else 1)
-    has_adaptive = parts.adaptive_loss is not None
-    adaptive_p = float(parts.adaptive_loss.p) if has_adaptive else 0.0
-    jam_budget = parts.jam_budget if has_adaptive else _I64
+    has_adaptive, adaptive_p, jam_budget = _jammer(parts)
     lossy = state.loss_uniforms is not None and not has_adaptive
-    if lossy:
-        thresh = parts.loss_threshold(state.bad)
-        loss_thresh = (
-            np.full(state.batch, float(thresh))
-            if np.isscalar(thresh)
-            else np.asarray(thresh, dtype=np.float64)
-        )
-    else:
-        loss_thresh = _F1
-    has_bound = state.has_boundaries
-    if has_bound:
-        bound = np.full(state.batch, np.inf)
-        if state.next_epoch is not None:
-            np.minimum(bound, state.next_epoch, out=bound)
-        if state.next_resample is not None:
-            np.minimum(bound, state.next_resample, out=bound)
-    else:
-        bound = _F1
+    trials = np.arange(state.batch)
     times = state.times if state.times is not None else _F2
-    has_times = state.times is not None
     up = state.up if state.up is not None else _B2
-    has_up = state.up is not None
     loss_arr = state.loss_uniforms if state.loss_uniforms is not None else _F2
-    burst = parts.burst
-    # Telemetry rides the existing status-code drain: informed-count deltas
-    # are observed Python-side at each drain return, so the compiled region
-    # and the RNG stream are untouched whether metrics are on or off.
     metrics = current_metrics()
 
     while True:
         rows = np.flatnonzero(live)
         if rows.size == 0:
             break
+        bound = state.pending(trials) if state.has_boundaries else _F1
+        loss_thresh = (
+            np.full(state.batch, parts.loss_threshold(state.bad), dtype=np.float64)
+            if lossy
+            else _F1
+        )
         tg = state.trial_graphs
         if tg is not None:
             tg_degrees, tg_start, tg_indices = tg.degrees, tg.rel_start, tg.indices
@@ -401,27 +393,20 @@ def async_tick_loop(state: "AsyncState") -> None:
             tg_degrees = tg_start = tg_indices = _I64
             tg_width = 0
         status = np.empty(rows.size, dtype=np.int64)
-        informed_before = (
-            int(state.num_informed[rows].sum()) if metrics is not None else 0
-        )
         _async_drain(
             rows, status, state.gaps, state.callers, state.nbr_uniforms,
             loss_arr, lossy,
             state.positions, state.buffer_lengths, state.now,
-            state.informed, times, has_times,
+            state.informed, times, state.times is not None,
             state.num_informed, state.completed, state.completion_time,
             state.degrees, state.start, state.indices,
             tg is not None, tg_degrees, tg_start, tg_indices, tg_width,
-            loss_thresh, up, has_up, bound, has_bound,
+            loss_thresh, up, state.up is not None, bound, state.has_boundaries,
             has_adaptive, adaptive_p, jam_budget,
-            state.time_budget, state.finite_time_budget, mode_code, n,
+            state.time_budget, state.finite_time_budget, _mode_code(state), state.n,
         )
         if metrics is not None:
             metrics.count("engine.drain_returns")
-            metrics.count(
-                "engine.messages_delivered",
-                int(state.num_informed[rows].sum()) - informed_before,
-            )
         for j in range(rows.size):
             b = int(rows[j])
             st = int(status[j])
@@ -433,22 +418,9 @@ def async_tick_loop(state: "AsyncState") -> None:
                 state.overtime[b] = True
                 state.steps[b] = state.chunk_base[b] + state.positions[b]
             elif st == _BOUNDARY:
-                t = float(state.now[b] + state.gaps[b, state.positions[b]])
-                parts.cross_boundaries(
-                    b, t, state.rng_for(b), n, state.up, state.bad,
-                    state.next_epoch, state.next_resample, tg,
-                    state.informed,
+                state.cross_boundaries(
+                    b, float(state.now[b] + state.gaps[b, state.positions[b]])
                 )
-                next_bound = np.inf
-                if state.next_epoch is not None:
-                    next_bound = float(state.next_epoch[b])
-                if state.next_resample is not None:
-                    next_bound = min(next_bound, float(state.next_resample[b]))
-                bound[b] = next_bound
-                if lossy and burst is not None:
-                    loss_thresh[b] = (
-                        burst.p_loss_bad if state.bad[b] else burst.p_loss_good
-                    )
             else:  # _NEED_REFILL: retire the chunk, then the budget check
                 state.chunk_base[b] += state.buffer_lengths[b]
                 state.positions[b] = 0
@@ -459,7 +431,7 @@ def async_tick_loop(state: "AsyncState") -> None:
                     state.steps[b] = state.chunk_base[b]
                     continue
                 chunk = min(state.chunk, remaining)
-                state.draw_chunk(state.rng_for(b), b, chunk, b)
+                state.draw_chunk(b, chunk)
                 state.buffer_lengths[b] = chunk
 
 
@@ -540,31 +512,13 @@ _clock_drain = _compile(_clock_drain_impl)
 
 
 def clock_chunk_consume(
+    state: "AsyncState",
     rows: np.ndarray,
     executed: int,
-    width: int,
     tick_times: np.ndarray,
     callers: np.ndarray,
     callees: np.ndarray,
     loss_block: Optional[np.ndarray],
-    informed: np.ndarray,
-    times: Optional[np.ndarray],
-    num_informed: np.ndarray,
-    steps: np.ndarray,
-    completed: np.ndarray,
-    completion_time: np.ndarray,
-    live: np.ndarray,
-    now: np.ndarray,
-    n: int,
-    time_budget: float,
-    finite_time_budget: bool,
-    mode_pp: bool,
-    push_allowed: bool,
-    parts: "_ScenarioParts",
-    bad: Optional[np.ndarray],
-    up: Optional[np.ndarray],
-    next_epoch: Optional[np.ndarray],
-    pooled_rng: Optional[np.random.Generator],
 ) -> None:
     """Consume one pre-drawn pooled block; identical results to numpy.
 
@@ -572,31 +526,28 @@ def clock_chunk_consume(
     the compiled per-trial column drain reads the same pooled stream the
     numpy column loop would.  Blocks with epoch boundaries (churn updates
     or a burst channel) delegate to the numpy consumer — the crossings
-    draw from ``pooled_rng`` mid-column.
+    draw from the pooled generator mid-column.
     """
-    if next_epoch is not None:
+    if state.next_epoch is not None:
         numpy_backend.clock_chunk_consume(
-            rows, executed, width, tick_times, callers, callees, loss_block,
-            informed, times, num_informed, steps, completed, completion_time,
-            live, now, n, time_budget, finite_time_budget, mode_pp, push_allowed,
-            parts, bad, up, next_epoch, pooled_rng,
+            state, rows, executed, tick_times, callers, callees, loss_block
         )
         return
-    mode_code = 2 if mode_pp else (0 if push_allowed else 1)
-    has_adaptive = parts.adaptive_loss is not None
-    adaptive_p = float(parts.adaptive_loss.p) if has_adaptive else 0.0
-    jam_budget = parts.jam_budget if has_adaptive else _I64
+    parts = state.parts
+    has_adaptive, adaptive_p, jam_budget = _jammer(parts)
     has_loss = loss_block is not None and not has_adaptive
     # Without epochs there is no burst channel, so the threshold is the
     # scalar independent-loss probability.
-    loss_prob = float(parts.loss_threshold(bad)) if has_loss else 0.0
+    loss_prob = float(parts.loss_threshold(state.bad)) if has_loss else 0.0
     _clock_drain(
-        rows, width, int(executed), tick_times,
+        rows, tick_times.shape[1], int(executed), tick_times,
         np.ascontiguousarray(callers), np.ascontiguousarray(callees),
         loss_block if loss_block is not None else _F2, has_loss, loss_prob,
-        np.ascontiguousarray(up) if up is not None else _B2, up is not None,
-        has_adaptive, adaptive_p, jam_budget,
-        informed, times if times is not None else _F2, times is not None,
-        num_informed, steps, completed, completion_time, live, now,
-        float(time_budget), bool(finite_time_budget), mode_code, n,
+        np.ascontiguousarray(state.up) if state.up is not None else _B2,
+        state.up is not None, has_adaptive, adaptive_p, jam_budget,
+        state.informed, state.times if state.times is not None else _F2,
+        state.times is not None, state.num_informed, state.steps,
+        state.completed, state.completion_time, state.live, state.now,
+        float(state.time_budget), bool(state.finite_time_budget),
+        _mode_code(state), state.n,
     )

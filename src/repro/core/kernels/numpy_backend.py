@@ -30,14 +30,13 @@ order.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
 from repro.telemetry.metrics import current_metrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.core.batch_engine import _ScenarioParts, _TrialGraphs
     from repro.core.kernels import AsyncState
 
 BACKEND_NAME = "numpy"
@@ -219,18 +218,20 @@ _UNINFORMED = np.iinfo(np.int16).max
 
 
 class _TickColumns:
-    """The block consumer of both asynchronous kernels.
+    """The numpy block consumer of an :class:`~repro.core.kernels.AsyncState`.
 
-    A block is ``width`` consecutive ticks of the live trials ``rows``,
-    resolved row-major: ``tick_times[i, j]`` holds row ``i``'s ``j``-th
-    tick time and ``caller_pos[i, j]`` / ``callees[i, j]`` the flat
-    positions of its contact's endpoints in the raveled ``(B, n)`` state.
-    Under a dynamic graph a resample may replace a trial's graph mid-block,
-    so ``callees`` carries the neighbor uniforms instead and every column
-    resolves its own callees.
+    Both asynchronous kernels feed it blocks: ``async_tick_loop`` the global
+    view's buffered chunks, ``clock_chunk_consume`` the pooled clock views'
+    pre-drawn blocks.  A block is ``width`` consecutive ticks of the live
+    trials ``rows``, resolved row-major: ``tick_times[i, j]`` holds row
+    ``i``'s ``j``-th tick time and ``caller_pos[i, j]`` / ``callees[i, j]``
+    the flat positions of its contact's endpoints in the raveled ``(B, n)``
+    state.  Under a dynamic graph a resample may replace a trial's graph
+    mid-block, so ``callees`` carries the neighbor uniforms instead and
+    every column resolves its own callees.
 
     :meth:`consume` resolves a block one of two ways, fixed for the kernel
-    call by its inputs:
+    call by its state:
 
     * **Relaxation** (:meth:`_relax`) takes every run with no per-contact
       scenario state: no loss uniforms, no up/down mask, no epoch or
@@ -249,93 +250,30 @@ class _TickColumns:
       the columns in order and does only what depends on state the block
       cannot know in advance: the time budget, epoch and resample
       boundaries (which draw from the trial's generator, so they fire
-      column by column in row order), the burst channel's loss threshold,
-      crashed endpoints, the adaptive jammer and the exchange.  Retired
+      column by column in row order) and the state's exchange.  Retired
       rows leave the block at once.
-
-    The instance holds the run's per-trial state, indexed by absolute
-    trial row.
     """
 
-    __slots__ = (
-        "n", "informed", "informed_flat", "times_flat", "num_informed", "steps",
-        "completed", "completion_time", "live", "now", "overtime",
-        "time_budget", "finite_time_budget", "mode_pp", "push_allowed",
-        "parts", "bad", "up", "up_flat", "next_epoch", "next_resample",
-        "has_boundaries", "trial_graphs", "generators", "pooled_rng", "floor",
-        "arrival", "moved",
-    )
+    __slots__ = ("state", "arrival", "moved")
 
-    def __init__(
-        self,
-        *,
-        n: int,
-        informed: np.ndarray,
-        times: Optional[np.ndarray],
-        num_informed: np.ndarray,
-        steps: np.ndarray,
-        completed: np.ndarray,
-        completion_time: np.ndarray,
-        live: np.ndarray,
-        now: np.ndarray,
-        overtime: Optional[np.ndarray],
-        time_budget: float,
-        finite_time_budget: bool,
-        mode_pp: bool,
-        push_allowed: bool,
-        parts: "_ScenarioParts",
-        bad: Optional[np.ndarray],
-        up: Optional[np.ndarray],
-        next_epoch: Optional[np.ndarray],
-        next_resample: Optional[np.ndarray],
-        trial_graphs: Optional["_TrialGraphs"],
-        generators: Sequence[np.random.Generator],
-        pooled_rng: Optional[np.random.Generator],
-        floor: float,
-    ) -> None:
-        self.n = n
-        self.informed = informed
-        self.informed_flat = informed.reshape(-1)
-        self.times_flat = times.reshape(-1) if times is not None else None
-        self.num_informed = num_informed
-        self.steps = steps
-        self.completed = completed
-        self.completion_time = completion_time
-        self.live = live
-        self.now = now
-        # Given, time-budget retirements count the popped tick as consumed
-        # and flag it here; the engine uncounts it afterwards.
-        self.overtime = overtime
-        self.time_budget = time_budget
-        self.finite_time_budget = finite_time_budget
-        self.mode_pp = mode_pp
-        self.push_allowed = push_allowed
-        self.parts = parts
-        self.bad = bad
-        self.up = up
-        self.up_flat = up.reshape(-1) if up is not None else None
-        self.next_epoch = next_epoch
-        self.next_resample = next_resample
-        self.has_boundaries = next_epoch is not None or next_resample is not None
-        self.trial_graphs = trial_graphs
-        self.generators = generators
-        self.pooled_rng = pooled_rng
-        # A lower bound on the earliest boundary pending for a live row: a
-        # column whose tick times all lie below it skips the boundary scan.
-        self.floor = floor
+    def __init__(self, state: "AsyncState") -> None:
+        self.state = state
         # Relaxed runs keep every flat position's arrival column between
         # blocks: -1 once informed, _UNINFORMED before.  `parts.lossy`
         # covers loss, the burst channel and the adaptive jammer.
         relaxed = not (
-            parts.lossy or up is not None or self.has_boundaries or trial_graphs is not None
+            state.parts.lossy
+            or state.up is not None
+            or state.has_boundaries
+            or state.trial_graphs is not None
         )
         self.arrival = (
-            np.where(self.informed_flat, np.int16(-1), np.int16(_UNINFORMED))
+            np.where(state.informed.reshape(-1), np.int16(-1), np.int16(_UNINFORMED))
             if relaxed
             else None
         )
         # The positions a relaxation sweep lowered, cleared after each sweep.
-        self.moved = np.zeros(informed.size, dtype=bool) if relaxed else None
+        self.moved = np.zeros(state.informed.size, dtype=bool) if relaxed else None
 
     def consume(
         self,
@@ -385,30 +323,31 @@ class _TickColumns:
         sweep checks just the arcs leaving the positions the previous one
         lowered, until none fires.
         """
-        n = self.n
+        state = self.state
+        n = state.n
         arrival, moved = self.arrival, self.moved
         assert arrival is not None and moved is not None  # relaxed runs only
-        live = self.live
+        live = state.live
         width = tick_times.shape[1]
         caller_open = arrival.take(caller_pos) >= 0
         callee_open = arrival.take(callee_pos) >= 0
         cut = None
-        if self.finite_time_budget and tick_times.max() > self.time_budget:
+        if state.finite_time_budget and tick_times.max() > state.time_budget:
             # Like the serial engine: a row's first over-budget tick is
             # popped but not executed, and nothing after it runs.  Such a
             # contact is dropped as if both endpoints were informed.
-            over = tick_times > self.time_budget
+            over = tick_times > state.time_budget
             cut = np.where(over.any(axis=1), over.argmax(axis=1), width)
             in_budget = np.arange(width) < cut[:, None]
             caller_open &= in_budget
             callee_open &= in_budget
         # Seeds: contacts from an informed endpoint to an open one.
-        if self.mode_pp:
+        if state.mode_pp:
             seed = np.flatnonzero(caller_open != callee_open)
             seed_target = np.where(
                 caller_open.take(seed), caller_pos.take(seed), callee_pos.take(seed)
             )
-        elif self.push_allowed:
+        elif state.push_allowed:
             seed = np.flatnonzero(callee_open > caller_open)
             seed_target = callee_pos.take(seed)
         else:
@@ -421,9 +360,9 @@ class _TickColumns:
         caller_d = caller_pos.take(dormant)
         callee_d = callee_pos.take(dormant)
         arcs = []
-        if self.push_allowed:
+        if state.push_allowed:
             arcs.append((caller_d, callee_d))
-        if self.mode_pp or not self.push_allowed:
+        if state.mode_pp or not state.push_allowed:
             arcs.append((callee_d, caller_d))
         lowered = seed_target
         while lowered.size and dormant.size:
@@ -453,11 +392,11 @@ class _TickColumns:
             first = arrival.take(target) == column
             target, local, column = target[first], local[first], column[first]
             arrival[target] = -1
-            self.informed_flat[target] = True
-            if self.times_flat is not None:
-                self.times_flat[target] = tick_times[local, column]
-            counts = self.num_informed.take(rows) + np.bincount(local, minlength=rows.size)
-            self.num_informed[rows] = counts
+            state.informed.reshape(-1)[target] = True
+            if state.times is not None:
+                state.times.reshape(-1)[target] = tick_times[local, column]
+            counts = state.num_informed.take(rows) + np.bincount(local, minlength=rows.size)
+            state.num_informed[rows] = counts
             done = np.flatnonzero(counts == n)
             if done.size:
                 # A complete row retires at its last informing column.
@@ -465,9 +404,9 @@ class _TickColumns:
                 np.maximum.at(last, local, column)
                 last = last[done]
                 done_rows = rows[done]
-                self.completed[done_rows] = True
-                self.completion_time[done_rows] = tick_times[done, last]
-                self.steps[done_rows] = executed + last + 1
+                state.completed[done_rows] = True
+                state.completion_time[done_rows] = tick_times[done, last]
+                state.steps[done_rows] = executed + last + 1
                 live[done_rows] = False
         if cut is not None:
             over_rows = np.flatnonzero(cut < width)
@@ -475,8 +414,8 @@ class _TickColumns:
             self._retire_overtime(rows[over_rows], executed + cut[over_rows])
         kept = np.flatnonzero(live.take(rows))
         survivors = rows[kept]
-        self.now[survivors] = tick_times[kept, -1]
-        self.steps[survivors] = executed + width
+        state.now[survivors] = tick_times[kept, -1]
+        state.steps[survivors] = executed + width
         return kept
 
     def _walk(
@@ -489,20 +428,14 @@ class _TickColumns:
         loss: Optional[np.ndarray],
     ) -> np.ndarray:
         """Consume a column-major ``(width, rows.size)`` block column by column."""
-        n = self.n
-        informed_flat = self.informed_flat
-        times_flat = self.times_flat
-        num_informed = self.num_informed
-        live = self.live
-        up_flat = self.up_flat
-        parts = self.parts
-        jammer = parts.adaptive_loss
-        trial_graphs = self.trial_graphs
-        mode_pp = self.mode_pp
-        push_allowed = self.push_allowed
-        time_budget = self.time_budget
-        check_time = self.finite_time_budget
-        check_bounds = self.has_boundaries
+        state = self.state
+        n = state.n
+        live = state.live
+        exchange = state.exchange
+        trial_graphs = state.trial_graphs
+        time_budget = state.time_budget
+        check_time = state.finite_time_budget
+        check_bounds = state.has_boundaries
         width = tick_times.shape[0]
         kept = np.arange(rows.size)
         row_base = rows * n
@@ -523,8 +456,8 @@ class _TickColumns:
                 # popped but not executed.
                 over = tick_time > time_budget
                 self._retire_overtime(rows[over], executed + column)
-            if check_bounds and col_max[j] >= self.floor:
-                self._cross(rows, tick_time, over)
+            if check_bounds and col_max[j] >= state.boundary_floor:
+                state.cross(rows, tick_time, over)
             cp = caller_pos[j]
             if trial_graphs is not None:
                 if trial_graphs.width != tg_width:  # new rows, or a resample grew the pad
@@ -533,57 +466,11 @@ class _TickColumns:
                 ep = trial_graphs.callees_at(cp, w_base, callees[j]) + row_base
             else:
                 ep = callees[j]
-            caller_informed = informed_flat.take(cp)
-            callee_informed = informed_flat.take(ep)
-            # One contact per trial per tick, so the exchange vectorises with
-            # no intra-column conflicts: push informs the callee, pull the
-            # caller, and push-pull exactly the uninformed endpoint of an
-            # informative contact.
-            if mode_pp:
-                active = caller_informed != callee_informed
-            elif push_allowed:
-                active = caller_informed > callee_informed
-            else:
-                active = caller_informed < callee_informed
-            if over is not None:
-                active &= ~over
-            if loss is not None and jammer is None:
-                # Judged after this column's boundaries fired: the burst
-                # channel's state sets the threshold.
-                active &= loss[j] >= parts.loss_threshold(self.bad, rows)
-            if up_flat is not None:
-                # Crashed endpoints suppress the exchange in either direction.
-                active &= up_flat.take(cp) & up_flat.take(ep)
-            if jammer is not None and loss is not None:
-                # `active` is now exactly the would-transmit mask: jam the
-                # contacts whose pre-drawn uniform fires, while budget remains.
-                jam = active & (loss[j] < jammer.p) & (parts.jam_budget.take(rows) > 0)
-                if jam.any():
-                    parts.jam_budget[rows[jam]] -= 1
-                    active &= ~jam
-            retiring = over is not None
-            if active.any():
-                hit_rows = rows[active]
-                if mode_pp:
-                    targets = np.where(caller_informed, ep, cp)[active]
-                elif push_allowed:
-                    targets = ep[active]
-                else:
-                    targets = cp[active]
-                informed_flat[targets] = True
-                if times_flat is not None:
-                    times_flat[targets] = tick_time[active]
-                counts = num_informed.take(hit_rows) + 1
-                num_informed[hit_rows] = counts
-                if counts.max() == n:
-                    done = counts == n
-                    done_rows = hit_rows[done]
-                    self.completed[done_rows] = True
-                    self.completion_time[done_rows] = tick_time[active][done]
-                    self.steps[done_rows] = executed + column + 1
-                    live[done_rows] = False
-                    retiring = True
-            if retiring:
+            done = exchange(
+                rows, cp, ep, tick_time, None if loss is None else loss[j],
+                executed + column + 1, over,
+            )
+            if over is not None or done is not None:
                 keep = live.take(rows)
                 if not keep.any():
                     return kept[keep]
@@ -601,52 +488,17 @@ class _TickColumns:
                     col_max = tick_times.max(axis=1).tolist()
                 tg_width = -1
                 origin = column
-        self.now[rows] = tick_times[-1]
-        self.steps[rows] = executed + width
+        state.now[rows] = tick_times[-1]
+        state.steps[rows] = executed + width
         return kept
 
     def _retire_overtime(self, gone: np.ndarray, executed: Union[int, np.ndarray]) -> None:
-        self.live[gone] = False
-        if self.overtime is None:
-            self.steps[gone] = executed
-        else:
-            self.overtime[gone] = True
-            self.steps[gone] = executed + 1
-
-    def _cross(
-        self, rows: np.ndarray, tick_time: np.ndarray, over: Optional[np.ndarray]
-    ) -> None:
-        """Fire every boundary crossed by ``tick_time``, in row order.
-
-        Each row's boundaries in (previous tick, this tick] fire before the
-        exchange, chronologically with the epoch first on ties, drawing the
-        interleaved randomness the serial engines do.  Rows retiring on the
-        time budget this column cross nothing.  Afterwards the floor is the
-        earliest boundary still pending for ``rows``.
-        """
-        bound = self._pending(rows)
-        crossing = tick_time >= bound
-        if over is not None:
-            crossing &= ~over
-        if crossing.any():
-            pooled_rng = self.pooled_rng
-            for b, t in zip(rows[crossing].tolist(), tick_time[crossing].tolist()):
-                self.parts.cross_boundaries(
-                    b, t, pooled_rng if pooled_rng is not None else self.generators[b],
-                    self.n, self.up, self.bad, self.next_epoch, self.next_resample,
-                    self.trial_graphs, self.informed,
-                )
-            bound = self._pending(rows)
-        self.floor = float(bound.min())
-
-    def _pending(self, rows: np.ndarray) -> np.ndarray:
-        """Each row's earliest pending epoch or resample boundary."""
-        bound = np.full(rows.size, np.inf)
-        if self.next_epoch is not None:
-            np.minimum(bound, self.next_epoch.take(rows), out=bound)
-        if self.next_resample is not None:
-            np.minimum(bound, self.next_resample.take(rows), out=bound)
-        return bound
+        # The popped tick counts in `steps` and is flagged for the engine
+        # to uncount, as the jit drain's buffer bookkeeping does.
+        state = self.state
+        state.live[gone] = False
+        state.overtime[gone] = True
+        state.steps[gone] = executed + 1
 
 
 # ---------------------------------------------------------------------- #
@@ -661,42 +513,11 @@ def async_tick_loop(state: "AsyncState") -> None:
     live trial's next chunk through :meth:`AsyncState.draw_chunk`, in row
     order (the serial engine's chunk sizes and draw order).  The chunk is
     then resolved in blocks of ``_BLOCK_TICKS`` columns and each block is
-    consumed by :class:`_TickColumns`.  Per-trial outputs (``informed`` /
-    ``times`` / ``steps`` / ``completed`` / …) are absolute; ``steps`` is
-    recorded at each trial's retirement.
+    consumed by :class:`_TickColumns`.  ``steps`` is recorded at each
+    trial's retirement.
     """
-    live = state.live
-    rows = np.flatnonzero(live)
-    if rows.size == 0:
-        return
-    num_informed = state.num_informed
-    columns = _TickColumns(
-        n=state.n,
-        informed=state.informed,
-        times=state.times,
-        num_informed=num_informed,
-        steps=state.steps,
-        completed=state.completed,
-        completion_time=state.completion_time,
-        live=live,
-        now=state.now,
-        overtime=state.overtime,
-        time_budget=state.time_budget,
-        finite_time_budget=state.finite_time_budget,
-        mode_pp=state.mode == "push-pull",
-        push_allowed=state.mode in ("push", "push-pull"),
-        parts=state.parts,
-        bad=state.bad,
-        up=state.up,
-        next_epoch=state.next_epoch,
-        next_resample=state.next_resample,
-        trial_graphs=state.trial_graphs,
-        generators=state.generators if state.generators is not None else (),
-        pooled_rng=state.pooled_rng,
-        floor=state.boundary_floor,
-    )
-    # Telemetry is observational only: deliveries are counted from informed
-    # deltas, so no draw order or state changes.
+    rows = np.flatnonzero(state.live)
+    columns = _TickColumns(state)
     metrics = current_metrics()
     executed = 0
     while rows.size:
@@ -705,25 +526,18 @@ def async_tick_loop(state: "AsyncState") -> None:
         remaining = state.step_budget - executed
         if remaining <= 0:
             # Chunks never outlive the step budget, so it runs out here.
-            live[rows] = False
+            state.live[rows] = False
             state.steps[rows] = executed
             break
         chunk = min(state.chunk, remaining)
         for b in rows.tolist():
-            state.draw_chunk(state.rng_for(b), b, chunk, b)
-        chunk_rows = rows
-        informed_before = int(num_informed[rows].sum()) if metrics is not None else 0
+            state.draw_chunk(b, chunk)
         for lo in range(0, chunk, _BLOCK_TICKS):
             block = _resolve_block(state, rows, lo, min(lo + _BLOCK_TICKS, chunk))
             rows = rows[columns.consume(rows, executed + lo, *block)]
             if rows.size == 0:
                 break
         executed += chunk
-        if metrics is not None:
-            metrics.count(
-                "engine.messages_delivered",
-                int(num_informed[chunk_rows].sum()) - informed_before,
-            )
 
 
 def _resolve_block(
@@ -765,71 +579,30 @@ def _resolve_block(
 # Pooled clock-view chunk consumer
 # ---------------------------------------------------------------------- #
 def clock_chunk_consume(
+    state: "AsyncState",
     rows: np.ndarray,
     executed: int,
-    width: int,
     tick_times: np.ndarray,
     callers: np.ndarray,
     callees: np.ndarray,
     loss_block: Optional[np.ndarray],
-    informed: np.ndarray,
-    times: Optional[np.ndarray],
-    num_informed: np.ndarray,
-    steps: np.ndarray,
-    completed: np.ndarray,
-    completion_time: np.ndarray,
-    live: np.ndarray,
-    now: np.ndarray,
-    n: int,
-    time_budget: float,
-    finite_time_budget: bool,
-    mode_pp: bool,
-    push_allowed: bool,
-    parts: "_ScenarioParts",
-    bad: Optional[np.ndarray],
-    up: Optional[np.ndarray],
-    next_epoch: Optional[np.ndarray],
-    pooled_rng: Optional[np.random.Generator],
 ) -> None:
     """Consume one pre-drawn ``(rows, width)`` block of pooled clock ticks.
 
-    All randomness (``tick_times`` / ``callers`` / ``callees`` /
-    ``loss_block``) is already resolved by the engine; only churn/burst
-    epoch crossings draw from ``pooled_rng`` mid-block.  The block goes to
-    the shared block consumer in row-major sub-blocks of ``_BLOCK_TICKS``
-    ticks, with contacts as flat positions.  Mutates the absolute
-    per-trial state in place.
+    All randomness of the block (``tick_times`` / ``callers`` /
+    ``callees`` / ``loss_block``) is already resolved by the engine; only
+    churn and burst epoch crossings draw from the pooled generator
+    mid-block.  The block goes to the shared block consumer in row-major
+    sub-blocks of ``_BLOCK_TICKS`` ticks, with contacts as flat positions.
+    Mutates the state in place.
     """
-    columns = _TickColumns(
-        n=n,
-        informed=informed,
-        times=times,
-        num_informed=num_informed,
-        steps=steps,
-        completed=completed,
-        completion_time=completion_time,
-        live=live,
-        now=now,
-        overtime=None,
-        time_budget=time_budget,
-        finite_time_budget=finite_time_budget,
-        mode_pp=mode_pp,
-        push_allowed=push_allowed,
-        parts=parts,
-        bad=bad,
-        up=up,
-        next_epoch=next_epoch,
-        next_resample=None,
-        trial_graphs=None,
-        generators=(),
-        pooled_rng=pooled_rng,
-        floor=-np.inf,  # unknown: the first column computes it
-    )
+    columns = _TickColumns(state)
+    width = tick_times.shape[1]
     local = np.arange(rows.size)  # the block's rows still live
     for lo in range(0, width, _BLOCK_TICKS):
         hi = min(lo + _BLOCK_TICKS, width)
         live_rows = rows[local]
-        row_base = (live_rows * n)[:, None]
+        row_base = (live_rows * state.n)[:, None]
         kept = columns.consume(
             live_rows,
             executed + lo,

@@ -22,7 +22,7 @@ from repro.analysis.montecarlo import (
 )
 from repro.analysis.parallel import default_worker_count, run_trials_parallel
 from repro.errors import AnalysisError
-from repro.graphs import complete_graph, star_graph
+from repro.graphs import complete_graph, cycle_graph, star_graph
 from repro.graphs.random_graphs import (
     connected_erdos_renyi_graph,
     random_regular_graph,
@@ -142,6 +142,24 @@ class TestBatchDispatch:
         serial = run_adaptive_trials(graph, 0, "pp", batch=False, **kwargs)
         batched = run_adaptive_trials(graph, 0, "pp", batch=True, **kwargs)
         assert serial.times == batched.times
+
+    @pytest.mark.parametrize("runner", ["run_trials", "run_adaptive_trials", "run_trials_parallel"])
+    @pytest.mark.parametrize("batch", ["foo", None, 2.5, 0, -3])
+    def test_malformed_batch_rejected_by_every_runner(self, runner, batch):
+        """The shared dispatch predicate rejects a malformed ``batch`` before
+        any trial runs (for the parallel runner, before any worker starts)."""
+        graph = cycle_graph(8)
+        calls = {
+            "run_trials": lambda: run_trials(graph, 0, "pp", trials=3, seed=1, batch=batch),
+            "run_adaptive_trials": lambda: run_adaptive_trials(
+                graph, 0, "pp", seed=1, batch=batch
+            ),
+            "run_trials_parallel": lambda: run_trials_parallel(
+                graph, 0, "pp", trials=3, seed=1, batch=batch, num_workers=2
+            ),
+        }
+        with pytest.raises(AnalysisError, match="positive integer width"):
+            calls[runner]()
 
     def test_adaptive_trials_reject_forced_batch_eagerly(self):
         def factory(rng):

@@ -20,11 +20,14 @@ from repro.analysis.montecarlo import run_trials
 from repro.core.batch_engine import (
     ASYNC_BATCH_PROTOCOLS,
     SYNC_BATCH_PROTOCOLS,
+    _async_state,
+    _BatchJob,
     _ScenarioParts,
     is_batchable,
     run_batch,
 )
 from repro.core.flatgraph import flat_adjacency
+from repro.core.kernels import AsyncState, numpy_backend
 from repro.core.kernels.numpy_backend import _TickColumns
 from repro.core.protocols import spread
 from repro.core.result import BatchTimes
@@ -228,6 +231,32 @@ class TestValidation:
         with pytest.raises(ProtocolError):
             run_batch(star_graph(8), 0, "pp")
 
+    @pytest.mark.parametrize(
+        "sources, options",
+        [
+            ([0, 1], {"trials": 5}),
+            (0, {"rngs": 3, "trials": 5}),
+            (1.7, {"trials": 2}),
+            ([0.5, 1.9], {}),
+            ([[0, 1]], {}),
+            (0, {"trials": 2.5}),
+        ],
+        ids=[
+            "trials-vs-sources", "trials-vs-rngs", "fractional-source",
+            "fractional-sources", "2d-sources", "fractional-trials",
+        ],
+    )
+    def test_malformed_trial_inputs_rejected(self, sources, options):
+        if "rngs" in options:
+            options = {**options, "rngs": spawn_generators(options["rngs"], 1)}
+        with pytest.raises(ProtocolError):
+            run_batch(cycle_graph(8), sources, "pp", seed=1, **options)
+
+    def test_numpy_integer_sources_accepted(self):
+        scalar = run_batch(cycle_graph(8), np.int32(1), "pp", trials=2, seed=1)
+        listed = run_batch(cycle_graph(8), np.array([1, 1], dtype=np.int16), "pp", seed=1)
+        assert np.array_equal(scalar.informed_time, listed.informed_time)
+
     def test_mismatched_rngs_rejected(self):
         with pytest.raises(ProtocolError):
             run_batch(star_graph(8), [0, 1, 2], "pp", rngs=spawn_generators(2, 0))
@@ -369,28 +398,24 @@ _BLOCK_GRAPHS = [
 ]
 
 
-def _block_consumer(n, informed, now, mode, budget, record_times, with_overtime):
-    """Fresh per-trial state, and a no-scenario consumer writing to it."""
-    rows = informed.shape[0]
-    state = dict(
-        informed=informed.copy(),
-        times=np.where(informed, 0.0, np.inf) if record_times else None,
-        num_informed=informed.sum(axis=1),
-        steps=np.zeros(rows, dtype=np.int64),
-        completed=np.zeros(rows, dtype=bool),
-        completion_time=np.full(rows, np.inf),
-        live=np.ones(rows, dtype=bool),
-        now=now.copy(),
-        overtime=np.zeros(rows, dtype=bool) if with_overtime else None,
+def _block_state(graph, informed, now, mode, time_budget, record_times):
+    """The state the engine builds for a scenario-free global-view run,
+    moved to the mid-run informed sets and clocks given."""
+    trials = informed.shape[0]
+    state = _async_state(
+        _BatchJob(
+            graph=graph, sources=np.zeros(trials, dtype=np.int64), generators=None,
+            pooled_rng=None, mode=mode, view="global", record_times=record_times,
+            parts=_ScenarioParts(None), kern=numpy_backend, metrics=None,
+            budget=10**6, time_budget=time_budget,
+        )
     )
-    columns = _TickColumns(
-        n=n, **state, time_budget=budget, finite_time_budget=bool(np.isfinite(budget)),
-        mode_pp=mode == "push-pull", push_allowed=mode in ("push", "push-pull"),
-        parts=_ScenarioParts(None), bad=None, up=None, next_epoch=None,
-        next_resample=None, trial_graphs=None, generators=(), pooled_rng=None,
-        floor=np.inf,
-    )
-    return state, columns
+    state.informed[:] = informed
+    state.num_informed[:] = informed.sum(axis=1)
+    if record_times:
+        state.times[:] = np.where(informed, 0.0, np.inf)
+    state.now[:] = now
+    return state
 
 
 class TestRelaxedBlockConsumer:
@@ -407,12 +432,10 @@ class TestRelaxedBlockConsumer:
         density=st.floats(min_value=0.0, max_value=1.0),
         budget_at=st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.2)),
         record_times=st.booleans(),
-        with_overtime=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_relaxation_equals_column_walk(
-        self, graph, rows_live, width, mode, density, budget_at, record_times,
-        with_overtime, seed,
+        self, graph, rows_live, width, mode, density, budget_at, record_times, seed,
     ):
         rng = as_generator(seed)
         n = graph.num_vertices
@@ -438,17 +461,14 @@ class TestRelaxedBlockConsumer:
         block = (tick_times, callers + row_base, callees + row_base)
         executed = int(rng.integers(0, 10_000))
 
-        relaxed, columns = _block_consumer(
-            n, informed, now, mode, budget, record_times, with_overtime
-        )
-        kept = columns.consume(rows, executed, *block, None)
-        walked, columns = _block_consumer(
-            n, informed, now, mode, budget, record_times, with_overtime
-        )
-        walk_kept = columns._walk(
+        relaxed = _block_state(graph, informed, now, mode, budget, record_times)
+        kept = _TickColumns(relaxed).consume(rows, executed, *block, None)
+        walked = _block_state(graph, informed, now, mode, budget, record_times)
+        walk_kept = _TickColumns(walked)._walk(
             rows, executed, *(np.ascontiguousarray(a.T) for a in block), None
         )
         assert np.array_equal(kept, walk_kept)
-        for name, value in walked.items():
-            if value is not None:
-                assert np.array_equal(relaxed[name], value), name
+        for name in AsyncState.__slots__:
+            value = getattr(walked, name, None)
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(getattr(relaxed, name), value), name

@@ -459,6 +459,19 @@ register_case(
     | Delay(low=0.5, high=2.0),
     view="node_clocks",
 )
+# The jammer and the crash adversary together outside synchronous rounds:
+# the crash epochs (the state's boundary crossing) change the up mask the
+# jammer's would-transmit contacts are judged against (the state's one
+# exchange), under Delay-weighted callers; both budgets run out in some
+# trials.
+for _view in ("global", "node_clocks", "edge_clocks"):
+    register_case(
+        f"{_view}-adaptive-crash-loss-delay", "pp-a",
+        lambda: random_regular_graph(24, 4, seed=3), (0, 1, 5), 91,
+        scenario=AdaptiveLoss(p=0.6, budget=5) | AdaptiveCrash(budget=2)
+        | Delay(low=0.5, high=2.0),
+        view=_view, max_time=12.0, on_budget_exhausted="partial",
+    )
 
 
 # --- Long runs across the per-trial loops' refills ----------------------- #
