@@ -15,9 +15,12 @@ the kernel backend, runs one of five private loop bodies, and builds the
 times-only result.  The bodies, by kernel family:
 
 * **Synchronous rounds** (``pp``/``push``/``pull``, :func:`_sync_rounds`) —
-  one vectorised neighbor-sampling call per round covers every live trial,
-  and finished trials leave the working set (they stop consuming
-  randomness, exactly like a serial run that returned).
+  one round-step call per round covers every live trial, after each trial
+  drew its full ``random(n)`` contact block; on a wide round whose smaller
+  status class is small the numpy step resolves only the callers next to
+  it (see :mod:`repro.core.kernels.numpy_backend`).  Finished trials leave
+  the working set (they stop consuming randomness, exactly like a serial
+  run that returned).
 * **Auxiliary rounds** (``ppx``/``ppy`` of Definitions 5 and 7,
   :func:`_aux_rounds`) — informed-neighbor counts are a ``(B, n)`` integer
   matrix and the per-vertex pull probabilities come from the shared
@@ -804,7 +807,11 @@ def _sync_rounds(job: _BatchJob) -> _Outcome:
                 kept = loss_draws >= parts.loss_threshold(bad_live)[:, None]
         if metrics is not None:
             metrics.count("engine.rounds", live)
-            metrics.count("engine.messages_attempted", live * n)
+            # Like the serial engine: a crashed caller attempts no contact.
+            metrics.count(
+                "engine.messages_attempted",
+                live * n if up_live is None else int(np.count_nonzero(up_live)),
+            )
             if kept is not None:
                 metrics.count("engine.messages_lost", int(kept.size - kept.sum()))
         if stacked is not None:

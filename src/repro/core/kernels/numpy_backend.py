@@ -2,7 +2,15 @@
 
 The synchronous round step works in the flat address space of the raveled
 ``(live, n)`` arrays with narrow-dtype gathers, ``casting="unsafe"``
-contact arithmetic and preallocated round buffers.
+contact arithmetic and preallocated round buffers.  A contact informs only
+when it joins an informed vertex and an uninformed one, so its caller lies
+in ``S ∪ N(S)`` for ``S`` the trial's smaller status class.  A wide round
+(at least ``_FRONTIER_MIN_CELLS`` cells) whose ``vol(S) + |S|`` is at most
+``live * n / _FRONTIER_SHARE`` resolves only those callers, reading the
+draws and the loss and up masks there alone, and adds the new vertices to
+the round-start counts.  Every other round falls back to the full-width
+exchange of every caller.  Both paths give the same result, and neither
+changes what is drawn.
 
 The two asynchronous kernels share one block consumer
 (:class:`_TickColumns`).  Live trials move in lockstep (each executes one
@@ -54,14 +62,40 @@ def warmup() -> None:
 # ---------------------------------------------------------------------- #
 # Synchronous round step
 # ---------------------------------------------------------------------- #
+#: Rounds of fewer cells (``live * n``) always take the full exchange: the
+#: frontier's fixed cost (two scans and a dozen small gathers) does not pay
+#: below it.  With the frontier allowed on every round, ``pp`` batches of 24
+#: trials on 128 vertices (3,072 cells, the ``e12-parallel`` chunk) ran 12%
+#: to 20% slower on four of five graph families, 128 x 256 cells ran within
+#: 4% either way, and 16 x 4,096 cells ran 4% to 8% faster (2-vCPU Xeon VM,
+#: numpy 2.4).
+_FRONTIER_MIN_CELLS = 2**16
+
+#: A round takes the frontier while ``vol(S) + |S|`` (its candidate callers,
+#: repeats included) is at most ``live * n / _FRONTIER_SHARE``.  On two
+#: ``pp`` trials of a random 3-regular graph with 10^6 vertices a full round
+#: took 20 to 22 ms; the frontier took 18 ms at 14% of the cells, 21 ms at
+#: 21% and 28 ms at 33% (same machine).
+_FRONTIER_SHARE = 4
+
+
 class SyncWorkspace:
     """Preallocated per-round buffers (sliced to the live row count): the
     round loop reuses them instead of allocating ~n * live temporaries
     every round.  ``row_offsets`` turns (row, vertex) pairs into indices of
     the raveled (live, n) arrays; the whole round works in that flat
-    address space."""
+    address space.
 
-    __slots__ = ("offsets", "contact", "contacted", "pull", "push", "row_offsets")
+    The frontier path works on candidate lists instead: it marks them in
+    ``seen`` (flat, all ``False`` between rounds: every mark is cleared after
+    use), stores its contact arithmetic in the ``offsets`` buffer, and reads
+    the graph's ``(min, max)`` degree from ``degree_range``, filled on the
+    first wide round."""
+
+    __slots__ = (
+        "offsets", "contact", "contacted", "pull", "push", "row_offsets",
+        "seen", "degree_range",
+    )
 
     def __init__(self, batch: int, n: int, idx_dtype: type) -> None:
         self.offsets = np.empty((batch, n), dtype=idx_dtype)
@@ -70,6 +104,8 @@ class SyncWorkspace:
         self.pull = np.empty((batch, n), dtype=bool)
         self.push = np.empty((batch, n), dtype=bool)
         self.row_offsets = (np.arange(batch, dtype=idx_dtype) * idx_dtype(n))[:, None]
+        self.seen = np.zeros(batch * n, dtype=bool)
+        self.degree_range: Optional[tuple[int, int]] = None
 
 
 def sync_workspace(batch: int, n: int, idx_dtype: type) -> SyncWorkspace:
@@ -152,11 +188,72 @@ def sync_round_step(
 
     ``csr`` is the engine's narrow ``(degrees, max_offset, start, indices)``
     tuple; ``draws`` the round's ``(live, n)`` contact uniforms; ``kept``
-    the precomputed loss mask (or ``None``).  Mutates ``informed_live`` /
-    ``times_live`` in place and returns the new per-trial informed counts
-    (``counts``, the counts at round start, is unused here — the vectorised
-    path recounts; the jit path increments it).
+    the precomputed loss mask (or ``None``); ``counts`` the per-trial
+    informed counts at round start.  Mutates ``informed_live`` /
+    ``times_live`` in place and returns the new per-trial informed counts.
+
+    A contact informs only when it joins an informed vertex and an
+    uninformed one, so its caller lies in ``S ∪ N(S)``, where ``S`` is the
+    trial's smaller status class.  A wide round whose ``S`` is small
+    resolves only those callers (:func:`_frontier_round`) and adds the new
+    vertices to ``counts``; every other round resolves every caller
+    (:func:`_full_round`) and recounts.  The frontier is taken when the
+    round has at least ``_FRONTIER_MIN_CELLS`` cells and ``vol(S) + |S|``,
+    summed over the live trials, is at most ``live * n / _FRONTIER_SHARE``.
+    The choice reads no draw, and both paths give the same result.
     """
+    if informed_live.size >= _FRONTIER_MIN_CELLS:
+        smaller = _frontier_class(csr[0], informed_live, counts, ws)
+        if smaller is not None:
+            return _frontier_round(
+                csr, smaller, draws, kept, up_live, informed_live, times_live,
+                round_index, push_allowed, pull_allowed, ws, counts,
+            )
+    return _full_round(
+        csr, draws, kept, up_live, informed_live, times_live,
+        round_index, push_allowed, pull_allowed, ws,
+    )
+
+
+def _frontier_class(
+    degrees: np.ndarray, informed_live: np.ndarray, counts: np.ndarray, ws: SyncWorkspace
+) -> Optional[np.ndarray]:
+    """``S`` for :func:`_frontier_round`, or ``None`` when the round is too wide.
+
+    ``counts`` gives ``|S|`` and the degree range bounds ``vol(S)`` on both
+    sides, so the informed matrix is scanned only when the lower bound
+    passes, and the exact volume is summed only when the bounds straddle the
+    threshold (never on a regular graph).
+    """
+    live, n = informed_live.shape
+    cells = live * n
+    if ws.degree_range is None:
+        ws.degree_range = (int(degrees.min()), int(degrees.max()))
+    low, high = ws.degree_range
+    size = int(np.minimum(counts, n - counts).sum())
+    if _FRONTIER_SHARE * size * (low + 1) > cells:
+        return None
+    smaller = _smaller_class(informed_live, counts, ws)
+    if _FRONTIER_SHARE * size * (high + 1) > cells:
+        volume = int(degrees.take(smaller % n).sum())
+        if _FRONTIER_SHARE * (size + volume) > cells:
+            return None
+    return smaller
+
+
+def _full_round(
+    csr: tuple,
+    draws: np.ndarray,
+    kept: Optional[np.ndarray],
+    up_live: Optional[np.ndarray],
+    informed_live: np.ndarray,
+    times_live: Optional[np.ndarray],
+    round_index: int,
+    push_allowed: bool,
+    pull_allowed: bool,
+    ws: SyncWorkspace,
+) -> np.ndarray:
+    """The full-width round: every caller's contact, then :func:`_exchange`."""
     degrees_nw, max_offset_nw, start_nw, indices_nw = csr
     live = draws.shape[0]
     # Contact selection, identical arithmetic to
@@ -175,6 +272,98 @@ def sync_round_step(
         contact_flat, kept, up_live, informed_live, times_live,
         round_index, push_allowed, pull_allowed, ws,
     )
+
+
+def _smaller_class(
+    informed_live: np.ndarray, counts: np.ndarray, ws: SyncWorkspace
+) -> np.ndarray:
+    """The flat positions of each trial's smaller status class, row-major.
+
+    A trial with at most half its vertices informed contributes its
+    informed vertices, any other its uninformed ones.
+    """
+    live, n = informed_live.shape
+    flip = 2 * counts > n
+    if not flip.any():
+        return np.flatnonzero(informed_live)
+    return np.flatnonzero(np.not_equal(informed_live, flip[:, None], out=ws.pull[:live]))
+
+
+def _frontier_round(
+    csr: tuple,
+    smaller: np.ndarray,
+    draws: np.ndarray,
+    kept: Optional[np.ndarray],
+    up_live: Optional[np.ndarray],
+    informed_live: np.ndarray,
+    times_live: Optional[np.ndarray],
+    round_index: int,
+    push_allowed: bool,
+    pull_allowed: bool,
+    ws: SyncWorkspace,
+    counts: np.ndarray,
+) -> np.ndarray:
+    """The round resolved on the callers in ``S ∪ N(S)`` only.
+
+    ``smaller`` holds the flat positions of ``S``, one status class of each
+    trial (:func:`_smaller_class` picks the smaller).  The candidates are
+    ``S`` and its neighbors, marked in ``ws.seen`` and read back in
+    row-major order without repeats, so every new vertex (a pulling
+    candidate or a push target, which is a candidate too) is counted once.
+    The contacts use the full round's arithmetic on the same draws.
+    """
+    degrees, max_offset, start, indices = csr
+    live, n = informed_live.shape
+    seen = ws.seen
+    # S's neighbors: the CSR ranges of its vertices, laid end to end.
+    vertex = smaller % n
+    degree = degrees.take(vertex)
+    first = np.cumsum(degree) - degree  # each range's first slot
+    slots = np.arange(int(degree.sum()))
+    slots += np.repeat(start.take(vertex) - first, degree)
+    neighbor = indices.take(slots) + np.repeat(smaller - vertex, degree)
+    seen[smaller] = True
+    seen[neighbor] = True
+    callers = np.flatnonzero(seen[: live * n])
+    seen[callers] = False
+
+    vertex = callers % n
+    offsets = ws.offsets.reshape(-1)[: callers.size]
+    np.multiply(
+        draws.reshape(-1).take(callers), degrees.take(vertex), out=offsets, casting="unsafe"
+    )
+    np.minimum(offsets, max_offset.take(vertex), out=offsets)
+    offsets += start.take(vertex)
+    contact = indices.take(offsets) + (callers - vertex)
+
+    informed_flat = informed_live.reshape(-1)
+    caller_informed = informed_flat.take(callers)
+    contact_informed = informed_flat.take(contact)
+    exchange_ok = None
+    if up_live is not None:
+        up_flat = up_live.reshape(-1)
+        exchange_ok = up_flat.take(callers) & up_flat.take(contact)
+    if kept is not None:
+        kept_callers = kept.reshape(-1).take(callers)
+        exchange_ok = kept_callers if exchange_ok is None else exchange_ok & kept_callers
+    # Both masks read the round-start snapshot before anything is written.
+    informs = []
+    if push_allowed:
+        push_mask = caller_informed > contact_informed
+        if exchange_ok is not None:
+            push_mask &= exchange_ok
+        informs.append(contact[push_mask])
+    if pull_allowed:
+        pull_mask = caller_informed < contact_informed
+        if exchange_ok is not None:
+            pull_mask &= exchange_ok
+        informs.append(callers[pull_mask])
+    for targets in informs:
+        informed_flat[targets] = True
+        if times_live is not None:
+            times_live.reshape(-1)[targets] = float(round_index)
+    fresh = callers[informed_flat.take(callers) > caller_informed]
+    return counts + np.bincount(fresh // n, minlength=live)
 
 
 def sync_round_step_dynamic(

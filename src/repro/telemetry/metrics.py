@@ -28,10 +28,13 @@ Metric name conventions used by the built-in instrumentation:
 ========================================  =====================================
 ``engine.rounds``                         synchronous round-trials executed
 ``engine.clock_ticks``                    asynchronous ticks executed
-``engine.messages_attempted``             contacts attempted (sync: n per live
-                                          trial-round; async: one per tick)
+``engine.messages_attempted``             contacts attempted (sync: one per up
+                                          caller per live trial-round, n
+                                          without churn; async: one per tick)
 ``engine.messages_delivered``             contacts that informed a new vertex
 ``engine.messages_lost``                  contacts suppressed by loss scenarios
+                                          (counted by batched synchronous
+                                          rounds only)
 ``engine.kernel_invocations``             batched kernel entries
 ``engine.drain_returns``                  kernel loop returns: jit global
                                           view, one per status-code drain

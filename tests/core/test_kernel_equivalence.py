@@ -12,6 +12,8 @@ default CI job stays numba-free; the ``jit-kernels`` job runs them).
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from helpers.equivalence import (
@@ -27,7 +29,7 @@ from repro.core.batch_engine import (
     CLOCK_VIEWS,
     SYNC_BATCH_PROTOCOLS,
 )
-from repro.core.kernels import jit_backend
+from repro.core.kernels import jit_backend, numpy_backend
 
 BACKENDS = [
     "numpy",
@@ -45,6 +47,31 @@ BACKENDS = [
 @pytest.mark.parametrize("case", KERNEL_CASES, ids=case_ids(KERNEL_CASES))
 def test_registered_kernel_matches_serial(case, backend):
     assert_kernel_case(case, backend=backend)
+
+
+def test_frontier_cases_take_both_round_paths(monkeypatch):
+    """Each ``sync-frontier-*`` case reaches both paths of the numpy round
+    step: the frontier while a status class is small, the full exchange in
+    between."""
+    calls: Counter = Counter()
+
+    def counted(name):
+        path = getattr(numpy_backend, name)
+
+        def call(*args):
+            calls[name] += 1
+            return path(*args)
+
+        return call
+
+    for name in ("_frontier_round", "_full_round"):
+        monkeypatch.setattr(numpy_backend, name, counted(name))
+    cases = [case for case in KERNEL_CASES if case.id.startswith("sync-frontier-")]
+    assert cases
+    for case in cases:
+        calls.clear()
+        assert_kernel_case(case, backend="numpy")
+        assert calls["_frontier_round"] and calls["_full_round"], (case.id, dict(calls))
 
 
 @pytest.mark.parametrize("case", PARALLEL_CASES, ids=case_ids(PARALLEL_CASES))

@@ -516,6 +516,40 @@ register_case(
 )
 
 
+# --- Synchronous rounds wide enough for the frontier path ---------------- #
+# Every synchronous case above has n <= 32, far below the numpy round step's
+# width threshold (numpy_backend._FRONTIER_MIN_CELLS), so it takes the full
+# exchange every round.  16 trials on 8,192 vertices take the frontier while
+# the smaller status class is small and the full exchange in between.
+def _rr8192():
+    return random_regular_graph(8192, 3, seed=4)
+
+
+_FRONTIER_SOURCES = tuple(range(0, 8192, 512))
+for _protocol in ("pp", "push", "pull"):
+    register_case(f"sync-frontier-{_protocol}", _protocol, _rr8192, _FRONTIER_SOURCES, 87)
+register_case(
+    "sync-frontier-loss", "pp", _rr8192, _FRONTIER_SOURCES, 89, scenario=MessageLoss(0.3)
+)
+register_case(
+    "sync-frontier-churn", "pp", _rr8192, _FRONTIER_SOURCES, 93,
+    scenario=NodeChurn(0.1, 0.6),
+)
+register_case(
+    "sync-frontier-adaptive-loss", "pp", _rr8192, _FRONTIER_SOURCES, 95,
+    scenario=AdaptiveLoss(p=0.8, budget=400),
+)
+register_case(
+    "sync-frontier-partial-budget", "pp", _rr8192, _FRONTIER_SOURCES, 97,
+    max_rounds=16, on_budget_exhausted="partial",
+)
+# A star's degree range straddles the width threshold, so the step sums the
+# exact volume of S: a leaf passes, the hub does not.
+register_case(
+    "sync-frontier-star", "pp", lambda: star_graph(8192), tuple(range(1, 17)), 99
+)
+
+
 # --------------------------------------------------------------------- #
 # The parallel-run registry
 # --------------------------------------------------------------------- #

@@ -17,6 +17,7 @@ from repro.analysis.montecarlo import run_trials
 from repro.analysis.parallel import chunk_plan, run_trials_parallel
 from repro.core.protocols import spread
 from repro.graphs import cycle_graph
+from repro.graphs.random_graphs import random_regular_graph
 from repro.telemetry.metrics import (
     MetricsRegistry,
     collecting_metrics,
@@ -29,6 +30,16 @@ INVARIANT_COUNTERS = (
     "engine.messages_attempted",
     "engine.messages_delivered",
     "analysis.trials",
+)
+
+#: Runtime scenarios of the batch-vs-serial invariant check: none, the three
+#: churn models (which silence callers) and independent loss.
+INVARIANT_SCENARIOS = (
+    None,
+    "churn:crash_rate=0.05",
+    "targeted-churn:fraction=0.1",
+    "adaptive-crash:budget=4",
+    "loss:p=0.3",
 )
 
 
@@ -103,25 +114,37 @@ class TestEngineCounters:
         assert 0 < counters["engine.messages_delivered"] <= counters["engine.clock_ticks"]
 
     @pytest.mark.parametrize(
-        "protocol, view",
+        "protocol, view, scenario",
         [
-            *[(protocol, None) for protocol in ("pp", "push", "pull", "ppx", "ppy")],
+            # ppx and ppy take no runtime scenario.
+            *[(protocol, None, None) for protocol in ("ppx", "ppy")],
             *[
-                (protocol, view)
+                (protocol, None, scenario)
+                for protocol in ("pp", "push", "pull")
+                for scenario in INVARIANT_SCENARIOS
+            ],
+            *[
+                (protocol, view, scenario)
                 for protocol in ("pp-a", "push-a", "pull-a")
                 for view in ("global", "node_clocks", "edge_clocks")
+                for scenario in INVARIANT_SCENARIOS
             ],
         ],
     )
-    def test_batch_and_serial_agree_on_invariants(self, small_cycle, protocol, view):
-        options = {"view": view} if view else None
+    def test_batch_and_serial_agree_on_invariants(self, protocol, view, scenario):
+        # Churn silences enough callers of a 4-regular graph to show in the
+        # attempted count; targeted churn never completes, hence the
+        # partial budgets.
+        graph = random_regular_graph(64, 4, seed=2)
+        budget = {"max_rounds": 200} if view is None else {"max_steps": 2000, "view": view}
+        options = {**budget, "on_budget_exhausted": "partial"}
         by_path = {}
         for batch in (True, False):
             registry = MetricsRegistry()
             with collecting_metrics(registry):
                 run_trials(
-                    small_cycle, 0, protocol, trials=5, seed=11, batch=batch,
-                    engine_options=options,
+                    graph, 0, protocol, trials=6, seed=3, batch=batch,
+                    scenario=scenario, engine_options=options,
                 )
             by_path[batch] = registry.snapshot()["counters"]
         for key in INVARIANT_COUNTERS:
