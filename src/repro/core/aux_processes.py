@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.budgets import parse_count_budget
+from repro.core.budgets import check_source, parse_count_budget
 from repro.core.flatgraph import flat_adjacency
 from repro.core.result import SpreadingResult
 from repro.core.sync_engine import default_max_rounds
@@ -129,14 +129,7 @@ def run_auxiliary_process(
     """
     if variant not in AUX_VARIANTS:
         raise ProtocolError(f"unknown auxiliary variant {variant!r}; expected one of {AUX_VARIANTS}")
-    if not (0 <= source < graph.num_vertices):
-        raise ProtocolError(
-            f"source {source} is not a vertex of {graph.name} (n={graph.num_vertices})"
-        )
-    if graph.num_vertices > 1 and not graph.is_connected():
-        raise ProtocolError(
-            f"{graph.name} is not connected; the rumor can never reach every vertex"
-        )
+    source = check_source(graph, source)
     if on_budget_exhausted not in ("error", "partial"):
         raise ProtocolError(
             f"on_budget_exhausted must be 'error' or 'partial', got {on_budget_exhausted!r}"

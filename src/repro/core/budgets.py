@@ -1,10 +1,12 @@
-"""The one parser of the budgets every engine takes.
+"""The one parser of the budgets every engine takes, and of the source.
 
 ``max_rounds`` and ``max_steps`` count rounds or clock ticks; ``max_time``
 is a simulated-time horizon.  The serial engines and
 :func:`~repro.core.batch_engine.run_batch` all parse them here, so a
 malformed budget fails the same way, with a :class:`ProtocolError` naming
-the option, on every path.
+the option, on every path.  The serial engines and the couplings also check
+their source vertex here (:func:`check_source`); ``run_batch`` checks its
+source array vectorised.
 """
 
 from __future__ import annotations
@@ -14,8 +16,30 @@ import numbers
 from typing import Optional
 
 from repro.errors import ProtocolError
+from repro.graphs.base import Graph
 
-__all__ = ["parse_count_budget", "parse_time_budget"]
+__all__ = ["check_source", "parse_count_budget", "parse_time_budget"]
+
+
+def check_source(graph: Graph, source: object) -> int:
+    """The source vertex of a run on ``graph``, as a Python ``int``.
+
+    Raises :class:`ProtocolError` for a bool or non-integral source, for one
+    that is not a vertex of ``graph``, and for a disconnected graph, from
+    which the rumor could never reach every vertex.
+    """
+    if isinstance(source, bool) or not isinstance(source, numbers.Integral):
+        raise ProtocolError(f"source must be an integer vertex id, got {source!r}")
+    vertex = int(source)
+    if not 0 <= vertex < graph.num_vertices:
+        raise ProtocolError(
+            f"source {vertex} is not a vertex of {graph.name} (n={graph.num_vertices})"
+        )
+    if graph.num_vertices > 1 and not graph.is_connected():
+        raise ProtocolError(
+            f"{graph.name} is not connected; the rumor can never reach every vertex"
+        )
+    return vertex
 
 
 def parse_count_budget(name: str, value: Optional[float], default: int) -> int:

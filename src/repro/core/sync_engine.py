@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.budgets import parse_count_budget
+from repro.core.budgets import check_source, parse_count_budget
 from repro.core.flatgraph import FlatAdjacency, flat_adjacency
 from repro.core.result import ContactEvent, SpreadingResult
 from repro.errors import ProtocolError, ScenarioError, SimulationError
@@ -59,19 +59,6 @@ def default_max_rounds(num_vertices: int) -> int:
     """
     n = max(2, num_vertices)
     return int(200 * n * max(1.0, math.log(n)) + 2000)
-
-
-def _validate(graph: Graph, source: int, mode: str) -> None:
-    if mode not in SYNC_MODES:
-        raise ProtocolError(f"unknown synchronous mode {mode!r}; expected one of {SYNC_MODES}")
-    if not (0 <= source < graph.num_vertices):
-        raise ProtocolError(
-            f"source {source} is not a vertex of {graph.name} (n={graph.num_vertices})"
-        )
-    if graph.num_vertices > 1 and not graph.is_connected():
-        raise ProtocolError(
-            f"{graph.name} is not connected; the rumor can never reach every vertex"
-        )
 
 
 def run_synchronous(
@@ -116,7 +103,9 @@ def run_synchronous(
         A :class:`SpreadingResult`; informing times are round numbers
         (the source has time 0).
     """
-    _validate(graph, source, mode)
+    if mode not in SYNC_MODES:
+        raise ProtocolError(f"unknown synchronous mode {mode!r}; expected one of {SYNC_MODES}")
+    source = check_source(graph, source)
     scenario = as_scenario(scenario)
     loss_prob = 0.0
     burst = None

@@ -53,7 +53,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.errors import CouplingError, ProtocolError
+from repro.core.budgets import check_source
+from repro.errors import CouplingError
 from repro.graphs.base import Graph
 from repro.randomness.rng import SeedLike, as_generator
 
@@ -132,10 +133,7 @@ def simulate_step_sequence(
     returned — the continuous times are irrelevant for the block coupling
     (the expected time between steps is exactly ``1/n``).
     """
-    if not (0 <= source < graph.num_vertices):
-        raise ProtocolError(f"source {source} is not a vertex of {graph.name}")
-    if graph.num_vertices > 1 and not graph.is_connected():
-        raise ProtocolError(f"{graph.name} is not connected")
+    source = check_source(graph, source)
     n = graph.num_vertices
     rng = as_generator(seed)
     adjacency = graph.adjacency
@@ -399,10 +397,7 @@ def run_block_coupling(
         Lemma 13 check and ``num_rounds`` is the sample of ``ρ_τ`` whose
         expectation Lemma 14 bounds by ``O(E[τ]/sqrt(n) + sqrt(n))``.
     """
-    if not (0 <= source < graph.num_vertices):
-        raise ProtocolError(f"source {source} is not a vertex of {graph.name}")
-    if graph.num_vertices > 1 and not graph.is_connected():
-        raise ProtocolError(f"{graph.name} is not connected")
+    source = check_source(graph, source)
     n = graph.num_vertices
     rng = as_generator(seed)
     adjacency = graph.adjacency

@@ -44,7 +44,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import CouplingError, ProtocolError
+from repro.core.budgets import check_source
+from repro.errors import CouplingError
 from repro.graphs.base import Graph
 from repro.randomness.rng import SeedLike, as_generator
 
@@ -135,15 +136,6 @@ class CoupledProcessesRun:
     def theorem_slack(self) -> float:
         """``max_v (t_v - 8 r_v)`` — the end-to-end comparison behind Theorem 4."""
         return max(t - 8.0 * rx for rx, t in zip(self.ppx_round, self.ppa_time))
-
-
-def _validate(graph: Graph, source: int) -> None:
-    if not (0 <= source < graph.num_vertices):
-        raise ProtocolError(
-            f"source {source} is not a vertex of {graph.name} (n={graph.num_vertices})"
-        )
-    if graph.num_vertices > 1 and not graph.is_connected():
-        raise ProtocolError(f"{graph.name} is not connected")
 
 
 def _run_coupled_round_process(
@@ -341,7 +333,7 @@ def run_coupled_processes(
         vectors; its ``lemma9_slack`` / ``lemma10_slack`` helpers expose the
         quantities bounded by the paper's lemmas.
     """
-    _validate(graph, source)
+    source = check_source(graph, source)
     n = graph.num_vertices
     if n == 1:
         return CoupledProcessesRun(graph.name, source, (0.0,), (0.0,), (0.0,))

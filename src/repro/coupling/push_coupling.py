@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import CouplingError, ProtocolError
+from repro.core.budgets import check_source
+from repro.errors import CouplingError
 from repro.graphs.base import Graph
 from repro.randomness.rng import SeedLike, as_generator
 
@@ -77,15 +78,6 @@ class CoupledPushRun:
         return [a - s for a, s in zip(self.async_time, self.sync_round)]
 
 
-def _check_inputs(graph: Graph, source: int) -> None:
-    if not (0 <= source < graph.num_vertices):
-        raise ProtocolError(
-            f"source {source} is not a vertex of {graph.name} (n={graph.num_vertices})"
-        )
-    if graph.num_vertices > 1 and not graph.is_connected():
-        raise ProtocolError(f"{graph.name} is not connected")
-
-
 def run_coupled_push(
     graph: Graph,
     source: int,
@@ -111,7 +103,7 @@ def run_coupled_push(
             a very generous budget (only possible on disconnected input,
             which is rejected earlier anyway).
     """
-    _check_inputs(graph, source)
+    source = check_source(graph, source)
     n = graph.num_vertices
     rng = as_generator(seed)
     adjacency = graph.adjacency

@@ -7,11 +7,17 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.async_engine import ASYNC_VIEWS, default_max_steps, run_asynchronous
+from repro.core.async_engine import (
+    ASYNC_MODES,
+    ASYNC_VIEWS,
+    default_max_steps,
+    run_asynchronous,
+)
 from repro.core.result import check_result_consistency
 from repro.errors import ProtocolError, SimulationError
 from repro.graphs import complete_graph, path_graph, star_graph
 from repro.graphs.base import Graph
+from repro.graphs.random_graphs import random_regular_graph
 
 
 class TestValidation:
@@ -44,10 +50,16 @@ class TestValidation:
 
 
 class TestBasicBehaviour:
-    def test_single_vertex_graph(self):
-        result = run_asynchronous(Graph(1, []), 0)
+    @pytest.mark.parametrize("view", ASYNC_VIEWS)
+    def test_single_vertex_graph(self, view):
+        result = run_asynchronous(Graph(1, []), 0, view=view)
         assert result.completed
         assert result.steps == 0
+        assert result.trace is None
+        traced = run_asynchronous(Graph(1, []), 0, view=view, record_trace=True)
+        assert traced.trace == ()
+        assert traced.informed_time == (0.0,)
+        assert traced.infection_kind == ("source",)
 
     @pytest.mark.parametrize("view", ASYNC_VIEWS)
     def test_completes_and_is_consistent(self, small_hypercube, view):
@@ -161,12 +173,53 @@ class TestViewEquivalence:
         assert np.mean(other) == pytest.approx(np.mean(base), rel=0.25)
 
 
+_TRACE_SCENARIOS = [
+    None,
+    "loss:p=0.3",
+    "churn:crash_rate=0.05",
+    "delay:low=0.5,high=2",
+    "adaptive-loss:p=0.5,budget=20",
+    "dynamic:family=random_regular_4,period=2",
+]
+
+#: Every view under every scenario, except a dynamic graph under
+#: ``edge_clocks`` (rejected: it would change the per-pair clock set).
+_TRACE_CASES = [
+    (view, scenario)
+    for view in ASYNC_VIEWS
+    for scenario in _TRACE_SCENARIOS
+    if not (view == "edge_clocks" and scenario is not None and scenario.startswith("dynamic"))
+]
+
+
 class TestTrace:
-    def test_trace_events_match_steps(self, small_complete):
-        result = run_asynchronous(small_complete, 0, seed=3, record_trace=True)
+    """The record keeping (trace, parents, kinds, counters) under every view
+    and scenario: the batched paths never see it, so only these pin it."""
+
+    @pytest.mark.parametrize(("view", "scenario"), _TRACE_CASES)
+    @pytest.mark.parametrize("mode", ASYNC_MODES)
+    def test_trace_events_match_steps(self, view, scenario, mode):
+        graph = random_regular_graph(24, 4, seed=5)
+        result = run_asynchronous(
+            graph, 0, mode=mode, view=view, seed=3, record_trace=True,
+            scenario=scenario, on_budget_exhausted="partial",
+        )
         assert result.trace is not None
         assert len(result.trace) == result.steps
         times = [event.time for event in result.trace]
         assert times == sorted(times)
         informing = [event for event in result.trace if event.informed is not None]
         assert len(informing) == result.num_informed - 1
+        pushes = [event for event in informing if event.kind == "push"]
+        assert len(pushes) == result.push_infections
+        assert result.infection_kind.count("push") == result.push_infections
+        assert result.infection_kind.count("pull") == result.pull_infections
+        for event in informing:
+            assert result.informed_time[event.informed] == event.time
+            sender = event.caller if event.kind == "push" else event.callee
+            assert result.parent[event.informed] == sender
+        assert check_result_consistency(result) == []
+        if scenario is not None and scenario.startswith("churn"):
+            assert result.total_contacts <= result.steps
+        else:
+            assert result.total_contacts == result.steps
