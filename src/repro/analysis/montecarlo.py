@@ -57,7 +57,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.batch_engine import is_batchable, run_batch
-from repro.core.protocols import get_protocol, spread
+from repro.core.budgets import scenario_rejection
+from repro.core.protocols import PROTOCOLS, get_protocol, spread
 from repro.core.result import SpreadingResult
 from repro.errors import AnalysisError
 from repro.graphs.base import Graph
@@ -274,6 +275,8 @@ def batch_dispatch_decision(
         and a human-readable reason for the decision — always present, for
         debuggability on both outcomes (the negative reason is also used
         verbatim in the error raised when batching was explicitly forced).
+        Raises the engines' :class:`~repro.errors.ScenarioError` where no
+        engine runs the scenario at all, batched or serial.
     """
     if not (
         isinstance(batch, bool)
@@ -292,6 +295,16 @@ def batch_dispatch_decision(
     if not fixed_graph:
         return False, "graph factories run one trial per graph" + traced
     if not is_batchable(protocol, options, scenario):
+        spec = PROTOCOLS.get(protocol)
+        if spec is not None:
+            rejection = scenario_rejection(
+                protocol, scenario,
+                synchronous=spec.synchronous, analysis_only=not spec.realistic,
+                view=str(options.get("view", "global")),
+            )
+            if rejection is not None:
+                # No engine runs this combination, batched or serial.
+                raise rejection
         return False, (
             f"protocol {protocol!r} with options {sorted(options)} and "
             f"scenario {scenario.spec() if scenario is not None else None!r} "

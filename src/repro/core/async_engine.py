@@ -47,9 +47,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.core.budgets import check_source, parse_count_budget, parse_time_budget
+from repro.core.budgets import (
+    check_budget_policy,
+    check_source,
+    parse_count_budget,
+    parse_time_budget,
+    scenario_rejection,
+)
 from repro.core.result import ContactEvent, SpreadingResult
-from repro.errors import ProtocolError, ScenarioError, SimulationError
+from repro.errors import ProtocolError, SimulationError
 from repro.graphs.base import Graph
 from repro.randomness.rng import SeedLike, as_generator
 from repro.scenarios.base import Scenario, ScenarioLike, as_scenario
@@ -145,20 +151,10 @@ def run_asynchronous(
         raise ProtocolError(f"unknown asynchronous view {view!r}; expected one of {ASYNC_VIEWS}")
     source = check_source(graph, source)
     scenario = as_scenario(scenario)
-    if (
-        scenario is not None
-        and scenario.dynamic is not None
-        and view == "edge_clocks"
-    ):
-        raise ScenarioError(
-            "dynamic-graph scenarios are not supported under the 'edge_clocks' "
-            "view: resampling the graph would change the per-pair clock set "
-            "itself; use the 'node_clocks' or 'global' view"
-        )
-    if on_budget_exhausted not in ("error", "partial"):
-        raise ProtocolError(
-            f"on_budget_exhausted must be 'error' or 'partial', got {on_budget_exhausted!r}"
-        )
+    rejection = scenario_rejection(mode, scenario, synchronous=False, view=view)
+    if rejection is not None:
+        raise rejection
+    check_budget_policy(on_budget_exhausted)
     n = graph.num_vertices
     step_budget = parse_count_budget("max_steps", max_steps, default_max_steps(n))
     time_budget = parse_time_budget(max_time)

@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.budgets import check_source, parse_count_budget
+from repro.core.budgets import check_budget_policy, check_source, parse_count_budget
 from repro.core.flatgraph import flat_adjacency
 from repro.core.result import SpreadingResult
 from repro.core.sync_engine import default_max_rounds
@@ -130,10 +130,7 @@ def run_auxiliary_process(
     if variant not in AUX_VARIANTS:
         raise ProtocolError(f"unknown auxiliary variant {variant!r}; expected one of {AUX_VARIANTS}")
     source = check_source(graph, source)
-    if on_budget_exhausted not in ("error", "partial"):
-        raise ProtocolError(
-            f"on_budget_exhausted must be 'error' or 'partial', got {on_budget_exhausted!r}"
-        )
+    check_budget_policy(on_budget_exhausted)
 
     n = graph.num_vertices
     budget = parse_count_budget("max_rounds", max_rounds, default_max_rounds(n))

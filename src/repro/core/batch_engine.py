@@ -26,18 +26,20 @@ times-only result.  The bodies, by kernel family:
   matrix and the per-vertex pull probabilities come from the shared
   vectorised :func:`~repro.core.aux_processes.pull_probabilities`.
 * **The global tick loop** (the asynchronous trio under the ``"global"``
-  view, :func:`_async_ticks`) — per-trial exponential time accumulators
-  and randomness buffers; the numpy backend moves the live trials in
-  lockstep, one tick each per column, and resolves every refill in blocks
-  of ticks for all of them at once, with the rumor exchange vectorised
-  across trials.
-* **The clock-view table loop** (``"node_clocks"`` and ``"edge_clocks"``,
-  :func:`_clock_table`) — the serial priority queue becomes a next-tick
-  matrix with one row per live trial, whose per-row ``argmin`` is the next
-  event (identical to the heap pop — continuous tick times tie with
-  probability zero), so batched next-event simulation stays exact.
-* **Pooled clock chunks** (either clock view with a pooled generator on a
-  static graph, :func:`_pooled_clock_chunks`) — see *Pooled RNG mode*.
+  view with per-trial generators, :func:`_async_ticks`) — per-trial
+  exponential time accumulators and randomness buffers; the numpy backend
+  moves the live trials in lockstep, one tick each per column, and
+  resolves every refill in blocks of ticks for all of them at once, with
+  the rumor exchange vectorised across trials.
+* **The clock-view table loop** (``"node_clocks"`` and ``"edge_clocks"``
+  with per-trial generators, :func:`_clock_table`) — the serial priority
+  queue becomes a next-tick matrix with one row per live trial, whose
+  per-row ``argmin`` is the next event (identical to the heap pop —
+  continuous tick times tie with probability zero), so batched next-event
+  simulation stays exact.
+* **Pooled chunks** (the asynchronous trio with a pooled generator, every
+  view, static or dynamic graph, :func:`_pooled_clock_chunks`) — see
+  *Pooled RNG mode*.
 
 **Exact serial equivalence.**  Each trial owns its own
 :class:`numpy.random.Generator` and the bodies consume randomness from it
@@ -61,12 +63,11 @@ documented order as the serial engines (resample → churn → burst →
 contacts → loss; ``Delay`` rates once at trial start), so fixed-seed
 serial/batch agreement holds under scenarios too.  The synchronous rounds
 cover loss (independent or bursty), churn (random, targeted, or adaptive),
-adaptive jamming, and
-dynamic graphs (one concatenated CSR rebuilt for all trials at each shared
-round boundary); the asynchronous bodies — the ``"global"`` tick loop and
-both clock-queue views — cover all of those plus ``Delay``, with dynamic
-graphs carried as a *per-trial padded* stacked CSR (:class:`_TrialGraphs`)
-whose rows are replaced independently at each trial's own period boundary.
+adaptive jamming, and dynamic graphs; the asynchronous bodies cover all of
+those plus ``Delay``.  Every body but the auxiliary rounds carries dynamic
+graphs as one *per-trial padded* stacked CSR (:class:`_TrialGraphs`) whose
+rows are replaced independently, at the shared round boundary or at each
+trial's own period boundary in simulated time.
 :func:`run_batch` rejects what the serial engines reject (see :func:`is_batchable`):
 a ``Delay`` on a synchronous protocol, a dynamic graph under the
 ``"edge_clocks"`` view (resampling would change the per-pair clock set
@@ -76,18 +77,17 @@ itself), and any runtime scenario on ``ppx``/``ppy``.
 generators with one shared generator drawing whole ``(B, n)`` matrices at
 once.  This halves the Python-level draw overhead for small ``n`` but gives
 up serial equivalence: pooled samples agree with per-trial samples only *in
-distribution* (checked by a KS test in the suite).  For the clock-queue
-views on a static graph the pooled mode goes further: freed from the serial
-draw order, :func:`_pooled_clock_chunks` pre-draws the randomness of
-``_POOLED_CLOCK_CHUNK`` future ticks as ``(B, chunk)`` blocks and drops the
-next-tick table entirely (both views are the same superposed Poisson
-process in distribution), which removes the dominant per-tick argmin/draw
-overhead.  A pooled dynamic graph (node view only) keeps the table loop,
-drawing per tick from the shared generator.
+distribution* (checked by KS tests in the suite).  The asynchronous pooled
+mode goes further: freed from the serial draw order,
+:func:`_pooled_clock_chunks` pre-draws the randomness of
+``_POOLED_CLOCK_CHUNK`` future ticks as ``(B, chunk)`` blocks and keeps no
+next-tick table, because the three views are one superposed Poisson process
+in distribution.  A pooled asynchronous result therefore does not depend on
+the view, and both backends consume the pooled stream in the same order.
 
 **Kernel backends.**  The hot loops themselves — the synchronous round
-step, the block-resolved asynchronous tick loop, and the pooled clock-view
-chunk consumer — live in :mod:`repro.core.kernels` with interchangeable
+step, the block-resolved asynchronous tick loop, and the pooled chunk
+consumer — live in :mod:`repro.core.kernels` with interchangeable
 ``"numpy"`` and numba-compiled ``"jit"`` implementations, selected per
 call with the ``backend=`` option (default ``"auto"``); see the package
 docstring for the per-kernel equivalence guarantees.  The auxiliary rounds
@@ -113,12 +113,17 @@ import numpy as np
 
 from repro.core.async_engine import ASYNC_VIEWS, default_max_steps
 from repro.core.aux_processes import pull_probabilities
-from repro.core.budgets import parse_count_budget, parse_time_budget
+from repro.core.budgets import (
+    check_budget_policy,
+    parse_count_budget,
+    parse_time_budget,
+    scenario_rejection,
+)
 from repro.core.flatgraph import FlatAdjacency, flat_adjacency
 from repro.core.kernels import AsyncState, resolve_backend
 from repro.core.result import BatchTimes
 from repro.core.sync_engine import default_max_rounds
-from repro.errors import ProtocolError, ReproError, ScenarioError, SimulationError
+from repro.errors import ProtocolError, ReproError, SimulationError
 from repro.graphs.base import Graph
 from repro.randomness.rng import SeedLike, spawn_generators
 from repro.scenarios.base import DynamicGraph, Scenario, ScenarioLike, as_scenario
@@ -180,8 +185,8 @@ def _rejection(
     """Why ``protocol`` cannot run as a batch with these options, or ``None``.
 
     The one decision behind both :func:`is_batchable` and the errors
-    :func:`run_batch` raises.  Scenario rejections mirror the serial
-    engines, which refuse the same combinations with the same messages.
+    :func:`run_batch` raises.  Scenario rejections are the serial engines'
+    own (:func:`~repro.core.budgets.scenario_rejection`).
     """
     if protocol not in _PROTOCOL_FAMILIES:
         return ProtocolError(
@@ -201,25 +206,10 @@ def _rejection(
         return ProtocolError(
             f"unknown asynchronous view {view!r}; expected one of {ASYNC_VIEWS}"
         )
-    if scenario is None:
-        return None
-    if family == "sync" and scenario.delay is not None:
-        return ScenarioError(
-            "Delay skews asynchronous clock rates; synchronous rounds have no "
-            "clocks to slow down — use an asynchronous protocol"
-        )
-    if family == "aux" and scenario.runtime_active():
-        return ScenarioError(
-            f"protocol {protocol!r} is an analysis-only process; runtime "
-            "scenarios (loss, churn, dynamic graphs, delay) do not apply"
-        )
-    if view == "edge_clocks" and scenario.dynamic is not None:
-        return ScenarioError(
-            "dynamic-graph scenarios are not supported under the 'edge_clocks' "
-            "view: resampling the graph would change the per-pair clock set "
-            "itself; use the 'node_clocks' or 'global' view"
-        )
-    return None
+    return scenario_rejection(
+        protocol, scenario,
+        synchronous=family != "async", analysis_only=family == "aux", view=view,
+    )
 
 
 def is_batchable(
@@ -261,10 +251,7 @@ def _prepare(
     In pooled mode (``pooled_rng`` given) no per-trial generators exist and
     the second return value is ``None``.
     """
-    if on_budget_exhausted not in ("error", "partial"):
-        raise ProtocolError(
-            f"on_budget_exhausted must be 'error' or 'partial', got {on_budget_exhausted!r}"
-        )
+    check_budget_policy(on_budget_exhausted)
     if pooled_rng is not None and rngs is not None:
         raise ProtocolError("pass either per-trial rngs or a pooled_rng, not both")
     if trials is not None and not isinstance(trials, numbers.Integral):
@@ -358,12 +345,11 @@ def _raise_incomplete(
 class _TrialGraphs:
     """Per-trial dynamic graphs as one padded ``(B, ·)`` stacked CSR.
 
-    The asynchronous kernels resample graphs at *per-trial* simulated-time
-    boundaries, so — unlike the synchronous kernel, whose rounds are global
-    and can rebuild one concatenated CSR for every trial at once — each
-    trial's CSR row must be replaceable independently.  Rows are padded to
-    a shared capacity (the widest neighbor array seen so far); a resample
-    that outgrows it grows the pad for all rows.
+    Every body that runs a dynamic graph keeps it here, one row per trial
+    id, replaceable independently (the asynchronous bodies resample at
+    *per-trial* simulated times).  Rows are padded to a shared capacity
+    (the widest neighbor array seen so far, plus headroom); a resample that
+    outgrows it grows the pad for all rows.
 
     The arrays are kept flat — ``(B * n,)`` degree/start tables and a
     raveled ``(B * width,)`` neighbor array — so the per-tick
@@ -394,12 +380,14 @@ class _TrialGraphs:
         flat = flat_adjacency(new_graph)
         needed = flat.indices.size
         if needed > self.width:
-            batch = len(self.graphs)
-            grown = np.zeros(batch * needed, dtype=self.indices.dtype)
+            # An eighth of headroom: samples a little over the widest so far
+            # do not each copy every row again.
+            batch, width = len(self.graphs), needed + needed // 8
+            grown = np.zeros(batch * width, dtype=self.indices.dtype)
             view_old = self.indices.reshape(batch, self.width)
-            grown.reshape(batch, needed)[:, : self.width] = view_old
+            grown.reshape(batch, width)[:, : self.width] = view_old
             self.indices = grown
-            self.width = needed
+            self.width = width
         n = self.num_vertices
         self.degrees[row * n : (row + 1) * n] = flat.degrees
         self.rel_start[row * n : (row + 1) * n] = flat.indptr[:-1]
@@ -408,7 +396,8 @@ class _TrialGraphs:
     def callees(
         self, rows: np.ndarray, callers: np.ndarray, uniforms: np.ndarray
     ) -> np.ndarray:
-        """One uniform random neighbor per (trial row, caller) pair."""
+        """One uniform random neighbor per (trial row, caller) pair; the
+        three arrays broadcast together."""
         return self.callees_at(
             rows * self.num_vertices + callers, rows * self.width, uniforms
         )
@@ -655,7 +644,9 @@ def _sync_rounds(job: _BatchJob) -> _Outcome:
     Per live trial and round the randomness is drawn in the serial
     engine's order: graph resample (at period boundaries), churn update,
     burst channel draw, one ``random(n)`` contact block, loss uniforms.
-    The round itself is the backend's ``sync_round_step``.
+    The round itself is the backend's ``sync_round_step``; from a dynamic
+    graph's first resample on it is ``sync_round_step_dynamic``, on the
+    contacts a :class:`_TrialGraphs` resolves.
     """
     graph, parts, kern, metrics = job.graph, job.parts, job.kern, job.metrics
     pooled_rng = job.pooled_rng
@@ -689,21 +680,15 @@ def _sync_rounds(job: _BatchJob) -> _Outcome:
     ws = kern.sync_workspace(batch, n, idx_dtype)
 
     # Scenario state: per-trial up/down churn matrix, draw buffers for the
-    # churn and loss uniforms, per-trial burst channel states, and — under
-    # a dynamic graph — per-trial current graphs with a stacked CSR built
-    # at each resample boundary (degrees and flat start offsets per
-    # (trial, vertex) into one concatenated neighbor array).  All compacted
-    # alongside the live set.
+    # churn and loss uniforms and per-trial burst channel states, compacted
+    # alongside the live set; from a dynamic graph's first resample on, the
+    # trials' graphs (by trial id).
     up_live = parts.initial_up(graph, batch)
     parts.init_adaptive(graph, batch)
     churn_buf = np.empty((batch, n)) if parts.churn_updates else None
     loss_buf = np.empty((batch, n)) if parts.lossy else None
     bad_live = np.zeros(batch, dtype=bool) if burst is not None else None
-    current_graphs: Optional[list[Graph]] = [graph] * batch if dynamic is not None else None
-    stacked: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-    row_offsets_wide = (
-        (np.arange(batch, dtype=np.int64) * n)[:, None] if dynamic is not None else None
-    )
+    trial_graphs: Optional[_TrialGraphs] = None
 
     round_index = 0
     while live_set.ids.size and round_index < job.budget:
@@ -714,18 +699,11 @@ def _sync_rounds(job: _BatchJob) -> _Outcome:
         # Scenario randomness order per trial (matching the serial engine):
         # graph resample, churn update, contacts, loss flips.
         if dynamic is not None and round_index > 1 and (round_index - 1) % dynamic.period == 0:
-            for i in range(live):
+            if trial_graphs is None:
+                trial_graphs = _TrialGraphs(graph, batch)
+            for i, row in enumerate(live_set.ids.tolist()):
                 rng_i = pooled_rng if pooled_rng is not None else live_rngs[i]
-                current_graphs[i] = dynamic.resample(current_graphs[i], rng_i)
-            flats = [FlatAdjacency(g) for g in current_graphs[:live]]
-            degrees_st = np.stack([f.degrees for f in flats])
-            indices_cat = np.concatenate([f.indices for f in flats])
-            bases = np.zeros(live, dtype=np.int64)
-            np.cumsum([f.indices.size for f in flats[:-1]], out=bases[1:])
-            start_st = np.stack(
-                [f.indptr[:-1] + base for f, base in zip(flats, bases)]
-            )
-            stacked = (degrees_st, start_st, indices_cat)
+                trial_graphs.resample(row, dynamic, rng_i)
         if parts.churn_updates:
             churn_draws = churn_buf[:live]
             if pooled_rng is not None:
@@ -758,6 +736,9 @@ def _sync_rounds(job: _BatchJob) -> _Outcome:
                 # One rng.random(n) per live trial per round — the exact draw
                 # the serial engine makes, so per-trial streams stay aligned.
                 live_rngs[i].random(out=draws[i])
+        contacts = None
+        if trial_graphs is not None:
+            contacts = trial_graphs.callees(live_set.ids[:, None], np.arange(n), draws)
         # Loss uniforms are the round's final draw (after the contacts),
         # resolved into the `kept` mask before the kernel runs — the draw
         # order is what serial equivalence pins, not where the mask is used.
@@ -774,12 +755,8 @@ def _sync_rounds(job: _BatchJob) -> _Outcome:
                 # kernel applies) so the jammer can see which exchanges would
                 # transmit; the budget is spent in vertex-id order per trial,
                 # matching the serial engine.
-                if stacked is not None:
-                    degrees_st, start_st, indices_cat = stacked
-                    offsets = (draws * degrees_st).astype(np.int64)
-                    np.minimum(offsets, degrees_st - 1, out=offsets)
-                    callees = indices_cat[start_st + offsets]
-                else:
+                callees = contacts
+                if callees is None:
                     offsets = (draws * degrees_nw).astype(np.int64)
                     np.minimum(offsets, max_offset_nw, out=offsets)
                     callees = indices_nw[start_nw + offsets]
@@ -813,10 +790,12 @@ def _sync_rounds(job: _BatchJob) -> _Outcome:
                 live * n if up_live is None else int(np.count_nonzero(up_live)),
             )
             if kept is not None:
-                metrics.count("engine.messages_lost", int(kept.size - kept.sum()))
-        if stacked is not None:
+                # Only the callers that are up attempt a contact to lose.
+                lost = ~kept if up_live is None else up_live & ~kept
+                metrics.count("engine.messages_lost", int(np.count_nonzero(lost)))
+        if contacts is not None:
             live_set.count = kern.sync_round_step_dynamic(
-                stacked, row_offsets_wide[:live], draws, kept, up_live,
+                contacts, kept, up_live,
                 informed_live, live_set.times, round_index,
                 push_allowed, pull_allowed, ws, live_set.count,
             )
@@ -833,12 +812,6 @@ def _sync_rounds(job: _BatchJob) -> _Outcome:
             if bad_live is not None:
                 bad_live = bad_live[keep]
             parts.compact_budgets(keep)
-            if current_graphs is not None:
-                current_graphs = [current_graphs[i] for i in keep]
-            if stacked is not None:
-                # The concatenated neighbor array keeps dead segments until
-                # the next rebuild; the kept start offsets stay valid.
-                stacked = (stacked[0][keep], stacked[1][keep], stacked[2])
     return live_set.outcome(round_index)
 
 
@@ -975,15 +948,20 @@ def _async_state(job: _BatchJob) -> AsyncState:
     Each trial's ``Delay`` rates come first, through its own generator (or
     the pooled one): they are its first randomness, as in the serial
     engines.  Everything is indexed by absolute trial row; the bodies mask
-    retired rows instead of compacting the state.
+    retired rows instead of compacting the state.  The static CSR comes as
+    narrow int32 copies for the contact gathers.
     """
     graph, parts = job.graph, job.parts
     n = graph.num_vertices
     batch = job.sources.size
     dynamic = parts.dynamic
+    flat = flat_adjacency(graph)
+    degrees = flat.degrees.astype(np.int32)
     informed, num_informed, times = _initial_informed(n, job.sources, job.record_times)
     finite_time_budget = bool(np.isfinite(job.time_budget))
     state = AsyncState(
+        degrees=degrees, max_offset=degrees - 1,
+        start=flat.indptr[:-1].astype(np.int32), indices=flat.indices.astype(np.int32),
         n=n, batch=batch, mode_pp=job.mode == "push-pull",
         push_allowed=job.mode in ("push", "push-pull"),
         step_budget=job.budget, time_budget=job.time_budget,
@@ -1022,7 +1000,7 @@ def _async_outcome(state: AsyncState) -> _Outcome:
 
 
 # ---------------------------------------------------------------------- #
-# The asynchronous "global" view
+# The asynchronous "global" view, per-trial generators
 # ---------------------------------------------------------------------- #
 def _async_ticks(job: _BatchJob) -> _Outcome:
     """The global-view tick loop.
@@ -1035,17 +1013,11 @@ def _async_ticks(job: _BatchJob) -> _Outcome:
     loop itself is the backend's ``async_tick_loop``: the numpy one moves
     the live trials in lockstep and consumes each refill in blocks of ticks
     resolved for all of them at once, the jit one drains trial by trial.
-    The per-trial modes are bit-identical across backends, the pooled mode
-    agrees in distribution only under ``"jit"``.
+    Both are bit-identical.  A pooled generator never reaches this loop
+    (see :func:`_pooled_clock_chunks`).
     """
     state = _async_state(job)
     batch = state.batch
-    flat = flat_adjacency(job.graph)
-    # Narrow copies of the static CSR for the blocks' contact gathers.
-    state.degrees = flat.degrees.astype(np.int32)
-    state.max_offset = state.degrees - 1
-    state.start = flat.indptr[:-1].astype(np.int32)
-    state.indices = flat.indices.astype(np.int32)
     # Per-trial randomness buffers mirroring the serial engine's chunked
     # draws: refilled (exponential gaps, callers, neighbor uniforms, loss
     # uniforms — in that order) whenever exhausted, with chunk size
@@ -1066,42 +1038,40 @@ def _async_ticks(job: _BatchJob) -> _Outcome:
 
 
 # ---------------------------------------------------------------------- #
-# Clock-queue asynchronous views (node_clocks / edge_clocks)
+# Pooled generators (every asynchronous view)
 # ---------------------------------------------------------------------- #
 def _pooled_clock_chunks(job: _BatchJob) -> _Outcome:
-    """The chunked pooled-RNG path shared by both clock-queue views.
+    """The chunked pooled-RNG body of all three asynchronous views.
 
-    The per-trial table loop must keep the next-tick table and follow each
-    trial's serial draw sequence, because serial draw-order equivalence
-    pins exactly that sequence.  Pooled mode only promises
-    agreement *in distribution*, and in distribution both views are the
-    same superposed Poisson process: every vertex ticks at rate 1 under
-    ``node_clocks``, and under ``edge_clocks`` each caller's pair clocks
-    (rate ``1/deg(v)`` each) also sum to rate 1 per vertex — so successive
-    events arrive with ``Exp(1/n)`` gaps, a uniformly random caller, and a
-    uniformly random neighbor as callee (the view equivalence of
-    :mod:`repro.experiments.view_equivalence`).  That lets this path
+    The per-trial global tick loop and table loop follow each trial's
+    serial draw sequence, because serial draw-order equivalence pins
+    exactly that sequence.  Pooled mode only promises agreement *in
+    distribution*, and in distribution the three views are one superposed
+    Poisson process: the global clock ticks at rate ``n`` and picks a
+    uniform caller, every vertex ticks at rate 1 under ``node_clocks``, and
+    under ``edge_clocks`` each caller's pair clocks (rate ``1/deg(v)``
+    each) also sum to rate 1 per vertex — so successive events arrive with
+    ``Exp(1/n)`` gaps, a uniformly random caller, and a uniformly random
+    neighbor as callee (the view equivalence of
+    :mod:`repro.experiments.view_equivalence`).  That lets this body
     pre-draw the whole randomness of the next ``_POOLED_CLOCK_CHUNK`` ticks
-    as three ``(B, chunk)`` blocks — gaps, callers, neighbor uniforms —
-    resolve the callee matrix in one vectorised gather, and run a lean
-    per-tick loop (the backend's ``clock_chunk_consume``) with no RNG calls
-    and no argmin over the next-tick table at all.
+    as three ``(B, chunk)`` blocks — gaps, callers, neighbor uniforms — and
+    hand them to a lean per-tick loop (the backend's
+    ``clock_chunk_consume``, which resolves the callees of the ticks it
+    reaches) with no RNG calls and no next-tick table at all.  The view
+    never enters the draws.
 
     Runtime scenarios keep the same shape: a :class:`~repro.scenarios.Delay`
     reweights the superposition (per-trial total rate, weighted caller
     draws resolved at block-refill time), loss/burst-loss add one uniform
     block, and churn updates fire inside the column loop at each trial's
-    epoch boundaries.  Dynamic graphs never reach this path (the callee
-    blocks above are resolved against one fixed CSR); they take the table
-    loop with per-tick pooled draws instead.
+    epoch boundaries, as do graph resamples.
     """
     state = _async_state(job)
     pooled_rng = job.pooled_rng
     assert pooled_rng is not None
     n = state.n
     live, steps = state.live, state.steps
-    flat = flat_adjacency(job.graph)
-    degrees, start, indices = flat.degrees, flat.indptr[:-1], flat.indices
     while True:
         rows = np.flatnonzero(live)
         if rows.size == 0:
@@ -1134,44 +1104,23 @@ def _pooled_clock_chunks(job: _BatchJob) -> _Outcome:
         tick_times += state.now[rows][:, None]
         uniforms = pooled_rng.random((rows.size, width))
         loss_block = pooled_rng.random((rows.size, width)) if job.parts.lossy else None
-        deg = degrees[callers]
-        offsets = (uniforms * deg).astype(np.int64)
-        np.minimum(offsets, deg - 1, out=offsets)
-        callees = indices[start[callers] + offsets]
 
-        # Everything random about the block is resolved; the backend's
-        # consumer walks its columns and mutates the state in place (only
-        # epoch crossings still draw, from the pooled generator — the jit
+        # Everything random about the block is drawn; the backend's consumer
+        # walks its columns and mutates the state in place (only epoch and
+        # resample crossings still draw, from the pooled generator — the jit
         # backend delegates those blocks to numpy).
         job.kern.clock_chunk_consume(
-            state, rows, executed, tick_times, callers, callees, loss_block
+            state, rows, executed, tick_times, callers, uniforms, loss_block
         )
         if job.metrics is not None:
             job.metrics.count("engine.drain_returns")
     return _async_outcome(state)
 
 
-class _TickDraws:
-    """The draw source of the clock-view table loop.
-
-    ``uniform`` and ``exponential`` return one value per live row, in row
-    order; ``retire`` drops the rows where ``keep`` is false.  A source
-    that serves only trials drawing no uniforms leaves ``uniform`` out.
-    """
-
-    __slots__ = ()
-
-    def uniform(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def exponential(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def retire(self, keep: np.ndarray) -> None:
-        raise NotImplementedError
-
-
-class _ScalarDraws(_TickDraws):
+# ---------------------------------------------------------------------- #
+# Clock-queue views (node_clocks / edge_clocks), per-trial generators
+# ---------------------------------------------------------------------- #
+class _ScalarDraws:
     """Per-tick scalar draws of the live trials' own generators, in row order.
 
     Each call draws one value per live row; the generators are independent,
@@ -1196,26 +1145,7 @@ class _ScalarDraws(_TickDraws):
         self.exponentials = list(compress(self.exponentials, keep))
 
 
-class _PooledDraws(_TickDraws):
-    """Per-tick draws of one shared generator, one value per live row."""
-
-    __slots__ = ("rng", "size")
-
-    def __init__(self, rng: np.random.Generator, size: int) -> None:
-        self.rng = rng
-        self.size = size
-
-    def uniform(self) -> np.ndarray:
-        return self.rng.random(self.size)
-
-    def exponential(self) -> np.ndarray:
-        return self.rng.standard_exponential(self.size)
-
-    def retire(self, keep: np.ndarray) -> None:
-        self.size = int(np.count_nonzero(keep))
-
-
-class _BlockDraws(_TickDraws):
+class _BlockDraws:
     """Reschedule exponentials drawn ``_CLOCK_BLOCK`` ticks ahead per trial.
 
     Serves trials whose per-tick stream is the reschedule exponential alone
@@ -1256,6 +1186,12 @@ class _BlockDraws(_TickDraws):
             self.saved = list(compress(self.saved, keep))
         self.generators = list(compress(self.generators, keep))
         self.block = self.block[keep]
+
+
+#: The draw source of the clock-view table loop: ``uniform`` and
+#: ``exponential`` return one value per live row, in row order, and
+#: ``retire`` drops the rows where ``keep`` is false.
+_TickDraws = Union[_ScalarDraws, _BlockDraws]
 
 
 def _retire_rows(
@@ -1317,14 +1253,13 @@ def _clock_table(job: _BatchJob) -> _Outcome:
 
     Under ``node_clocks`` a dynamic graph rides the per-trial padded stacked
     CSR (:class:`_TrialGraphs`); the clocks themselves are graph independent
-    and are never redrawn.  A pooled generator reaches this loop only with
-    a dynamic graph, and then draws per tick.
+    and are never redrawn.  A pooled generator never reaches this loop (see
+    :func:`_pooled_clock_chunks`).
     """
     state = _async_state(job)
-    generators, pooled_rng = job.generators, job.pooled_rng
+    generators = job.generators
     n, batch = state.n, state.batch
-    flat = flat_adjacency(job.graph)
-    degrees = flat.degrees
+    degrees = state.degrees
     node_view = job.view == "node_clocks"
     rates = state.rates
 
@@ -1335,50 +1270,34 @@ def _clock_table(job: _BatchJob) -> _Outcome:
         if rates is not None:
             node_scales = 1.0 / rates  # (B, n): mean gap of each vertex clock
         next_tick = np.empty((batch, n))
-        if pooled_rng is not None:
+        for b in range(batch):
             if node_scales is None:
-                next_tick[:] = pooled_rng.exponential(1.0, (batch, n))
+                next_tick[b] = generators[b].exponential(1.0, n)
             else:
-                next_tick[:] = pooled_rng.exponential(node_scales)
-        else:
-            for b in range(batch):
-                if node_scales is None:
-                    next_tick[b] = generators[b].exponential(1.0, n)
-                else:
-                    next_tick[b] = generators[b].exponential(node_scales[b])
+                next_tick[b] = generators[b].exponential(node_scales[b])
     else:
         # One clock per ordered pair (v, w) with rate r_v/deg(v).  The pair
         # order (v ascending, neighbors in adjacency order) is exactly the
         # flat CSR layout, and a single array-scale exponential call draws
         # the same stream as the serial engine's per-pair scalar draws.
         pair_caller = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        pair_callee = flat.indices
+        pair_callee = state.indices
         pair_scale = degrees[pair_caller].astype(float)
         if rates is not None:
             # (B, #pairs): each trial's own rates reweight its pair clocks.
             pair_scale = pair_scale[None, :] / rates[:, pair_caller]
         next_tick = np.empty((batch, pair_caller.size))
-        if pooled_rng is not None:
-            if rates is None:
-                next_tick[:] = pooled_rng.exponential(
-                    pair_scale, (batch, pair_caller.size)
-                )
-            else:
-                next_tick[:] = pooled_rng.exponential(pair_scale)
-        else:
-            for b in range(batch):
-                next_tick[b] = generators[b].exponential(
-                    pair_scale if rates is None else pair_scale[b]
-                )
+        for b in range(batch):
+            next_tick[b] = generators[b].exponential(
+                pair_scale if rates is None else pair_scale[b]
+            )
 
     # Dynamic graphs only reach the node view (edge_clocks is rejected) and
     # never touch the next-tick table — vertex clocks are graph independent.
     trial_graphs = state.trial_graphs
     lossy = job.parts.lossy
     draws: _TickDraws
-    if pooled_rng is not None:
-        draws = _PooledDraws(pooled_rng, batch)
-    elif node_view or lossy or job.parts.churn_updates:
+    if node_view or lossy or job.parts.churn_updates:
         # The tick's uniforms (or epoch draws) interleave with its
         # reschedule, which no block call reproduces.
         draws = _ScalarDraws(generators)
@@ -1441,7 +1360,7 @@ def _clock_table(job: _BatchJob) -> _Outcome:
                 deg = degrees.take(caller)
                 offsets = (u * deg).astype(np.int64)
                 np.minimum(offsets, deg - 1, out=offsets)
-                callee = flat.indices.take(flat.indptr.take(caller) + offsets)
+                callee = state.indices.take(state.start.take(caller) + offsets)
             if node_scales is not None:
                 resched = resched * node_scales.take(cell_base + caller)
         else:
@@ -1582,10 +1501,10 @@ def run_batch(
         body = _sync_rounds
     elif family == "aux":
         body = _aux_rounds
+    elif pooled_rng is not None:
+        body = _pooled_clock_chunks
     elif view == "global":
         body = _async_ticks
-    elif pooled_rng is not None and parts.dynamic is None:
-        body = _pooled_clock_chunks
     else:
         body = _clock_table
     kern = resolve_backend(backend if body in _KERNEL_BODIES else "numpy")

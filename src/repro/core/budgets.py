@@ -2,23 +2,34 @@
 
 ``max_rounds`` and ``max_steps`` count rounds or clock ticks; ``max_time``
 is a simulated-time horizon.  The serial engines and
-:func:`~repro.core.batch_engine.run_batch` all parse them here, so a
-malformed budget fails the same way, with a :class:`ProtocolError` naming
-the option, on every path.  The serial engines and the couplings also check
-their source vertex here (:func:`check_source`); ``run_batch`` checks its
-source array vectorised.
+:func:`~repro.core.batch_engine.run_batch` all parse them, and
+``on_budget_exhausted``, here, so a malformed budget fails the same way,
+with a :class:`ProtocolError` naming the option, on every path.  The serial
+engines and the couplings also check their source vertex here
+(:func:`check_source`); ``run_batch`` checks its source array vectorised.
+Which scenarios the engines run at all is decided here too
+(:func:`scenario_rejection`).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, ScenarioError
 from repro.graphs.base import Graph
 
-__all__ = ["check_source", "parse_count_budget", "parse_time_budget"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.scenarios.base import Scenario
+
+__all__ = [
+    "check_budget_policy",
+    "check_source",
+    "parse_count_budget",
+    "parse_time_budget",
+    "scenario_rejection",
+]
 
 
 def check_source(graph: Graph, source: object) -> int:
@@ -63,3 +74,47 @@ def parse_time_budget(value: Optional[float]) -> float:
     if budget < 0:
         raise ProtocolError(f"max_time must be non-negative, got {value}")
     return budget
+
+
+def check_budget_policy(on_budget_exhausted: str) -> None:
+    """Raise :class:`ProtocolError` unless ``on_budget_exhausted`` is
+    ``"error"`` or ``"partial"``."""
+    if on_budget_exhausted not in ("error", "partial"):
+        raise ProtocolError(
+            f"on_budget_exhausted must be 'error' or 'partial', got {on_budget_exhausted!r}"
+        )
+
+
+def scenario_rejection(
+    protocol: str,
+    scenario: Optional["Scenario"],
+    *,
+    synchronous: bool,
+    analysis_only: bool = False,
+    view: str = "global",
+) -> Optional[ScenarioError]:
+    """Why no engine runs ``protocol`` under ``scenario``, or ``None``.
+
+    The serial engines and :func:`~repro.core.protocols.spread` raise it,
+    the batch engine's check returns it, and the scenario sweeps skip the
+    cells it rejects.
+    """
+    if scenario is None:
+        return None
+    if analysis_only and scenario.runtime_active():
+        return ScenarioError(
+            f"protocol {protocol!r} is an analysis-only process; runtime "
+            "scenarios (loss, churn, dynamic graphs, delay) do not apply"
+        )
+    if synchronous and scenario.delay is not None:
+        return ScenarioError(
+            "Delay skews asynchronous clock rates; synchronous rounds have no "
+            "clocks to slow down — use an asynchronous protocol"
+        )
+    if view == "edge_clocks" and scenario.dynamic is not None:
+        return ScenarioError(
+            "dynamic-graph scenarios are not supported under the 'edge_clocks' "
+            "view: resampling the graph would change the per-pair clock set "
+            "itself; use the 'node_clocks' or 'global' view"
+        )
+    return None

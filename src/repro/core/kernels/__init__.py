@@ -4,9 +4,9 @@ The batched Monte Carlo engine separates *orchestration* (validation,
 scenario unpacking, RNG stream management, result assembly — all of which
 stays in :mod:`repro.core.batch_engine`) from the *hot loops* that consume
 the pre-drawn randomness: the synchronous round step, the block-resolved
-asynchronous tick loop of the ``"global"`` view, and the pooled clock-view
-chunk consumer.  Those loops live here as pure-array kernel functions with
-two interchangeable implementations:
+asynchronous tick loop of the ``"global"`` view, and the pooled chunk
+consumer of all three views.  Those loops live here as pure-array kernel
+functions with two interchangeable implementations:
 
 ``numpy``
     :mod:`repro.core.kernels.numpy_backend` — the reference vectorised
@@ -26,15 +26,13 @@ asynchronous batch, which the engine builds once per run.
 **Equivalence contract.**  All trial-level randomness is drawn *outside*
 the compiled loops (by the engine or by :class:`AsyncState`'s
 :meth:`~AsyncState.draw_chunk` and :meth:`~AsyncState.cross_boundaries`),
-in the serial engines' documented order; the kernels are deterministic
-functions of those draws.
-Consequently the per-trial RNG modes are **bit-identical** across backends
-— the full ``KERNEL_CASES`` registry replays under both — and the pooled
-modes agree in distribution (the jit backend drains pooled buffers trial
-by trial, reordering consumption of the shared generator), with one
-strengthening: the *chunked* pooled clock-view consumer pre-draws every
-block before consuming it, so given the same pooled stream the two
-backends produce identical results there too.
+in an order that does not depend on the backend; the kernels are
+deterministic functions of those draws.  Consequently every RNG mode is
+**bit-identical** across backends: the per-trial modes draw in the serial
+engines' documented order (the full ``KERNEL_CASES`` registry replays under
+both), and a pooled generator is consumed in whole blocks the engine draws
+before either backend's consumer runs (the pooled asynchronous body, under
+every view) or in the engine's own loop (the pooled rounds).
 
 The backend is selected per call through the ``backend=`` engine option
 (threaded through ``run_trials`` / ``run_trials_parallel`` / the CLI
@@ -163,14 +161,16 @@ class AsyncState:
     """The one state of an asynchronous batch.
 
     ``_async_state`` in :mod:`repro.core.batch_engine` builds it once for
-    each of the engine's three asynchronous bodies (the ``"global"`` tick
-    loop, the pooled clock chunks and the clock-view table loop), and the
-    body hands it whole to the backend's ``async_tick_loop`` or
-    ``clock_chunk_consume``.  Every array is indexed by absolute trial row;
-    a backend that compacts its working set keeps its own row mapping and
-    writes results back through these arrays.
+    each of the engine's three asynchronous bodies (the per-trial
+    ``"global"`` tick loop and clock-view table loop, and the pooled
+    chunks), and the body hands it whole to the backend's
+    ``async_tick_loop`` or ``clock_chunk_consume``.  Every array is indexed
+    by absolute trial row; a backend that compacts its working set keeps
+    its own row mapping and writes results back through these arrays.
 
-    It holds the run's shape, budgets and generators; each trial's
+    It holds the run's shape, budgets and generators; narrow int32 copies
+    of the static CSR (``degrees``, ``max_offset``, ``start``,
+    ``indices``) for the contact gathers; each trial's
     ``Delay`` vertex rates (``rates``, drawn once, before any tick) and
     their running sums (``rates_cum``, the rate-weighted caller table);
     the trial state (``informed``, ``times``, ``num_informed``, ``now``,
@@ -180,7 +180,7 @@ class AsyncState:
     the adversary budgets, ``up``, ``bad``, ``next_epoch``,
     ``next_resample``, ``trial_graphs`` and ``boundary_floor``, a lower
     bound on the earliest boundary pending for a live row).  Only the
-    global tick loop adds to it: its narrow CSR and its chunk buffers.
+    global tick loop adds to it: its chunk buffers.
     """
 
     __slots__ = (
@@ -188,6 +188,8 @@ class AsyncState:
         "n", "batch", "mode_pp", "push_allowed",
         "step_budget", "time_budget", "finite_time_budget",
         "generators", "pooled_rng",
+        # the static CSR, narrow
+        "degrees", "max_offset", "start", "indices",
         # Delay clock rates
         "rates", "rates_cum",
         # trial state
@@ -196,8 +198,8 @@ class AsyncState:
         # scenario state
         "parts", "up", "bad", "next_epoch", "next_resample", "trial_graphs",
         "has_boundaries", "boundary_floor",
-        # the global tick loop's narrow CSR and per-trial chunk buffers
-        "degrees", "max_offset", "start", "indices", "chunk",
+        # the global tick loop's per-trial chunk buffers
+        "chunk",
         "gaps", "callers", "nbr_uniforms", "loss_uniforms",
         "positions", "buffer_lengths", "chunk_base",
     )

@@ -9,14 +9,15 @@ are deterministic given it, so:
 * **Sync rounds** and the **per-trial async modes** are bit-identical to
   the numpy backend (and therefore to the serial engines) — the full
   ``KERNEL_CASES`` registry replays under ``backend="jit"``.
-* The **chunked pooled clock-view consumer** is also draw-order identical:
-  the engine resolves each block before the consumer runs, so both
-  backends read the same pooled stream.  Blocks with churn/burst epochs
-  delegate to the numpy consumer (epoch crossings draw from the pooled
-  generator mid-column, which a nopython loop cannot).
-* The **pooled async global view** agrees in distribution only: this
-  backend drains the shared generator trial by trial, reordering its
-  consumption relative to the numpy loop's lockstep refills.
+* The **pooled chunk consumer** (every asynchronous view under a pooled
+  generator) is also draw-order identical: the engine draws each block
+  before the consumer runs, so both backends read the same pooled stream.
+  Blocks of a run with epoch or resample boundaries (churn updates, a
+  burst channel, an adaptive crash adversary, a dynamic graph) delegate
+  to the numpy consumer: the crossings draw from the pooled generator
+  mid-column, which a nopython loop cannot.
+
+Every RNG mode is therefore bit-identical across the two backends.
 
 The asynchronous drain returns control to Python with a per-trial status
 code whenever a trial needs something a nopython region cannot do — a
@@ -133,27 +134,21 @@ def _sync_round_impl(
                     times[i, contact] = round_time
 
 
-def _sync_round_dynamic_impl(
-    degrees: np.ndarray, start: np.ndarray, indices: np.ndarray,
-    draws: np.ndarray, informed: np.ndarray,
+def _sync_round_contacts_impl(
+    contacts: np.ndarray, informed: np.ndarray,
     times: np.ndarray, has_times: bool, kept: np.ndarray, has_kept: bool,
     up: np.ndarray, has_up: bool,
     round_time: float, push_allowed: bool, pull_allowed: bool,
     counts: np.ndarray,
 ) -> None:
-    # As _sync_round_impl, against per-trial (live, n) degree/start tables
-    # indexing one concatenated neighbor array.
-    live, n = draws.shape
+    # As _sync_round_impl, on the (live, n) contacts the engine resolved.
+    live, n = contacts.shape
     snapshot = np.empty(n, dtype=np.bool_)
     for i in range(live):
         for v in range(n):
             snapshot[v] = informed[i, v]
         for v in range(n):
-            deg = degrees[i, v]
-            off = int(draws[i, v] * deg)
-            if off > deg - 1:
-                off = deg - 1
-            contact = indices[start[i, v] + off]
+            contact = contacts[i, v]
             if has_up and not (up[i, v] and up[i, contact]):
                 continue
             if has_kept and not kept[i, v]:
@@ -173,7 +168,7 @@ def _sync_round_dynamic_impl(
 
 
 _sync_round = _compile(_sync_round_impl)
-_sync_round_dynamic = _compile(_sync_round_dynamic_impl)
+_sync_round_contacts = _compile(_sync_round_contacts_impl)
 
 
 def sync_workspace(batch: int, n: int, idx_dtype: type) -> None:
@@ -207,9 +202,7 @@ def sync_round_step(
 
 
 def sync_round_step_dynamic(
-    stacked: tuple,
-    row_offsets_wide: np.ndarray,
-    draws: np.ndarray,
+    contacts: np.ndarray,
     kept: Optional[np.ndarray],
     up_live: Optional[np.ndarray],
     informed_live: np.ndarray,
@@ -220,10 +213,9 @@ def sync_round_step_dynamic(
     ws: None,
     counts: np.ndarray,
 ) -> np.ndarray:
-    degrees_st, start_st, indices_cat = stacked
     new_counts = counts.copy()
-    _sync_round_dynamic(
-        degrees_st, start_st, indices_cat, draws, informed_live,
+    _sync_round_contacts(
+        contacts, informed_live,
         times_live if times_live is not None else _F2, times_live is not None,
         np.ascontiguousarray(kept) if kept is not None else _B2, kept is not None,
         np.ascontiguousarray(up_live) if up_live is not None else _B2, up_live is not None,
@@ -436,11 +428,12 @@ def async_tick_loop(state: "AsyncState") -> None:
 
 
 # ---------------------------------------------------------------------- #
-# Pooled clock-view chunk consumer
+# Pooled chunk consumer
 # ---------------------------------------------------------------------- #
 def _clock_drain_impl(
     rows: np.ndarray, width: int, executed: int, tick_times: np.ndarray,
-    callers: np.ndarray, callees: np.ndarray,
+    callers: np.ndarray, uniforms: np.ndarray,
+    degrees: np.ndarray, start: np.ndarray, indices: np.ndarray,
     loss_block: np.ndarray, has_loss: bool, loss_prob: float,
     up: np.ndarray, has_up: bool,
     has_adaptive: bool, adaptive_p: float, jam_budget: np.ndarray,
@@ -462,7 +455,11 @@ def _clock_drain_impl(
                 survived = False
                 break
             caller = callers[j, col]
-            callee = callees[j, col]
+            deg = degrees[caller]
+            off = int(uniforms[j, col] * deg)
+            if off > deg - 1:
+                off = deg - 1
+            callee = indices[start[caller] + off]
             ci = informed[b, caller]
             ce = informed[b, callee]
             if mode_code == 2:
@@ -517,20 +514,22 @@ def clock_chunk_consume(
     executed: int,
     tick_times: np.ndarray,
     callers: np.ndarray,
-    callees: np.ndarray,
+    uniforms: np.ndarray,
     loss_block: Optional[np.ndarray],
 ) -> None:
     """Consume one pre-drawn pooled block; identical results to numpy.
 
-    All block randomness is resolved by the engine before this runs, so
-    the compiled per-trial column drain reads the same pooled stream the
-    numpy column loop would.  Blocks with epoch boundaries (churn updates
-    or a burst channel) delegate to the numpy consumer — the crossings
-    draw from the pooled generator mid-column.
+    All block randomness is drawn by the engine before this runs, so the
+    compiled per-trial column drain, which resolves each tick's callee on
+    the state's static CSR, reads the same pooled stream the numpy column
+    loop would.  Blocks of a run with epoch or resample boundaries
+    (churn updates, a burst channel, an adaptive crash adversary or a
+    dynamic graph) delegate to the numpy consumer — the crossings draw
+    from the pooled generator mid-column.
     """
-    if state.next_epoch is not None:
+    if state.has_boundaries:
         numpy_backend.clock_chunk_consume(
-            state, rows, executed, tick_times, callers, callees, loss_block
+            state, rows, executed, tick_times, callers, uniforms, loss_block
         )
         return
     parts = state.parts
@@ -541,7 +540,8 @@ def clock_chunk_consume(
     loss_prob = float(parts.loss_threshold(state.bad)) if has_loss else 0.0
     _clock_drain(
         rows, tick_times.shape[1], int(executed), tick_times,
-        np.ascontiguousarray(callers), np.ascontiguousarray(callees),
+        np.ascontiguousarray(callers), uniforms,
+        state.degrees, state.start, state.indices,
         loss_block if loss_block is not None else _F2, has_loss, loss_prob,
         np.ascontiguousarray(state.up) if state.up is not None else _B2,
         state.up is not None, has_adaptive, adaptive_p, jam_budget,

@@ -18,8 +18,8 @@ tick per column and all of them refill at the same tick), so a block of
 ticks can be resolved for every live trial at once: the tick times as one
 sequential ``cumsum`` along the tick axis and the contacts as flat
 ``(trial, vertex)`` positions, row-major.  No resolved value depends on the
-order of the draws, so the RNG stream, pooled modes included, is the
-serial engines'.
+order of the draws, so the per-trial RNG streams are the serial engines',
+and a pooled block is consumed exactly as the engine drew it.
 
 The consumer takes a block one of two ways, decided once per kernel call
 from its inputs.  A run with no per-contact scenario state (no loss
@@ -367,9 +367,7 @@ def _frontier_round(
 
 
 def sync_round_step_dynamic(
-    stacked: tuple,
-    row_offsets_wide: np.ndarray,
-    draws: np.ndarray,
+    contacts: np.ndarray,
     kept: Optional[np.ndarray],
     up_live: Optional[np.ndarray],
     informed_live: np.ndarray,
@@ -380,18 +378,13 @@ def sync_round_step_dynamic(
     ws: SyncWorkspace,
     counts: np.ndarray,
 ) -> np.ndarray:
-    """One synchronous round against per-trial stacked CSRs (dynamic graphs).
+    """One synchronous round on contacts the engine resolved (dynamic graphs).
 
-    Same contact arithmetic as :func:`sync_round_step` but the ``stacked``
-    ``(degrees, start, indices)`` tables are per-trial and the start
-    offsets are already absolute into the concatenated neighbor array.
+    ``contacts[i, v]`` is the vertex live trial ``i``'s vertex ``v``
+    contacts this round, drawn on that trial's current graph; the exchange
+    is :func:`sync_round_step`'s.
     """
-    degrees_st, start_st, indices_cat = stacked
-    offsets_wide = (draws * degrees_st).astype(np.int64)
-    np.minimum(offsets_wide, degrees_st - 1, out=offsets_wide)
-    offsets_wide += start_st
-    contact_flat = indices_cat[offsets_wide]
-    contact_flat += row_offsets_wide
+    contact_flat = contacts + ws.row_offsets[: contacts.shape[0]]
     return _exchange(
         contact_flat, kept, up_live, informed_live, times_live,
         round_index, push_allowed, pull_allowed, ws,
@@ -410,7 +403,7 @@ class _TickColumns:
     """The numpy block consumer of an :class:`~repro.core.kernels.AsyncState`.
 
     Both asynchronous kernels feed it blocks: ``async_tick_loop`` the global
-    view's buffered chunks, ``clock_chunk_consume`` the pooled clock views'
+    view's buffered chunks, ``clock_chunk_consume`` the pooled views'
     pre-drawn blocks.  A block is ``width`` consecutive ticks of the live
     trials ``rows``, resolved row-major: ``tick_times[i, j]`` holds row
     ``i``'s ``j``-th tick time and ``caller_pos[i, j]`` / ``callees[i, j]``
@@ -747,10 +740,17 @@ def _resolve_block(
     callers = state.callers[rows, lo:hi]
     uniforms = state.nbr_uniforms[rows, lo:hi]
     loss = None if state.loss_uniforms is None else state.loss_uniforms[rows, lo:hi]
-    if state.trial_graphs is not None:
-        return tick_times[:, 1:], callers + row_base, uniforms, loss
-    # Contact selection on the static CSR's narrow dtypes, as in
-    # sync_round_step: the unsafe cast truncates toward zero like .astype.
+    if state.trial_graphs is None:
+        uniforms = _callees(state, callers, uniforms) + row_base
+    return tick_times[:, 1:], callers + row_base, uniforms, loss
+
+
+def _callees(state: "AsyncState", callers: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The static-graph neighbor each uniform picks for its caller.
+
+    Contact selection on the state's narrow CSR, as in sync_round_step: the
+    unsafe cast truncates toward zero like ``.astype``.
+    """
     degrees = state.degrees
     offsets = np.multiply(
         uniforms,
@@ -760,12 +760,11 @@ def _resolve_block(
     )
     np.minimum(offsets, state.max_offset.take(callers), out=offsets)
     offsets += state.start.take(callers)
-    callees = state.indices.take(offsets) + row_base
-    return tick_times[:, 1:], callers + row_base, callees, loss
+    return state.indices.take(offsets)
 
 
 # ---------------------------------------------------------------------- #
-# Pooled clock-view chunk consumer
+# Pooled chunk consumer
 # ---------------------------------------------------------------------- #
 def clock_chunk_consume(
     state: "AsyncState",
@@ -773,17 +772,19 @@ def clock_chunk_consume(
     executed: int,
     tick_times: np.ndarray,
     callers: np.ndarray,
-    callees: np.ndarray,
+    uniforms: np.ndarray,
     loss_block: Optional[np.ndarray],
 ) -> None:
-    """Consume one pre-drawn ``(rows, width)`` block of pooled clock ticks.
+    """Consume one pre-drawn ``(rows, width)`` block of pooled ticks.
 
-    All randomness of the block (``tick_times`` / ``callers`` /
-    ``callees`` / ``loss_block``) is already resolved by the engine; only
-    churn and burst epoch crossings draw from the pooled generator
-    mid-block.  The block goes to the shared block consumer in row-major
-    sub-blocks of ``_BLOCK_TICKS`` ticks, with contacts as flat positions.
-    Mutates the state in place.
+    All randomness of the block (``tick_times`` / ``callers`` / neighbor
+    ``uniforms`` / ``loss_block``) is already drawn by the engine; only
+    epoch and resample crossings draw from the pooled generator mid-block.
+    The block goes to the shared block consumer in row-major sub-blocks of
+    ``_BLOCK_TICKS`` ticks, with contacts as flat positions; each
+    sub-block's callees are resolved for the rows still live, on the static
+    CSR, or by the column walk against each trial's current graph under a
+    dynamic graph.  Mutates the state in place.
     """
     columns = _TickColumns(state)
     width = tick_times.shape[1]
@@ -792,12 +793,16 @@ def clock_chunk_consume(
         hi = min(lo + _BLOCK_TICKS, width)
         live_rows = rows[local]
         row_base = (live_rows * state.n)[:, None]
+        block_callers = callers[local, lo:hi]
+        callees = uniforms[local, lo:hi]
+        if state.trial_graphs is None:
+            callees = _callees(state, block_callers, callees) + row_base
         kept = columns.consume(
             live_rows,
             executed + lo,
             tick_times[local, lo:hi],
-            callers[local, lo:hi] + row_base,
-            callees[local, lo:hi] + row_base,
+            block_callers + row_base,
+            callees,
             None if loss_block is None else loss_block[local, lo:hi],
         )
         local = local[kept]

@@ -93,11 +93,11 @@ flag):
 ===========  ==========================  ===================================
 ``"numpy"``  vectorised reference        bit-identical (the historical
              kernels (always available)  engine behaviour)
-``"jit"``    Numba ``@njit`` CSR loops   bit-identical in the per-trial RNG
-             (``pip install -e .[jit]``; modes and the chunked pooled clock
-             falls back to numpy with    views; KS-level (distribution-only)
-             one warning when numba is   for the pooled async global view;
-             missing)                    ``ppx``/``ppy`` have no jit kernel
+``"jit"``    Numba ``@njit`` CSR loops   bit-identical in every RNG mode,
+             (``pip install -e .[jit]``; per-trial and pooled; ``ppx``/``ppy``
+             falls back to numpy with    have no jit kernel
+             one warning when numba is
+             missing)
 ``"auto"``   ``jit`` when numba is       as the backend it resolves to
              importable, else ``numpy``
 ===========  ==========================  ===================================
@@ -154,9 +154,10 @@ from typing import Callable
 
 from repro.core.async_engine import run_asynchronous
 from repro.core.aux_processes import run_auxiliary_process
+from repro.core.budgets import scenario_rejection
 from repro.core.result import SpreadingResult
 from repro.core.sync_engine import run_synchronous
-from repro.errors import ProtocolError, ScenarioError
+from repro.errors import ProtocolError
 from repro.graphs.base import Graph
 from repro.randomness.rng import SeedLike
 from repro.scenarios.base import ScenarioLike, as_scenario, scenario_source
@@ -362,12 +363,14 @@ def spread(
     scenario = as_scenario(scenario)
     if scenario is not None:
         source = scenario_source(scenario, graph, source)
+        rejection = scenario_rejection(
+            protocol, scenario,
+            synchronous=spec.synchronous, analysis_only=not spec.realistic,
+            view=str(options.get("view", "global")),
+        )
+        if rejection is not None:
+            raise rejection
         if scenario.runtime_active():
-            if not spec.realistic:
-                raise ScenarioError(
-                    f"protocol {protocol!r} is an analysis-only process; runtime "
-                    "scenarios (loss, churn, dynamic graphs, delay) do not apply"
-                )
             result = spec.runner(graph, source, seed=seed, scenario=scenario, **options)
             _record_spread_metrics(result)
             return result

@@ -31,10 +31,15 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.budgets import check_source, parse_count_budget
+from repro.core.budgets import (
+    check_budget_policy,
+    check_source,
+    parse_count_budget,
+    scenario_rejection,
+)
 from repro.core.flatgraph import FlatAdjacency, flat_adjacency
 from repro.core.result import ContactEvent, SpreadingResult
-from repro.errors import ProtocolError, ScenarioError, SimulationError
+from repro.errors import ProtocolError, SimulationError
 from repro.graphs.base import Graph
 from repro.randomness.rng import SeedLike, as_generator
 from repro.scenarios.base import ScenarioLike, as_scenario
@@ -107,26 +112,21 @@ def run_synchronous(
         raise ProtocolError(f"unknown synchronous mode {mode!r}; expected one of {SYNC_MODES}")
     source = check_source(graph, source)
     scenario = as_scenario(scenario)
+    rejection = scenario_rejection(mode, scenario, synchronous=True)
+    if rejection is not None:
+        raise rejection
     loss_prob = 0.0
     burst = None
     churn = None
     dynamic = None
     if scenario is not None:
-        if scenario.delay is not None:
-            raise ScenarioError(
-                "Delay skews asynchronous clock rates; synchronous rounds have no "
-                "clocks to slow down — use an asynchronous protocol"
-            )
         loss_prob = scenario.loss_prob
         burst = scenario.burst
         churn = scenario.churn
         dynamic = scenario.dynamic
     adaptive_loss = scenario.adaptive_loss if scenario is not None else None
     lossy = loss_prob > 0.0 or burst is not None or adaptive_loss is not None
-    if on_budget_exhausted not in ("error", "partial"):
-        raise ProtocolError(
-            f"on_budget_exhausted must be 'error' or 'partial', got {on_budget_exhausted!r}"
-        )
+    check_budget_policy(on_budget_exhausted)
     n = graph.num_vertices
     budget = parse_count_budget("max_rounds", max_rounds, default_max_rounds(n))
 

@@ -30,7 +30,8 @@ from typing import Optional, Sequence, Union
 
 from repro.analysis.montecarlo import run_trials
 from repro.analysis.parallel import run_trials_parallel
-from repro.core.protocols import is_synchronous_protocol
+from repro.core.budgets import scenario_rejection
+from repro.core.protocols import get_protocol
 from repro.errors import AnalysisError
 from repro.experiments.presets import get_preset
 from repro.experiments.records import ExperimentResult
@@ -116,18 +117,20 @@ def run(
 
     rows: list[dict[str, object]] = []
     blowups: dict[tuple[str, str], dict[str, float]] = {}
-    skipped: list[str] = []
+    # Protocols whose engines reject the override (a Delay on synchronous
+    # rounds, any runtime scenario on ppx/ppy), with the reason.
+    skipped: dict[str, str] = {}
+    for protocol in protocols:
+        spec = get_protocol(protocol)
+        rejection = scenario_rejection(
+            protocol, override,
+            synchronous=spec.synchronous, analysis_only=not spec.realistic,
+        )
+        if rejection is not None:
+            skipped[protocol] = str(rejection)
     for graph in _graphs(n):
         for protocol in protocols:
-            if (
-                override is not None
-                and override.delay is not None
-                and is_synchronous_protocol(protocol)
-            ):
-                # Clock-rate scenarios have no synchronous meaning; measure
-                # the asynchronous protocols only.
-                if protocol not in skipped:
-                    skipped.append(protocol)
+            if protocol in skipped:
                 continue
             baseline_mean: Optional[float] = None
             for label, cell_scenario in sweep:
@@ -189,10 +192,8 @@ def run(
     ]
     if override is not None:
         notes.append(f"scenario override: {override.spec()}")
-    if skipped:
-        notes.append(
-            f"skipped synchronous protocols {skipped} (the override carries a Delay)"
-        )
+    for protocol, reason in skipped.items():
+        notes.append(f"skipped {protocol}: {reason}")
     return ExperimentResult(
         experiment_id="E12",
         title="Adversity scenarios: spreading-time blowup under loss and churn",
@@ -327,24 +328,24 @@ def sweep_scenarios(
         family = get_family(family_name)  # validates the name eagerly
         graph = family.build(size, seed=size)
         for protocol in protocols:
-            synchronous = is_synchronous_protocol(protocol)
+            spec = get_protocol(protocol)
+            synchronous = spec.synchronous
             cell_view = "global" if synchronous else view
             options: dict[str, object] = {"on_budget_exhausted": "partial"}
             if not synchronous:
                 options["view"] = cell_view
             baseline_mean: Optional[float] = None
             for label, cell_scenario in grid:
-                if cell_scenario is not None and (
-                    (synchronous and cell_scenario.delay is not None)
-                    or (
-                        cell_view == "edge_clocks"
-                        and cell_scenario.dynamic is not None
-                    )
-                ):
+                if scenario_rejection(
+                    protocol, cell_scenario,
+                    synchronous=synchronous, analysis_only=not spec.realistic,
+                    view=cell_view,
+                ) is not None:
                     # Combinations the engines reject (sync protocols have
-                    # no clocks to delay; edge clocks cannot survive a
-                    # graph resample) are skipped, not errored, so one grid
-                    # serves mixed protocol lists.
+                    # no clocks to delay, edge clocks cannot survive a graph
+                    # resample, ppx/ppy take no runtime scenario) are
+                    # skipped, not errored, so one grid serves mixed
+                    # protocol lists.
                     continue
                 recorder: Optional[CoverageRecorder] = None
                 cell_kwargs = dict(

@@ -32,9 +32,9 @@ Metric name conventions used by the built-in instrumentation:
                                           caller per live trial-round, n
                                           without churn; async: one per tick)
 ``engine.messages_delivered``             contacts that informed a new vertex
-``engine.messages_lost``                  contacts suppressed by loss scenarios
-                                          (counted by batched synchronous
-                                          rounds only)
+``engine.messages_lost``                  attempted contacts suppressed by loss
+                                          scenarios (up callers only; counted
+                                          by batched synchronous rounds only)
 ``engine.kernel_invocations``             batched kernel entries
 ``engine.drain_returns``                  kernel loop returns: jit global
                                           view, one per status-code drain

@@ -21,7 +21,7 @@ from repro.analysis.montecarlo import (
     run_trials,
 )
 from repro.analysis.parallel import default_worker_count, run_trials_parallel
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ScenarioError
 from repro.graphs import complete_graph, cycle_graph, star_graph
 from repro.graphs.random_graphs import (
     connected_erdos_renyi_graph,
@@ -207,17 +207,17 @@ class TestParallelPlumbing:
 
     def test_parallel_rejects_forced_batch_in_the_parent(self):
         """A forced-batch setting with no kernel fails fast before any
-        worker processes are spawned (the shared dispatch predicate)."""
+        worker processes are spawned (the shared dispatch predicate), and so
+        does a scenario no engine runs, with the engines' own error."""
         graph = star_graph(16)
         with pytest.raises(AnalysisError):
             run_trials_parallel(
-                graph,
-                1,
-                "pp",
-                trials=10,
-                seed=3,
-                num_workers=1,
-                batch=True,
+                graph, 1, "pp", trials=10, seed=3, num_workers=1, batch=True,
+                engine_options={"record_trace": True},
+            )
+        with pytest.raises(ScenarioError, match="Delay skews"):
+            run_trials_parallel(
+                graph, 1, "pp", trials=10, seed=3, num_workers=1, batch=True,
                 scenario="delay:low=0.5,high=2.0",
             )
 

@@ -32,10 +32,10 @@ from repro.scenarios import (
 )
 
 
-#: Kernel backends for the pooled KS suites.  Pooled async draining is the
-#: one place the jit backend is KS-only rather than bit-identical (per-trial
-#: draining reorders the shared generator's stream), so these tests are its
-#: contract; the jit legs skip cleanly when numba is unavailable.
+#: Kernel backends for the pooled KS suites.  Pooled samples agree with
+#: per-trial ones in distribution only, under either backend (the two
+#: backends consume the pooled stream identically), so these tests are the
+#: pooled contract; the jit legs skip cleanly when numba is unavailable.
 BACKENDS = [
     "numpy",
     pytest.param(
@@ -182,12 +182,12 @@ class TestPooledDistribution:
 
 
 class TestChunkedPooledClockViews:
-    """The pooled clock views on a static graph.
+    """The pooled asynchronous views.
 
     With a pooled generator the batch engine pre-draws ``(B, chunk)``
-    randomness blocks and drops the next-tick table entirely (both clock
-    views are the same superposed Poisson process in distribution); the
-    serial engine and the per-trial table loop are the references.
+    randomness blocks and keeps no next-tick table (the three views are one
+    superposed Poisson process in distribution); the serial engine and the
+    per-trial global tick loop and table loop are the references.
     """
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -256,7 +256,7 @@ class TestChunkedPooledClockViews:
         assert (finished <= 0.4).all()
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("view", ["node_clocks", "edge_clocks"])
+    @pytest.mark.parametrize("view", ["global", "node_clocks", "edge_clocks"])
     @pytest.mark.parametrize(
         "scenario",
         [
@@ -289,22 +289,26 @@ class TestChunkedPooledClockViews:
             label=f"chunked pooled vs per-trial {view} under {scenario.spec()}",
         )
 
-    def test_dynamic_scenario_routes_through_the_unchunked_pooled_loop(self):
-        """Dynamic graphs cannot use the pre-resolved callee blocks; the
-        pooled dispatcher must fall back to the next-tick-table loop and
-        still agree with the per-trial kernel in distribution."""
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("view", ["global", "node_clocks"])
+    def test_chunked_dynamic_graph_matches_per_trial_distribution(self, view, backend):
+        """Under a dynamic graph the pooled chunks carry neighbor uniforms
+        that the consumer resolves against each trial's current graph; the
+        samples must still agree with the per-trial kernel in distribution."""
         scenario = DynamicGraph(FamilyResampler("erdos_renyi"), period=2)
         graph = complete_graph(16)
         pooled = run_batch(
             graph, 0, "pp-a", trials=200,
-            pooled_rng=np.random.default_rng(3), view="node_clocks", scenario=scenario,
+            pooled_rng=np.random.default_rng(3), view=view, scenario=scenario,
+            backend=backend,
         )
         per_trial = run_batch(
-            graph, 0, "pp-a", trials=200, seed=5, view="node_clocks", scenario=scenario
+            graph, 0, "pp-a", trials=200, seed=5, view=view, scenario=scenario,
+            backend=backend,
         )
         assert_same_distribution(
             pooled.spreading_times(),
             per_trial.spreading_times(),
             min_pvalue=0.01,
-            label="pooled dynamic fallback vs per-trial node_clocks",
+            label=f"pooled vs per-trial {view} on a dynamic graph",
         )

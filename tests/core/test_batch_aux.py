@@ -16,7 +16,7 @@ from helpers.equivalence import assert_batch_matches_serial, assert_trials_paths
 from repro.analysis import montecarlo
 from repro.analysis.montecarlo import run_trials
 from repro.core.batch_engine import is_batchable, run_batch
-from repro.errors import AnalysisError, ProtocolError, ScenarioError, SimulationError
+from repro.errors import ProtocolError, ScenarioError, SimulationError
 from repro.graphs import complete_graph, cycle_graph, star_graph
 from repro.graphs.base import Graph
 from repro.graphs.random_graphs import random_regular_graph
@@ -85,7 +85,9 @@ class TestScenarioRules:
             )
 
     def test_forced_batch_with_runtime_scenario_rejected(self):
-        with pytest.raises(AnalysisError):
+        # No engine runs the combination, so a forced batch raises the
+        # serial path's error too.
+        with pytest.raises(ScenarioError, match="analysis-only"):
             run_trials(
                 complete_graph(8), 0, "ppy", trials=2, seed=0,
                 batch=True, scenario=MessageLoss(0.2),

@@ -31,7 +31,7 @@ from repro.core.kernels import AsyncState, numpy_backend
 from repro.core.kernels.numpy_backend import _TickColumns
 from repro.core.protocols import spread
 from repro.core.result import BatchTimes
-from repro.errors import ProtocolError, SimulationError
+from repro.errors import ProtocolError, ScenarioError, SimulationError
 from repro.graphs import complete_graph, cycle_graph, path_graph, star_graph
 from repro.graphs.base import Graph
 from repro.graphs.random_graphs import random_regular_graph
@@ -317,6 +317,48 @@ class TestValidation:
         assert is_batchable("pp-a", {"view": "node_clocks"}, dynamic)
         # The one hole in the matrix: edge clocks cannot survive a resample.
         assert not is_batchable("pp-a", {"view": "edge_clocks"}, dynamic)
+
+
+class TestScenarioRejection:
+    """Every path refuses the combinations no engine runs with one message,
+    the one ``scenario_rejection`` writes."""
+
+    @pytest.mark.parametrize(
+        "protocol, scenario, options, message",
+        [
+            ("pp", "delay:low=0.5,high=2", {}, "Delay skews asynchronous clock rates"),
+            (
+                "pp-a", "dynamic:family=erdos_renyi,period=2", {"view": "edge_clocks"},
+                "dynamic-graph scenarios are not supported under the 'edge_clocks' view",
+            ),
+            ("ppx", "loss:p=0.1", {}, "protocol 'ppx' is an analysis-only process"),
+        ],
+        ids=["sync-delay", "edge-clocks-dynamic", "aux-loss"],
+    )
+    def test_every_path_raises_the_same_error(self, protocol, scenario, options, message):
+        graph = cycle_graph(8)
+        calls = {
+            "spread": lambda: spread(
+                graph, 0, protocol=protocol, seed=1, scenario=scenario, **options
+            ),
+            "run_batch": lambda: run_batch(
+                graph, 0, protocol, trials=2, seed=1, scenario=scenario, **options
+            ),
+            **{
+                f"run_trials(batch={batch})": lambda batch=batch: run_trials(
+                    graph, 0, protocol, trials=2, seed=1, batch=batch,
+                    scenario=scenario, engine_options=options,
+                )
+                for batch in (False, True)
+            },
+        }
+        messages = {}
+        for name, call in calls.items():
+            with pytest.raises(ScenarioError) as raised:
+                call()
+            messages[name] = str(raised.value)
+        assert len(set(messages.values())) == 1, messages
+        assert message in messages["spread"]
 
 
 class TestBatchTimesRecord:

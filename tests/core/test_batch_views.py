@@ -21,7 +21,7 @@ from repro.analysis.montecarlo import ASYNC_AUTO_MIN_TRIALS, run_trials
 from repro.core.async_engine import ASYNC_VIEWS, run_asynchronous
 from repro.core.batch_engine import is_batchable, run_batch
 from repro.core.kernels import jit_backend
-from repro.errors import AnalysisError, ProtocolError, ScenarioError
+from repro.errors import ProtocolError, ScenarioError
 from repro.graphs import complete_graph, star_graph
 from repro.graphs.base import Graph
 from repro.graphs.random_graphs import random_regular_graph
@@ -126,14 +126,14 @@ class TestScenarioEligibility:
             run_batch(
                 graph, 0, "pp-a", view="edge_clocks", trials=2, seed=0, scenario=dynamic
             )
-        # run_trials: auto falls back to the serial engine, which raises the
-        # same error; a forced batch fails fast in the dispatcher.
+        # run_trials: no engine runs the combination, so the dispatcher
+        # raises the engines' error whether the batch is forced or not.
         with pytest.raises(ScenarioError, match=message):
             run_trials(
                 graph, 0, "pp-a", trials=2, seed=0,
                 batch="auto", engine_options={"view": "edge_clocks"}, scenario=dynamic,
             )
-        with pytest.raises(AnalysisError):
+        with pytest.raises(ScenarioError, match=message):
             run_trials(
                 graph, 0, "pp-a", trials=2, seed=0,
                 batch=True, engine_options={"view": "edge_clocks"}, scenario=dynamic,
@@ -248,3 +248,33 @@ class TestThreeViewAgreement:
         # Sanity: the views really simulate the same time scale.
         means = [float(np.mean(s)) for s in samples.values()]
         assert max(means) < 2.5 * min(means)
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            None,
+            MessageLoss(0.2),
+            NodeChurn(0.15, 0.5),
+            Delay(low=0.5, high=2.0),
+            DynamicGraph(FamilyResampler("erdos_renyi"), period=2),
+        ],
+        ids=["plain", "loss", "churn", "delay", "dynamic"],
+    )
+    def test_one_pooled_seed_gives_identical_times_under_every_view(self, scenario):
+        """The pooled body draws the one superposed process for every view,
+        so one pooled seed gives one result under each view the scenario
+        allows (edge clocks take no dynamic graph)."""
+        views = [
+            view for view in ASYNC_VIEWS
+            if not (view == "edge_clocks" and scenario is not None and scenario.dynamic)
+        ]
+        runs = [
+            run_batch(
+                random_regular_graph(24, 4, seed=9), 0, "pp-a", view=view, trials=40,
+                pooled_rng=np.random.default_rng(13), scenario=scenario,
+            )
+            for view in views
+        ]
+        for run in runs[1:]:
+            assert np.array_equal(run.informed_time, runs[0].informed_time)
+            assert np.array_equal(run.steps, runs[0].steps)

@@ -31,7 +31,33 @@ from repro.core.kernels import (
 from repro.errors import ProtocolError
 from repro.graphs import complete_graph
 from repro.graphs.random_graphs import random_regular_graph
-from repro.scenarios import MessageLoss
+from repro.scenarios import (
+    BurstLoss,
+    Delay,
+    DynamicGraph,
+    FamilyResampler,
+    MessageLoss,
+    NodeChurn,
+)
+
+#: Scenarios of the pooled cross-backend checks, by id.
+POOLED_SCENARIOS = {
+    "plain": None,
+    "loss": MessageLoss(0.2),
+    "churn": NodeChurn(0.15, 0.5),
+    "burst-loss": BurstLoss(0.3, 0.5, 0.8),
+    "delay": Delay(low=0.5, high=2.0),
+    "dynamic": DynamicGraph(FamilyResampler("erdos_renyi"), period=2),
+}
+
+#: Every (view, scenario) pair the engines run: edge clocks take no
+#: dynamic graph.
+POOLED_CELLS = [
+    (view, name)
+    for view in ("global", "node_clocks", "edge_clocks")
+    for name in POOLED_SCENARIOS
+    if not (view == "edge_clocks" and name == "dynamic")
+]
 
 #: A cross-section of the registry for the pure-python jit replay: cheap to
 #: run everywhere, yet spanning sync/async protocols, views, and scenarios.
@@ -130,16 +156,16 @@ class TestPurePythonJit:
     def test_registry_cross_section_replays_serial(self, case):
         assert_kernel_case(case, backend="jit")
 
-    @pytest.mark.parametrize("scenario", [None, MessageLoss(0.2)], ids=["plain", "loss"])
-    def test_chunked_pooled_clock_view_is_bit_identical_across_backends(self, scenario):
-        # The chunked pooled consumer pre-draws whole (B, chunk) blocks, so
-        # unlike the pooled global view the jit backend consumes the pooled
-        # stream in exactly the numpy order — same seed, same results.
+    @pytest.mark.parametrize("view, name", POOLED_CELLS, ids=[f"{v}-{s}" for v, s in POOLED_CELLS])
+    def test_chunked_pooled_clock_view_is_bit_identical_across_backends(self, view, name):
+        # Every pooled asynchronous run pre-draws whole (B, chunk) blocks, so
+        # the jit backend consumes the pooled stream in exactly the numpy
+        # order under every view — same seed, same results.
         graph = random_regular_graph(24, 4, seed=3)
         results = {
             backend: run_batch(
-                graph, 0, "pp-a", view="node_clocks", trials=50,
-                pooled_rng=np.random.default_rng(11), scenario=scenario,
+                graph, 0, "pp-a", view=view, trials=50,
+                pooled_rng=np.random.default_rng(11), scenario=POOLED_SCENARIOS[name],
                 backend=backend,
             )
             for backend in ("numpy", "jit")
@@ -148,3 +174,7 @@ class TestPurePythonJit:
             results["numpy"].completion_time, results["jit"].completion_time
         )
         assert np.array_equal(results["numpy"].steps, results["jit"].steps)
+        assert np.array_equal(
+            results["numpy"].informed_time, results["jit"].informed_time
+        )
+

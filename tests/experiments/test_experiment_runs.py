@@ -154,6 +154,29 @@ class TestScenariosExperiment:
         assert result.conclusion("max_blowup") >= 1.0
 
 
+    def test_sweep_skips_exactly_the_rejected_cells(self):
+        # ppx takes no runtime scenario and sync rounds no Delay: those cells
+        # are skipped, every other cell of the grid runs.
+        rows = scenarios.sweep_scenarios(
+            ["star"], ["loss:p=0.1", "delay:low=0.5,high=2"],
+            protocols=("pp", "pp-a", "ppx"), size=16, trials=4,
+        )
+        cells = {(row["protocol"], row["scenario"]) for row in rows}
+        assert cells == {
+            ("pp", "baseline"), ("pp", "loss:p=0.1"),
+            ("pp-a", "baseline"), ("pp-a", "loss:p=0.1"), ("pp-a", "delay:low=0.5,high=2"),
+            ("ppx", "baseline"),
+        }
+
+    def test_override_skips_the_protocols_that_reject_it(self):
+        result = scenarios.run(
+            "smoke", seed=13, sizes=[16], protocols=["pp", "pp-a", "ppx"],
+            scenario="loss:p=0.2",
+        )
+        assert {row["protocol"] for row in result.rows} == {"pp", "pp-a"}
+        assert any(note.startswith("skipped ppx:") for note in result.notes)
+
+
 class TestExperimentResultsRenderable:
     @pytest.mark.parametrize(
         "runner, kwargs",

@@ -412,6 +412,36 @@ register_case(
     max_rounds=60, on_budget_exhausted="partial",
 )
 
+# --- Synchronous rounds on a dynamic graph -------------------------------- #
+# From the first resample on, the round loop keeps the trials' graphs in the
+# per-trial padded CSR the asynchronous bodies use and hands the round step
+# resolved contacts.  Every mode, the loss and churn masks, a jammer that is
+# still spending after the first resample (it reads the same contacts), a
+# resample that grows the padded capacity, and a round budget that stops
+# trials part-way.
+for _protocol in ("push", "pull"):
+    register_case(
+        f"sync-dynamic-{_protocol}", _protocol, lambda: complete_graph(16), (0, 1, 2), 32,
+        scenario=_ER_DYNAMIC,
+    )
+register_case(
+    "sync-dynamic-loss-churn", "pp", _rr24, (0, 1, 2), 34,
+    scenario=MessageLoss(0.2) | NodeChurn(0.1, 0.6) | _ER_DYNAMIC,
+)
+register_case(
+    "sync-dynamic-adaptive-loss", "pp", lambda: complete_graph(16), (0, 1, 2), 61,
+    scenario=AdaptiveLoss(p=0.8, budget=40)
+    | DynamicGraph(FamilyResampler("erdos_renyi"), period=1),
+)
+register_case(
+    "sync-dynamic-grow", "pp", lambda: cycle_graph(12), (0, 1, 6), 36,
+    scenario=DynamicGraph(FamilyResampler("erdos_renyi"), period=1),
+)
+register_case(
+    "sync-dynamic-partial-budget", "push", lambda: cycle_graph(24), (0, 5, 11), 42,
+    scenario=_ER_DYNAMIC, max_rounds=4, on_budget_exhausted="partial",
+)
+
 # --- PR-9: budget-limited adaptive adversaries -------------------------- #
 # AdaptiveCrash consumes no randomness and AdaptiveLoss reuses the oblivious
 # loss draw slot, so both must hold the bit-identical serial/batch contract

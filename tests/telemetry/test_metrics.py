@@ -150,6 +150,34 @@ class TestEngineCounters:
         for key in INVARIANT_COUNTERS:
             assert by_path[True].get(key) == by_path[False].get(key), key
 
+    @pytest.mark.parametrize("protocol", ["pp", "push", "pull"])
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            "loss:p=0.3+churn:crash_rate=0.5,recovery_rate=0.1",
+            "loss:p=0.3+targeted-churn:fraction=0.5",
+        ],
+        ids=["churn", "targeted-churn"],
+    )
+    def test_batched_lost_messages_are_attempted_ones(self, protocol, scenario):
+        # A crashed caller attempts no contact, so it loses none: the loss
+        # uniforms that fire on up callers are a p-share of the attempts.
+        p = 0.3
+        registry = MetricsRegistry()
+        with collecting_metrics(registry):
+            run_trials(
+                random_regular_graph(64, 4, seed=2), 0, protocol, trials=6, seed=3,
+                batch=True, scenario=scenario,
+                engine_options={"on_budget_exhausted": "partial", "max_rounds": 200},
+            )
+        counters = registry.snapshot()["counters"]
+        attempted = counters["engine.messages_attempted"]
+        lost = counters["engine.messages_lost"]
+        delivered = counters["engine.messages_delivered"]
+        assert lost <= attempted
+        assert delivered + lost <= attempted
+        assert abs(lost / attempted - p) <= 5 * (p * (1 - p) / attempted) ** 0.5
+
     def test_metrics_never_change_the_sample(self, small_cycle):
         plain = run_trials(small_cycle, 0, "pp-a", trials=4, seed=9, batch=True)
         with collecting_metrics(MetricsRegistry()):
