@@ -3,8 +3,8 @@
 Builds one n = 10^5 graph per (sparse) registered family on the CSR path,
 runs a 2-worker shared-segment sweep on one of them, and asserts the
 process's peak RSS stayed under a fixed budget — the end-to-end check that
-graph construction, the shared-memory family transport, and the per-sweep
-result pool all hold their memory shape at scale.
+graph construction and the shared-memory family transport hold their
+memory shape at scale.
 
 The quadratic families (``complete``, ``barbell``) are excluded: at
 n = 10^5 they have >= 10^9 edges and are out of scope for any machine this
@@ -62,7 +62,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trials", type=int, default=8)
     args = parser.parse_args(argv)
 
-    from repro.analysis import shm
     from repro.analysis.parallel import run_trials_parallel
     from repro.analysis.pool import shutdown_pool
     from repro.graphs.families import get_family
@@ -85,27 +84,25 @@ def main(argv: list[str] | None = None) -> int:
             failures += 1
         del graph
 
-    # A 2-worker shared-segment sweep inside one sweep scope: family graph
-    # built once in the parent, served to workers over a shared CSR
-    # segment, result matrices pooled across the scope's calls.
-    with shm.sweep_scope():
-        for seed in (1, 2):
-            start = time.perf_counter()
-            sample = run_trials_parallel(
-                "random_regular_3",
-                "random",
-                "pp",
-                trials=args.trials,
-                seed=seed,
-                size=args.size,
-                num_workers=args.workers,
-            )
-            seconds = time.perf_counter() - start
-            print(
-                f"shared sweep seed={seed}: {sample.num_trials} trials in "
-                f"{seconds:.2f}s, mean {sum(sample.times) / len(sample.times):.1f}",
-                flush=True,
-            )
+    # A 2-worker shared-segment sweep: family graph built once in the
+    # parent and served to workers over a shared CSR segment.
+    for seed in (1, 2):
+        start = time.perf_counter()
+        sample = run_trials_parallel(
+            "random_regular_3",
+            "random",
+            "pp",
+            trials=args.trials,
+            seed=seed,
+            size=args.size,
+            num_workers=args.workers,
+        )
+        seconds = time.perf_counter() - start
+        print(
+            f"shared sweep seed={seed}: {sample.num_trials} trials in "
+            f"{seconds:.2f}s, mean {sum(sample.times) / len(sample.times):.1f}",
+            flush=True,
+        )
     shutdown_pool()
 
     peak = peak_rss_mb()

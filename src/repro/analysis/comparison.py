@@ -8,11 +8,9 @@ the table renderers and benchmarks consume.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.analysis import shm
 from repro.analysis.montecarlo import BatchSpec, SpreadingTimeSample, run_trials
 from repro.analysis.parallel import run_trials_parallel
 from repro.analysis.quantiles import high_probability_time
@@ -250,10 +248,7 @@ def sweep_family(
     With ``parallel`` every (size, protocol) cell shards its trials across
     the *same* persistent process pool — pool startup and the per-graph
     shared-memory CSR segment are paid once per grid point, not per cell —
-    and the whole sweep runs inside one
-    :func:`repro.analysis.shm.sweep_scope`, so the shared result matrices
-    persist (and are reused) for the sweep instead of being re-created per
-    call.
+    and each cell's chunks return their samples to the parent.
     """
     if isinstance(family, str):
         family = get_family(family)
@@ -261,25 +256,24 @@ def sweep_family(
     if not size_list:
         raise AnalysisError("size sweep must contain at least one size")
     comparisons = []
-    with shm.sweep_scope() if parallel else nullcontext():
-        for size in size_list:
-            graph_rng = derive_generator(seed, family.name, size, "graph")
-            graph = family.build(size, seed=int(graph_rng.integers(2**31 - 1)))
-            comparison_rng = derive_generator(seed, family.name, size, "trials")
-            comparisons.append(
-                compare_protocols_on_graph(
-                    graph,
-                    source,
-                    protocols,
-                    trials=trials,
-                    seed=comparison_rng,
-                    ratios=ratios,
-                    engine_options=engine_options,
-                    batch=batch,
-                    parallel=parallel,
-                    num_workers=num_workers,
-                )
+    for size in size_list:
+        graph_rng = derive_generator(seed, family.name, size, "graph")
+        graph = family.build(size, seed=int(graph_rng.integers(2**31 - 1)))
+        comparison_rng = derive_generator(seed, family.name, size, "trials")
+        comparisons.append(
+            compare_protocols_on_graph(
+                graph,
+                source,
+                protocols,
+                trials=trials,
+                seed=comparison_rng,
+                ratios=ratios,
+                engine_options=engine_options,
+                batch=batch,
+                parallel=parallel,
+                num_workers=num_workers,
             )
+        )
     return FamilySweep(
         family_name=family.name,
         sizes=size_list,

@@ -9,17 +9,17 @@ seed *before* dispatch, so the merged sample is identical in distribution
 (though not in order) to a serial run with the same total number of trials,
 and fully reproducible for a fixed ``(seed, trials, num_workers)`` triple.
 
-The chunks travel on one zero-copy transport.  The parent owns the
-``(trials,)`` spreading-time vector (and the ``(trials, len(fractions))``
-coverage matrix) in :mod:`multiprocessing.shared_memory`; each worker
-writes its chunk's rows directly at its offset, so merging is a single
-array view instead of pickling samples back.  The graph's CSR adjacency
-arrays are placed in one shared segment per graph (cached across calls) and
-workers reattach them by name — the graph is never re-pickled per chunk,
-and the reattached arrays feed the batch kernels zero-copy.  A graph given
-as a named family is built **once in the parent** from the plan's shared
-graph seed, so every chunk — the degenerate one-chunk in-process path
-included — runs on the same graph.
+Each pool chunk returns its :class:`SpreadingTimeSample` (O(trials)
+numbers) and the parent merges the chunks in chunk order with
+:meth:`SpreadingTimeSample.merged`.  Only what grows with the vertex count
+travels through :mod:`multiprocessing.shared_memory`: the graph's CSR
+adjacency arrays sit in one shared segment per graph (cached across calls)
+that workers reattach by name — the graph is never re-pickled per chunk,
+and the reattached arrays feed the batch kernels zero-copy — and a traced
+call's ``(trials, n)`` coverage matrix, which the workers write in place at
+their row offsets.  A graph given as a named family is built **once in the
+parent** from the plan's shared graph seed, so every chunk — the degenerate
+one-chunk in-process path included — runs on the same graph.
 
 **Fault tolerance.**  Chunk execution survives misbehaving workers: every
 chunk is retried with exponential backoff when its worker crashes, raises,
@@ -204,28 +204,20 @@ class ParallelTrialSpec:
 
 
 @dataclass(frozen=True)
-class _SharedChunkSpec:
-    """One pool chunk: where in the shared matrices to write.
+class _PoolChunk:
+    """One pool chunk, and where a traced chunk writes its coverage rows.
 
-    ``times_name``/``fractions_name``/``coverage_name`` are segment names
-    from :func:`repro.analysis.shm.create_array`; the worker writes its
-    chunk's rows at ``[offset, offset + spec.trials)`` of the
-    ``(total_trials,)`` / ``(total_trials, len(fractions))`` /
-    ``(total_trials, num_vertices)`` arrays.  ``coverage_name`` carries the
-    per-vertex informing-time matrix of a coverage trace (each worker runs
-    its chunk through a local
-    :class:`~repro.telemetry.trace.CoverageRecorder` and writes the
-    recorded rows at its offset; the parent ingests the assembled matrix as
-    one block).
+    ``coverage_name`` names the parent-owned ``(total_trials,
+    num_vertices)`` informing-time matrix from
+    :func:`repro.analysis.shm.result_array` (``None`` for an untraced
+    call); the chunk writes its rows at ``[offset, offset + spec.trials)``.
     """
 
     spec: ParallelTrialSpec
-    times_name: str
-    fractions_name: Optional[str]
     offset: int
     total_trials: int
-    coverage_name: Optional[str] = None
-    num_vertices: Optional[int] = None
+    coverage_name: Optional[str]
+    num_vertices: int
 
 
 def _resolve_chunk_graph(spec: ParallelTrialSpec) -> Graph:
@@ -257,25 +249,24 @@ def _run_chunk(
     )
 
 
-def _run_chunk_shared(
-    shared: _SharedChunkSpec,
-) -> tuple[str, int, int, Optional[dict]]:
-    """Pool worker entry point.
+def _run_pool_chunk(
+    chunk: _PoolChunk,
+) -> tuple[SpreadingTimeSample, Optional[dict]]:
+    """Pool worker entry point (and the parent-side serial fallback).
 
-    Runs the chunk, writes its spreading times (and coverage fractions /
-    per-vertex informing times) directly into the parent-owned shared
-    matrices, and returns only tiny metadata
-    ``(graph_name, num_vertices, source, metrics_snapshot)`` — no sample
-    pickling.  The metrics snapshot is ``None`` unless the parent asked for
-    worker counters via ``spec.collect_metrics``.
+    Runs the chunk and returns its sample with a metrics snapshot, which is
+    ``None`` unless the parent asked for worker counters via
+    ``spec.collect_metrics``.  A traced chunk runs through a local
+    :class:`~repro.telemetry.trace.CoverageRecorder` and writes the recorded
+    rows into the parent-owned coverage matrix at its offset.
     """
-    spec = shared.spec
-    recorder = CoverageRecorder() if shared.coverage_name is not None else None
+    spec = chunk.spec
+    recorder = CoverageRecorder() if chunk.coverage_name is not None else None
     snapshot: Optional[dict] = None
     if spec.collect_metrics:
         # The worker process has no ambient registry of its own; the chunk
         # runs under a private one whose snapshot travels back with the
-        # metadata so the parent can merge it (telemetry stays observational:
+        # sample so the parent can merge it (telemetry stays observational:
         # the simulation code is identical either way).
         registry = MetricsRegistry()
         with collecting_metrics(registry):
@@ -284,31 +275,15 @@ def _run_chunk_shared(
         snapshot = registry.snapshot()
     else:
         sample = _run_chunk(spec, trace=recorder)
-    stop = shared.offset + spec.trials
-    times_segment, times = shm.attach_array(shared.times_name, (shared.total_trials,))
-    try:
-        times[shared.offset : stop] = sample.times
-    finally:
-        del times
-        times_segment.close()
-    if shared.fractions_name is not None:
-        shape = (shared.total_trials, len(spec.fractions))
-        frac_segment, matrix = shm.attach_array(shared.fractions_name, shape)
-        try:
-            for column, fraction in enumerate(spec.fractions):
-                matrix[shared.offset : stop, column] = sample.fraction_times[fraction]
-        finally:
-            del matrix
-            frac_segment.close()
     if recorder is not None:
-        shape = (shared.total_trials, shared.num_vertices)
-        cov_segment, coverage = shm.attach_array(shared.coverage_name, shape)
+        shape = (chunk.total_trials, chunk.num_vertices)
+        segment, coverage = shm.attach_array(chunk.coverage_name, shape)
         try:
-            coverage[shared.offset : stop] = recorder.times_matrix()
+            coverage[chunk.offset : chunk.offset + spec.trials] = recorder.times_matrix()
         finally:
             del coverage
-            cov_segment.close()
-    return sample.graph_name, sample.num_vertices, sample.source, snapshot
+            segment.close()
+    return sample, snapshot
 
 
 def chunk_plan(
@@ -342,11 +317,12 @@ def _dispatch_chunks(handle: ExecutorHandle, fn, chunk_specs: Sequence[Any]) -> 
     backoff between rounds) on a worker crash, exception, or
     ``REPRO_CHUNK_TIMEOUT`` expiry; after retries are exhausted the chunk
     runs serially in the parent through the very same entry point.  A crash
-    or timeout resets the pool (terminating its processes — a stalled
-    worker must not wake up later and touch recycled result segments);
+    or timeout resets the pool (terminating its processes, so a stalled
+    worker does not run on after its chunk has been retried elsewhere);
     chunks whose futures died *with* the pool are resubmitted without
-    charging their own retry budget.  Results come back in spec order, so
-    the merged sample is bit-identical to an undisturbed dispatch.
+    charging their own retry budget.  Results come back in spec order, and
+    a chunk's result depends only on its spec, so the merged sample is
+    bit-identical to an undisturbed dispatch.
 
     A chunk that still fails in the parent raises — a genuine chunk error
     (as opposed to a worker fault) should surface, not loop.
@@ -433,14 +409,14 @@ def _dispatch_chunks(handle: ExecutorHandle, fn, chunk_specs: Sequence[Any]) -> 
                         if next_index is not None:
                             requeue.append(next_index)
             # Must catch KeyboardInterrupt/SystemExit too: in-flight workers
-            # have to be drained before the caller unlinks the shared-memory
-            # segments they write into; the exception is always re-raised.
+            # have to be drained before the caller unlinks the coverage
+            # segment they write into; the exception is always re-raised.
             # repro: allow[EXC001] -- drain in-flight workers before shm unlink; re-raised
             except BaseException:
                 # A parent-side failure (e.g. the serial fallback re-raising a
                 # genuine chunk error) while other futures may still be in
                 # flight: cancel what has not started and drain what has, so
-                # no worker is left writing into segments the caller is about
+                # no worker is left writing into a segment the caller is about
                 # to unlink.
                 for future in futures.values():
                     future.cancel()
@@ -450,103 +426,55 @@ def _dispatch_chunks(handle: ExecutorHandle, fn, chunk_specs: Sequence[Any]) -> 
     return [results[index] for index in range(len(chunk_specs))]
 
 
-def _merge_shared(
-    metas: Sequence[tuple[str, int, int, Optional[dict]]],
-    times: np.ndarray,
-    fraction_matrix: Optional[np.ndarray],
-    fractions: tuple[float, ...],
-    protocol: str,
-) -> SpreadingTimeSample:
-    """Assemble the merged sample from the shared matrices (no re-concatenation)."""
-    graph_name, num_vertices, source = metas[0][:3]
-    for _, other_n, other_source, _snapshot in metas[1:]:
-        if other_n != num_vertices:
-            raise AnalysisError("cannot merge samples from different settings")
-        if other_source != source:
-            source = -1
-    metrics = current_metrics()
-    if metrics is not None:
-        for meta in metas:
-            if meta[3]:
-                metrics.merge(meta[3])
-    fraction_times: dict[float, tuple[float, ...]] = {}
-    if fraction_matrix is not None:
-        for column, fraction in enumerate(fractions):
-            fraction_times[fraction] = tuple(fraction_matrix[:, column].tolist())
-    return SpreadingTimeSample(
-        protocol=protocol,
-        graph_name=graph_name,
-        num_vertices=num_vertices,
-        source=source,
-        times=tuple(times.tolist()),
-        fraction_times=fraction_times,
-    )
-
-
 def _execute_shared(
     handle: ExecutorHandle,
     specs: list[ParallelTrialSpec],
-    trials: int,
-    fractions: tuple[float, ...],
-    protocol: str,
-    num_vertices: Optional[int] = None,
+    num_vertices: int,
     trace: Optional[CoverageRecorder] = None,
 ) -> SpreadingTimeSample:
-    """Dispatch the chunks through the zero-copy shared-memory result path."""
-    times_segment = times = frac_segment = fraction_matrix = None
-    cov_segment = coverage = None
-    times_pooled = frac_pooled = cov_pooled = True
+    """Run the chunks on the pool and merge their samples in chunk order."""
+    trials = sum(spec.trials for spec in specs)
+    segment = coverage = None
     try:
-        times_segment, times, times_pooled = shm.result_array("times", (trials,))
-        if fractions:
-            frac_segment, fraction_matrix, frac_pooled = shm.result_array(
-                "fractions", (trials, len(fractions))
-            )
         if trace is not None:
-            # The (trials, n) informing-time matrix rides the same transport
-            # as the result arrays: each worker fills its chunk's rows and
+            # The (trials, n) informing-time matrix is the one result that
+            # grows with n: each worker fills its chunk's rows in place and
             # the parent ingests the assembled block below.
-            cov_segment, coverage, cov_pooled = shm.result_array(
-                "coverage", (trials, num_vertices)
-            )
-        shared_specs = []
+            segment, coverage = shm.result_array((trials, num_vertices))
+        chunks = []
         offset = 0
         for spec in specs:
-            shared_specs.append(
-                _SharedChunkSpec(
+            chunks.append(
+                _PoolChunk(
                     spec=spec,
-                    times_name=times_segment.name,
-                    fractions_name=frac_segment.name if frac_segment is not None else None,
                     offset=offset,
                     total_trials=trials,
-                    coverage_name=cov_segment.name if cov_segment is not None else None,
+                    coverage_name=segment.name if segment is not None else None,
                     num_vertices=num_vertices,
                 )
             )
             offset += spec.trials
         # The dispatcher retries crashed/raising/stalled chunks and, once a
-        # chunk's retries are exhausted, runs it serially in the parent —
-        # writing into the same shared rows, so a disturbed sweep's result
-        # is bit-identical to an undisturbed one.  It drains its own
-        # futures on a parent-side failure, so the finally block below can
-        # safely unlink the segments.
-        metas = _dispatch_chunks(handle, _run_chunk_shared, shared_specs)
-        sample = _merge_shared(metas, times, fraction_matrix, fractions, protocol)
+        # chunk's retries are exhausted, runs it serially in the parent
+        # through the same entry point, so a disturbed sweep's result is
+        # bit-identical to an undisturbed one.  It drains its own futures on
+        # a parent-side failure, so the finally block below can safely
+        # unlink the coverage segment.
+        results = _dispatch_chunks(handle, _run_pool_chunk, chunks)
+        metrics = current_metrics()
+        if metrics is not None:
+            for _, snapshot in results:
+                if snapshot:
+                    metrics.merge(snapshot)
         if trace is not None:
             # record_block copies, so this happens before the finally block
             # unlinks the segment.
             trace.record_block(coverage)
-        return sample
+        return SpreadingTimeSample.merged([sample for sample, _ in results])
     finally:
-        # Pooled segments belong to the enclosing sweep scope, which reuses
-        # them for the sweep's next call and unlinks them at scope exit.
-        del times, fraction_matrix, coverage
-        if times_segment is not None and not times_pooled:
-            shm._unlink(times_segment)
-        if frac_segment is not None and not frac_pooled:
-            shm._unlink(frac_segment)
-        if cov_segment is not None and not cov_pooled:
-            shm._unlink(cov_segment)
+        del coverage
+        if segment is not None:
+            shm._unlink(segment)
 
 
 def run_trials_parallel(
@@ -593,11 +521,11 @@ def run_trials_parallel(
             every trial in every worker.
         engine_options: extra engine options forwarded to every chunk's
             ``run_trials`` call (e.g. ``{"view": "edge_clocks"}``).
-        parallel: the result transport; ``"shared"`` (zero-copy
-            shared-memory matrices and CSR reattachment) is the only one.
-            The keyword remains because the end-to-end benchmark's
-            workloads pass it; any other value raises
-            :class:`AnalysisError`.
+        parallel: accepts only ``"shared"``, and changes nothing: chunks
+            return their samples, and shared memory carries the graph and
+            a traced call's coverage matrix.  The keyword is kept only
+            because the end-to-end benchmark's workloads pass it; any other
+            value raises :class:`AnalysisError`.
         trace: optional :class:`~repro.telemetry.trace.CoverageRecorder`.
             Each worker records its chunk through a local recorder and
             writes the per-vertex informing times into a shared
@@ -607,7 +535,7 @@ def run_trials_parallel(
             concrete :class:`Graph` (the matrix width is the vertex count).
             When a metrics registry is active in the parent
             (``collecting_metrics``), worker counters are snapshotted per
-            chunk and merged back on the same return path, alongside
+            chunk and merged back with the chunk samples, alongside
             parent-side ``parallel.chunks`` / ``parallel.chunk_seconds``.
 
     Returns:
@@ -694,8 +622,8 @@ def run_trials_parallel(
     else:
         if metrics is not None:
             # Ask the workers to run their chunks under private registries
-            # and ship the snapshots back with the chunk metadata
-            # (_merge_shared merges them).
+            # and ship the snapshots back with their samples
+            # (_execute_shared merges them).
             metrics.count("parallel.chunks", len(specs))
             specs = [replace(spec, collect_metrics=True) for spec in specs]
         handle = get_pool(len(specs))  # one process per chunk is all the call can use
@@ -710,15 +638,7 @@ def run_trials_parallel(
             for spec in specs
         ]
         try:
-            sample = _execute_shared(
-                handle,
-                specs,
-                trials,
-                tuple(fractions),
-                protocol,
-                num_vertices=graph.num_vertices,
-                trace=trace,
-            )
+            sample = _execute_shared(handle, specs, graph.num_vertices, trace)
         finally:
             shm.unpin_segment(segment_name)
     if collector is not None:

@@ -14,6 +14,10 @@ the whole session instead:
 * The handle is a context manager, and the session pool is also torn down
   by an ``atexit`` hook (which additionally releases every parent-owned
   shared-memory graph segment — see :mod:`repro.analysis.shm`).
+* A signal that skips ``atexit`` (SIGTERM, SIGKILL) cannot orphan the
+  workers: each one polls the process that owns the pool and exits once
+  that process is gone, after which the
+  :mod:`multiprocessing.resource_tracker` unlinks the owner's segments.
 * A crashed worker breaks a :class:`ProcessPoolExecutor` permanently;
   :meth:`ExecutorHandle.reset` discards the broken executor so the next
   call transparently gets a fresh pool (callers surface the crash itself
@@ -31,6 +35,7 @@ import atexit
 import multiprocessing
 import os
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Optional
 
@@ -54,17 +59,47 @@ def in_worker() -> bool:
     return _IN_WORKER
 
 
-def _initialize_worker(backend: Optional[str]) -> None:
+#: Seconds between two checks of a worker on the process owning its pool.
+_OWNER_POLL_SECONDS = 0.5
+
+
+def _watch_owner(owner_pid: int) -> None:
+    """Exit this worker once the process that owns the pool is gone.
+
+    ``getppid()`` alone is not enough: under ``forkserver`` a worker's
+    parent is the fork server, not the owner.  A parent change still
+    catches an owner that died but has not been reaped yet (a zombie
+    answers ``kill(pid, 0)``).
+    """
+    parent = os.getppid()
+    while True:
+        time.sleep(_OWNER_POLL_SECONDS)
+        try:
+            os.kill(owner_pid, 0)
+        except ProcessLookupError:
+            os._exit(0)
+        except PermissionError:
+            pass  # the pid exists (alive, or already reused)
+        if os.getppid() != parent:
+            os._exit(0)
+
+
+def _initialize_worker(backend: Optional[str], owner_pid: int) -> None:
     """Per-process pool initializer (top level, so every start method works).
 
-    Propagates the parent's kernel-backend selection (``spawn``/``forkserver``
-    children do not inherit mutated parent environments) and pre-warms the
-    kernels so a worker's first real chunk never absorbs numba's first-call
-    compilation.  Warmup failures are swallowed: a worker that cannot warm
-    up can still run, just slower on its first chunk.
+    Starts the daemon thread that ends the worker when the pool's owner
+    dies (:func:`_watch_owner`), propagates the parent's kernel-backend
+    selection (``spawn``/``forkserver`` children do not inherit mutated
+    parent environments) and pre-warms the kernels so a worker's first real
+    chunk never absorbs numba's first-call compilation.  Warmup failures
+    are swallowed: a worker that cannot warm up can still run, just slower
+    on its first chunk.
     """
     global _IN_WORKER
     _IN_WORKER = True
+    threading.Thread(
+        target=_watch_owner, args=(owner_pid,), name="repro-owner-watch", daemon=True
+    ).start()
     if backend is not None:
         os.environ["REPRO_KERNEL_BACKEND"] = backend
     try:
@@ -131,7 +166,7 @@ class ExecutorHandle:
                     max_workers=self.max_workers,
                     mp_context=context,
                     initializer=_initialize_worker,
-                    initargs=(config.read_env("REPRO_KERNEL_BACKEND"),),
+                    initargs=(config.read_env("REPRO_KERNEL_BACKEND"), os.getpid()),
                 )
                 self._executor_workers = self.max_workers
                 self.creations += 1
@@ -166,8 +201,8 @@ class ExecutorHandle:
 
         Any worker processes still alive are terminated: a reset is only
         issued for a broken or unresponsive pool, and a stalled worker left
-        running could wake up much later and write into shared-memory
-        result segments that have since been reused by another call.
+        running would hold its process and keep simulating a chunk whose
+        result has already been produced by a retry or the parent.
         """
         with self._lock:
             executor, self._executor = self._executor, None

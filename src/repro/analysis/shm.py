@@ -1,16 +1,10 @@
 """Shared-memory transport for the zero-copy parallel execution layer.
 
-:func:`repro.analysis.parallel.run_trials_parallel` used to pay two
-serialization taxes per call: the graph was pickled into every chunk spec,
-and every worker pickled its whole :class:`SpreadingTimeSample` back through
-the executor.  This module removes both with
-:mod:`multiprocessing.shared_memory`:
+:func:`repro.analysis.parallel.run_trials_parallel` chunks return their
+samples through the executor — O(trials) numbers, cheap to pickle.  This
+module carries, through :mod:`multiprocessing.shared_memory`, only what
+grows with the vertex count:
 
-* **Result matrices** — the parent owns a ``(trials,)`` float64 spreading-
-  time vector (and, when coverage fractions are requested, a
-  ``(trials, len(fractions))`` matrix) in a shared segment; each worker
-  writes its chunk's rows directly at its offset, so "merging" the chunks
-  is a single array view in the parent instead of W pickled samples.
 * **Graph CSR arrays** — :func:`share_graph` places a graph's
   ``FlatAdjacency`` arrays (``indptr`` + ``indices``) into one shared
   segment per graph, cached parent-side by graph identity so repeated calls
@@ -20,19 +14,21 @@ the executor.  This module removes both with
   :meth:`~repro.graphs.base.Graph.from_csr` constructor, and pre-seed the
   flat-adjacency cache with zero-copy views into the segment; a worker-side
   name-keyed cache makes every later chunk on the same graph free.
+* **The coverage matrix** — a traced call's ``(trials, n)`` informing-time
+  matrix (:func:`result_array`), which each worker writes in place at its
+  chunk's row offset.
 
-Lifecycle: segments owned by a call (result matrices) are unlinked in a
-``finally`` as soon as the sample is built — unless a **sweep scope**
-(:func:`sweep_scope`) is active, in which case the result segments persist
-in a per-sweep pool keyed by role (times / fractions / coverage) and are
-reused by every call of the sweep (capacity grows monotonically; a segment
-is only replaced when a call needs more bytes than the pooled one holds),
-then unlinked together when the scope exits.  Graph segments are unlinked
-on LRU eviction, at :func:`release_shared_graphs`, and by the same
-``atexit`` hook that tears down the persistent pool.  Workers attach without
-registering with the :mod:`multiprocessing.resource_tracker` (the parent
-owns every segment), so worker exits never spuriously unlink live segments
-and interpreter shutdown stays free of "leaked shared_memory" warnings.
+Lifecycle: the coverage segment belongs to its call, which creates it once
+and unlinks it in a ``finally`` after the dispatcher has drained its
+in-flight chunks.  Graph segments are unlinked on LRU eviction, at
+:func:`release_shared_graphs`, and by the same ``atexit`` hook that tears
+down the persistent pool; should the owning process die without running
+that hook, its pool workers exit on their own (see
+:mod:`repro.analysis.pool`) and the :mod:`multiprocessing.resource_tracker`
+then unlinks what the owner left.  Workers attach without registering with
+the resource tracker (the parent owns every segment), so worker exits never
+spuriously unlink live segments and interpreter shutdown stays free of
+"leaked shared_memory" warnings.
 """
 
 from __future__ import annotations
@@ -59,8 +55,6 @@ __all__ = [
     "share_graph",
     "attach_graph",
     "release_shared_graphs",
-    "sweep_scope",
-    "active_sweep_pool",
     "result_array",
 ]
 
@@ -125,106 +119,16 @@ def attach_array(
     return segment, array
 
 
-# --------------------------------------------------------------------- #
-# Per-sweep result-segment pool
-# --------------------------------------------------------------------- #
-
-
-class _SweepSegmentPool:
-    """Role-keyed shared result segments reused across a sweep's calls.
-
-    Each role (``"times"``, ``"fractions"``, ``"coverage"``) holds at most
-    one segment; a request reuses it whenever its capacity covers the
-    requested array (``np.ndarray(shape, buffer=...)`` only needs the buffer
-    to be at least ``nbytes`` — every call overwrites all the rows it
-    reads, so stale bytes from a previous, larger call are never observed).
-    Undersized segments are unlinked and replaced.  Pools are thread-local
-    (one sweep per thread), so no locking is needed.
-    """
-
-    __slots__ = ("_segments",)
-
-    def __init__(self) -> None:
-        # role -> (segment, capacity in bytes)
-        self._segments: dict[str, tuple[shared_memory.SharedMemory, int]] = {}
-
-    def array(
-        self, role: str, shape: tuple[int, ...], dtype=np.float64
-    ) -> tuple[shared_memory.SharedMemory, np.ndarray]:
-        nbytes = max(1, int(np.prod(shape)) * np.dtype(dtype).itemsize)
-        cached = self._segments.get(role)
-        if cached is not None:
-            segment, capacity = cached
-            if capacity >= nbytes:
-                metrics = current_metrics()
-                if metrics is not None:
-                    metrics.count("shm.sweep_segment_reuses")
-                return segment, np.ndarray(shape, dtype=dtype, buffer=segment.buf)
-            del self._segments[role]
-            _unlink(segment)
-        segment, array = create_array(shape, dtype)
-        self._segments[role] = (segment, nbytes)
-        return segment, array
-
-    def release(self) -> None:
-        segments, self._segments = self._segments, {}
-        for segment, _capacity in segments.values():
-            _unlink(segment)
-
-
-_SWEEP_STATE = threading.local()
-
-
-class sweep_scope:
-    """Context manager pooling shared result segments for a whole sweep.
-
-    Inside the scope, :func:`result_array` hands out pooled segments that
-    persist across :func:`repro.analysis.parallel.run_trials_parallel`
-    calls — a Theorem-1 sweep allocates its times matrix once per sweep
-    instead of once per (size, protocol) cell.  Re-entrant: nested scopes
-    join the outermost pool, which owns the segments and unlinks them all
-    on exit.
-    """
-
-    def __init__(self) -> None:
-        self._owned: Optional[_SweepSegmentPool] = None
-
-    def __enter__(self) -> _SweepSegmentPool:
-        pool = getattr(_SWEEP_STATE, "pool", None)
-        if pool is None:
-            pool = _SweepSegmentPool()
-            _SWEEP_STATE.pool = pool
-            self._owned = pool
-        return pool
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._owned is not None:
-            _SWEEP_STATE.pool = None
-            self._owned.release()
-            self._owned = None
-
-
-def active_sweep_pool() -> Optional[_SweepSegmentPool]:
-    """The current thread's sweep pool, or ``None`` outside any scope."""
-    return getattr(_SWEEP_STATE, "pool", None)
-
-
 def result_array(
-    role: str, shape: tuple[int, ...], dtype=np.float64
-) -> tuple[shared_memory.SharedMemory, np.ndarray, bool]:
-    """A shared result array, pooled per sweep when a scope is active.
+    shape: tuple[int, ...], dtype=np.float64
+) -> tuple[shared_memory.SharedMemory, np.ndarray]:
+    """A call-owned shared result array (a traced call's coverage matrix).
 
-    Returns ``(segment, array, pooled)``: with ``pooled=False`` the caller
-    owns the segment and must unlink it when done (exactly
-    :func:`create_array` semantics); with ``pooled=True`` the sweep scope
-    owns it and the caller must *not* unlink.
+    :func:`create_array` semantics: the calling
+    :func:`~repro.analysis.parallel.run_trials_parallel` owns the segment
+    and unlinks it when the call ends.
     """
-    pool = active_sweep_pool()
-    if pool is None:
-        segment, array = create_array(shape, dtype)
-        return segment, array, False
-    segment, array = pool.array(role, shape, dtype)
-    return segment, array, True
+    return create_array(shape, dtype)
 
 
 # --------------------------------------------------------------------- #

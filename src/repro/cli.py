@@ -189,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "shard the experiment's Monte Carlo cells across the session's "
             "persistent process pool (experiments that accept it, e.g. E1/E12/E13; "
-            "zero-copy shared-memory transport; family graphs are built once "
-            "in the parent and served to workers over shared CSR segments)"
+            "chunks return their samples; graphs are served to workers over "
+            "shared CSR segments)"
         ),
     )
     run_parser.add_argument(

@@ -374,10 +374,16 @@ class _TrialGraphs:
         """Replace one trial's graph (and CSR row) with a fresh sample."""
         new_graph = dynamic.resample(self.graphs[row], rng)
         self.graphs[row] = new_graph
-        # The identity-keyed cache matters when the resampler reuses graph
-        # objects (pool-based resamplers): the CSR rebuild collapses to a
-        # lookup plus a row memcpy.
-        flat = flat_adjacency(new_graph)
+        # A CSR-built sample is read in place: caching a fresh graph per
+        # resample would only evict live entries.  A tuple-built sample goes
+        # through the identity-keyed cache, so a resampler that reuses graph
+        # objects builds each one's CSR arrays once.
+        csr = new_graph.csr()
+        flat = (
+            FlatAdjacency.from_arrays(*csr)
+            if csr is not None
+            else flat_adjacency(new_graph)
+        )
         needed = flat.indices.size
         if needed > self.width:
             # An eighth of headroom: samples a little over the widest so far

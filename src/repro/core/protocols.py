@@ -57,7 +57,7 @@ scenario              sync    ``global``  ``node_clocks``  ``edge_clocks``
 ``adaptive-loss``     yes     yes         yes              yes
 ``dynamic``           yes     yes         yes              **no**
 ``adversarial-source`` yes    yes         yes              yes
-``delay``             no      no          yes              yes
+``delay``             no      yes         yes              yes
 ====================  ======  ==========  ===============  ===============
 
 The adaptive scenarios observe the informed set at every decision point
@@ -102,15 +102,16 @@ flag):
              importable, else ``numpy``
 ===========  ==========================  ===================================
 
-**Parallel execution.**  Above the batch kernels sits the zero-copy
-multi-process layer: :func:`repro.analysis.parallel.run_trials_parallel`
-shards a trial budget across the session's persistent process pool
+**Parallel execution.**  Above the batch kernels sits the multi-process
+layer: :func:`repro.analysis.parallel.run_trials_parallel` shards a trial
+budget across the session's persistent process pool
 (:mod:`repro.analysis.pool`; sized by ``REPRO_MAX_WORKERS``, start method
 via ``REPRO_MP_START_METHOD``), with every protocol of the table above
 supported through the same chunked ``run_trials`` calls the serial path
-makes.  Workers write spreading times and coverage fractions straight into
-parent-owned shared-memory matrices, graphs travel once as shared CSR
-arrays, the result is bit-identical to a serial replay of the same chunk
+makes.  Each chunk returns its sample to the parent, graphs travel once as
+shared CSR arrays, a traced call's ``(trials, n)`` coverage matrix is
+written by the workers into one shared segment, the result is
+bit-identical to a serial replay of the same chunk
 plan for a fixed ``(seed, trials, num_workers)`` (pinned by the
 equivalence harness), and one pool serves whole experiment sweeps
 (``sweep_family(parallel=True)``, ``experiments.theorem1.run(parallel=True)``,

@@ -132,8 +132,9 @@ def run(
             omitted (this is what ``python -m repro run E13 --scenario ...``
             passes).
         parallel: shard every cell's trials across the session's persistent
-            process pool (zero-copy shared transport; coverage traces ride
-            the shared matrices, so the envelopes are identical to serial).
+            process pool (chunks return their samples; each cell's coverage
+            matrix is written by the workers into one shared segment, so
+            the envelopes are identical to serial).
         num_workers: worker override for the parallel path.
         curve_points: coverage-grid resolution of each cell's trace.
         curves_output: optional CSV path receiving the full per-time

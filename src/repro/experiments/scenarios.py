@@ -96,9 +96,9 @@ def run(
             scenario against the clean baseline (this is what
             ``python -m repro run E12 --scenario ...`` passes).
         parallel: shard every cell's trials across the session's persistent
-            process pool via the zero-copy shared-memory transport; the pool
-            and the per-graph CSR segments are reused across the whole
-            (graph, protocol, scenario) grid.  Changes the per-trial seed
+            process pool; the pool and the per-graph shared CSR segments are
+            reused across the whole (graph, protocol, scenario) grid, and
+            each chunk returns its sample.  Changes the per-trial seed
             spawning (reproducible, but a different draw than serial).
         num_workers: worker override for the parallel path.
     """
@@ -255,8 +255,9 @@ def sweep_scenarios(
         seed: master seed (each cell derives its own stable sub-stream).
         output: optional CSV path for the blowup table.
         parallel: shard every cell across the session's persistent process
-            pool (the zero-copy shared transport; one pool reused over the
-            whole grid).
+            pool (one pool reused over the whole grid; with ``curves`` the
+            workers write each cell's coverage matrix into a shared
+            segment).
         num_workers: worker override for the parallel path.
         curves: record a per-cell coverage trace and emit a per-time
             coverage-quantile CSV (columns :data:`CURVE_FIELDS`; one row per

@@ -19,10 +19,8 @@ each family.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from typing import Optional, Sequence
 
-from repro.analysis import shm
 from repro.analysis.bounds import acan_multiplicative_upper_bound, theorem1_constant
 from repro.analysis.comparison import sweep_family
 from repro.analysis.montecarlo import BatchSpec
@@ -72,9 +70,9 @@ def run(
             ``False`` to force serial runs or ``"auto"``/``"pooled"`` for
             the other :func:`~repro.analysis.montecarlo.run_trials` modes.
         parallel: shard every sweep cell's trials across the session's
-            persistent process pool (:mod:`repro.analysis.pool`) through the
-            zero-copy shared-memory transport — the pool and the per-graph
-            CSR segments are reused across all grid points of the sweep.
+            persistent process pool (:mod:`repro.analysis.pool`); the pool
+            and the per-graph shared CSR segments are reused across all
+            grid points of the sweep, and each chunk returns its sample.
             Changes the per-trial seed spawning (reproducible, but a
             different draw than the serial sweep).
         num_workers: worker override for the parallel path.
@@ -88,51 +86,48 @@ def run(
     worst_setting = ""
     growth_flags: list[bool] = []
 
-    # One sweep scope for the whole experiment: the shared result matrices
-    # persist across every family's sweep instead of per call.
-    with shm.sweep_scope() if parallel else nullcontext():
-        for family_name in family_names:
-            sweep = sweep_family(
-                family_name,
-                ["pp", "pp-a"],
-                sizes=size_sweep,
-                trials=config.trials,
-                seed=seed,
-                batch=batch,
-                parallel=parallel,
-                num_workers=num_workers,
+    for family_name in family_names:
+        sweep = sweep_family(
+            family_name,
+            ["pp", "pp-a"],
+            sizes=size_sweep,
+            trials=config.trials,
+            seed=seed,
+            batch=batch,
+            parallel=parallel,
+            num_workers=num_workers,
+        )
+        constants_for_family: list[float] = []
+        for comparison in sweep.comparisons:
+            n = comparison.num_vertices
+            sync_hp = comparison.measurement("pp").high_probability
+            async_hp = comparison.measurement("pp-a").high_probability
+            constant = theorem1_constant(async_hp, sync_hp, n)
+            acan_bound = acan_multiplicative_upper_bound(sync_hp, n)
+            constants_for_family.append(constant)
+            if constant > worst_constant:
+                worst_constant = constant
+                worst_setting = f"{family_name}(n={n})"
+            rows.append(
+                {
+                    "family": family_name,
+                    "n": n,
+                    "T_hp(pp)": sync_hp,
+                    "T_hp(pp-a)": async_hp,
+                    "sync+ln(n)": sync_hp + math.log(n),
+                    "c1 = async/(sync+ln n)": constant,
+                    "Acan mult. bound": acan_bound,
+                }
             )
-            constants_for_family: list[float] = []
-            for comparison in sweep.comparisons:
-                n = comparison.num_vertices
-                sync_hp = comparison.measurement("pp").high_probability
-                async_hp = comparison.measurement("pp-a").high_probability
-                constant = theorem1_constant(async_hp, sync_hp, n)
-                acan_bound = acan_multiplicative_upper_bound(sync_hp, n)
-                constants_for_family.append(constant)
-                if constant > worst_constant:
-                    worst_constant = constant
-                    worst_setting = f"{family_name}(n={n})"
-                rows.append(
-                    {
-                        "family": family_name,
-                        "n": n,
-                        "T_hp(pp)": sync_hp,
-                        "T_hp(pp-a)": async_hp,
-                        "sync+ln(n)": sync_hp + math.log(n),
-                        "c1 = async/(sync+ln n)": constant,
-                        "Acan mult. bound": acan_bound,
-                    }
-                )
-            # "Grows" means the constant at the largest size exceeds the one
-            # at the smallest size by more than 75% — a loose flag for
-            # unbounded growth that logarithmic-in-n behaviour would trip.
-            if len(constants_for_family) >= 2 and constants_for_family[0] > 0:
-                growth_flags.append(
-                    constants_for_family[-1] > 1.75 * constants_for_family[0] + 0.25
-                )
-            else:
-                growth_flags.append(False)
+        # "Grows" means the constant at the largest size exceeds the one
+        # at the smallest size by more than 75% — a loose flag for
+        # unbounded growth that logarithmic-in-n behaviour would trip.
+        if len(constants_for_family) >= 2 and constants_for_family[0] > 0:
+            growth_flags.append(
+                constants_for_family[-1] > 1.75 * constants_for_family[0] + 0.25
+            )
+        else:
+            growth_flags.append(False)
 
     conclusions = {
         "max_constant_c1": worst_constant,

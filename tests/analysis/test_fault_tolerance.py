@@ -17,6 +17,7 @@ autouse fixture guarantees the pool of one test never leaks into the next).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.analysis import parallel as parallel_module
@@ -27,6 +28,7 @@ from repro.errors import AnalysisError
 from repro.graphs.random_graphs import random_regular_graph
 from repro.scenarios import AdaptiveCrash
 from repro.telemetry.metrics import MetricsRegistry, collecting_metrics
+from repro.telemetry.trace import CoverageRecorder
 
 
 @pytest.fixture(autouse=True)
@@ -75,18 +77,22 @@ class TestKnobParsing:
 class TestInjectedFaults:
     @pytest.mark.parametrize("mode", ["raise", "crash"])
     def test_faulted_sweep_is_bit_identical(self, graph, monkeypatch, mode):
-        expected = run_trials_parallel(graph, 0, "pp", trials=9, seed=11, num_workers=2)
+        kwargs = dict(trials=9, seed=11, num_workers=2, fractions=(0.5, 1.0))
+        expected_trace = CoverageRecorder()
+        expected = run_trials_parallel(graph, 0, "pp", trace=expected_trace, **kwargs)
         shutdown_pool()
         # Rate 1: every chunk faults in the worker on every attempt, so
-        # every chunk must end in a parent-side serial fallback.
+        # every chunk must end in a parent-side serial fallback — which
+        # returns the same sample and writes the same coverage rows.
         monkeypatch.setenv("REPRO_FAULT_INJECT", mode)
         registry = MetricsRegistry()
+        trace = CoverageRecorder()
         with collecting_metrics(registry):
-            sample = run_trials_parallel(
-                graph, 0, "pp", trials=9, seed=11, num_workers=2
-            )
+            sample = run_trials_parallel(graph, 0, "pp", trace=trace, **kwargs)
         assert sample.times == expected.times
+        assert set(sample.fraction_times) == {0.5, 1.0}
         assert sample.fraction_times == expected.fraction_times
+        np.testing.assert_array_equal(trace.times_matrix(), expected_trace.times_matrix())
         counters = _counters(registry)
         assert counters["parallel.chunk_retries"] >= 1
         assert counters["parallel.serial_fallbacks"] == counters["parallel.chunks"]

@@ -7,6 +7,10 @@ The PR-4 contracts pinned here:
 * teardown releases every parent-owned shared-memory segment (attaching by
   name afterwards fails — the segment-leak regression check the CI parallel
   smoke job runs under both fork and spawn);
+* chunks return their samples: only the graph and a traced call's coverage
+  matrix travel through shared memory;
+* a pool whose owner is killed (SIGTERM skips ``atexit``) leaves no worker
+  and no segment behind;
 * a crashed worker never fails the sweep: the affected chunks are retried
   on a fresh pool (and run serially in the parent once retries are
   exhausted), so the result is bit-identical to an undisturbed run.
@@ -16,9 +20,14 @@ The PR-4 contracts pinned here:
 from __future__ import annotations
 
 import os
+import select
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 from multiprocessing import shared_memory
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +37,8 @@ from repro.analysis.parallel import run_trials_parallel
 from repro.analysis.pool import ExecutorHandle, get_pool, shutdown_pool
 from repro.errors import AnalysisError
 from repro.graphs.random_graphs import random_regular_graph
+from repro.telemetry.metrics import MetricsRegistry, collecting_metrics
+from repro.telemetry.trace import CoverageRecorder
 
 
 @pytest.fixture(autouse=True)
@@ -130,15 +141,35 @@ class TestTeardown:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
 
-    def test_result_segments_released_per_call(self, graph):
-        # The times/fraction segments live only for the duration of the
-        # call; only the (cached) graph segment may remain afterwards.
-        run_trials_parallel(
-            graph, 0, "pp", trials=6, seed=1, num_workers=2, fractions=(0.5,)
-        )
-        assert len(shm._SHARED_GRAPHS) == 1
-        shm.release_shared_graphs()
-        assert not shm._SHARED_GRAPHS
+    def test_only_a_traced_call_creates_a_result_segment(self, graph, monkeypatch):
+        # Chunks return their samples: once the graph is shared, an
+        # untraced multi-chunk call creates no segment, fractions or not.
+        shm.share_graph(graph)
+        kwargs = dict(trials=6, seed=1, num_workers=2, fractions=(0.5,))
+        registry = MetricsRegistry()
+        with collecting_metrics(registry):
+            run_trials_parallel(graph, 0, "pp", **kwargs)
+        assert registry.snapshot()["counters"].get("shm.segments", 0) == 0
+
+        # A traced call creates its coverage matrix, and only that, and
+        # unlinks it before returning.
+        created = []
+        create = shm.result_array
+
+        def recording_result_array(*args, **kw):
+            segment, array = create(*args, **kw)
+            created.append(segment.name)
+            return segment, array
+
+        monkeypatch.setattr(shm, "result_array", recording_result_array)
+        registry = MetricsRegistry()
+        with collecting_metrics(registry):
+            run_trials_parallel(graph, 0, "pp", trace=CoverageRecorder(), **kwargs)
+        assert registry.snapshot()["counters"]["shm.segments"] == 1
+        assert len(created) == 1
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=created[0])
+        assert len(shm._SHARED_GRAPHS) == 1  # the cached graph segment
 
     def test_worker_cache_eviction_releases_adjacency_views(self):
         # Attaching more graphs than the worker cache holds must actually
@@ -240,3 +271,119 @@ class TestWorkerCrash:
         assert get_pool() is handle
         again = run_trials_parallel(graph, 0, "pp", trials=8, seed=3, num_workers=2)
         assert again.times == expected.times
+
+
+def _process_table() -> dict[int, tuple[int, str]]:
+    """pid -> (parent pid, state) for every process visible in /proc."""
+    table = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+        except OSError:
+            continue  # exited while listing
+        # The command name may contain spaces; the fields after it do not.
+        state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+        table[int(entry)] = (int(ppid), state)
+    return table
+
+
+def _descendants(pid: int) -> set[int]:
+    table = _process_table()
+    found, frontier = set(), {pid}
+    while frontier:
+        frontier = {child for child, (ppid, _) in table.items() if ppid in frontier}
+        found |= frontier
+    return found
+
+
+def _living(pids: set[int]) -> set[int]:
+    table = _process_table()
+    return {pid for pid in pids if pid in table and table[pid][1] != "Z"}
+
+
+def _cmdline(pid: int) -> str:
+    try:
+        return Path(f"/proc/{pid}/cmdline").read_bytes().decode(errors="replace")
+    except OSError:
+        return ""
+
+
+def _kill(pids: set[int]) -> None:
+    for pid in pids:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+
+#: The sweep loop killed by :class:`TestOwnerDeath`: it prints its graph
+#: segment names once its first call has returned, then keeps sweeping.
+_SWEEP_LOOP = textwrap.dedent(
+    """
+    from repro.analysis import shm
+    from repro.analysis.parallel import run_trials_parallel
+    from repro.graphs.random_graphs import random_regular_graph
+
+    graph = random_regular_graph(4096, 4, seed=1)
+    seed = 0
+    while True:
+        run_trials_parallel(graph, 0, "pp", trials=64, seed=seed, num_workers=2)
+        if seed == 0:
+            names = [segment.name for _, segment in shm._SHARED_GRAPHS.values()]
+            print(" ".join(names), flush=True)
+        seed += 1
+    """
+)
+
+
+@pytest.mark.skipif(
+    not (os.path.isdir("/proc/self") and os.path.isdir("/dev/shm")),
+    reason="needs /proc and /dev/shm",
+)
+class TestOwnerDeath:
+    def test_sigterm_mid_sweep_leaves_no_worker_and_no_segment(self):
+        # SIGTERM skips atexit, so the pool's teardown never runs: the
+        # workers must notice their owner is gone and exit, after which the
+        # resource tracker unlinks the owner's segments.
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _SWEEP_LOOP],
+            stdout=subprocess.PIPE,
+            env=env,
+        )
+        workers: set[int] = set()
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 60)
+            assert ready, "the sweep loop's first call did not return in 60 s"
+            segments = set(proc.stdout.readline().decode().split())
+            assert segments, "the sweep loop died before its first call returned"
+            workers = _descendants(proc.pid)
+            assert workers, "the sweep loop has no pool workers"
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                left = segments & set(os.listdir("/dev/shm"))
+                if not _living(workers) and not left:
+                    break
+                time.sleep(0.1)
+            assert not _living(workers)
+            assert not segments & set(os.listdir("/dev/shm"))
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            # Kill surviving workers before the resource tracker, so that
+            # the tracker still unlinks the segments the owner left.
+            trackers = {pid for pid in workers if "resource_tracker" in _cmdline(pid)}
+            _kill(_living(workers - trackers))
+            deadline = time.monotonic() + 5
+            while _living(trackers) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            _kill(_living(trackers))
+            proc.stdout.close()

@@ -319,6 +319,29 @@ class TestValidation:
         assert not is_batchable("pp-a", {"view": "edge_clocks"}, dynamic)
 
 
+class TestResampledGraphs:
+    def test_resampled_csr_graphs_stay_out_of_the_adjacency_cache(self):
+        # A fresh CSR-built sample per resample is read in place; caching it
+        # would only evict live entries — the run's own base graph first.
+        from repro.core import flatgraph
+        from repro.scenarios import DynamicGraph, FamilyResampler
+
+        graph = random_regular_graph(1024, 4, seed=1)
+        before = set(flatgraph._CACHE_KEEPALIVE._entries)
+        run_trials(
+            graph,
+            0,
+            "pp",
+            trials=64,
+            seed=1,
+            batch=True,
+            scenario=DynamicGraph(FamilyResampler("erdos_renyi"), period=2),
+        )
+        added = set(flatgraph._CACHE_KEEPALIVE._entries) - before
+        assert id(graph) in flatgraph._CACHE_KEEPALIVE
+        assert all(owner == id(graph) for owner, _ in added)
+
+
 class TestScenarioRejection:
     """Every path refuses the combinations no engine runs with one message,
     the one ``scenario_rejection`` writes."""
