@@ -929,9 +929,10 @@ def test_telemetry_off_overhead(bench_preset, bench_graph, bench_record, monkeyp
 MILLION_SIZE = {"smoke": 100_000, "quick": 1_000_000, "full": 1_000_000}
 MILLION_DEGREE = 3
 MILLION_TRIALS = 4
-#: Ceilings at n = 10^6 (measured ~2.3 s / ~190 MiB on a laptop-class
-#: machine; 20x / 5x headroom for loaded CI runners).  The smoke preset's
-#: n = 10^5 run shares them — it is strictly cheaper.
+#: Ceilings at n = 10^6 (measured 0.8–1.1 s / 147 MiB on a 2-vCPU Xeon VM
+#: since the one-key CSR sort, ~2.3 s / ~190 MiB before; the ceilings keep
+#: 20x / 5x headroom over the older figures for loaded CI runners).  The
+#: smoke preset's n = 10^5 run shares them — it is strictly cheaper.
 MILLION_BUILD_GATE_SECONDS = 45.0
 MILLION_PEAK_GATE_MIB = 1024.0
 

@@ -1,10 +1,14 @@
 """CI smoke for CSR-native generation at large n.
 
 Builds one n = 10^5 graph per (sparse) registered family on the CSR path,
-runs a 2-worker shared-segment sweep on one of them, and asserts the
-process's peak RSS stayed under a fixed budget — the end-to-end check that
-graph construction and the shared-memory family transport hold their
-memory shape at scale.
+checks that each one's CSR is well formed (strictly increasing neighbor
+rows, a symmetric adjacency) and that the graph is connected, runs a
+2-worker shared-segment sweep on one of them, and asserts the process's
+peak RSS stayed under a fixed budget — the end-to-end check that graph
+construction and the shared-memory family transport hold their memory
+shape at scale.  At this size the CSR assembly's ``head * n + tail`` keys
+exceed 2^31, so an int32 slip in that arithmetic shows here and in no
+small-n test.
 
 The quadratic families (``complete``, ``barbell``) are excluded: at
 n = 10^5 they have >= 10^9 edges and are out of scope for any machine this
@@ -23,6 +27,8 @@ import argparse
 import resource
 import sys
 import time
+
+import numpy as np
 
 #: Families with O(n) or O(n log n) edges at a given size.  complete and
 #: barbell are quadratic; sync_gap is an alias of star.
@@ -54,6 +60,24 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def csr_faults(graph) -> list[str]:
+    """What is wrong with a CSR-built graph's structure (empty when nothing)."""
+    indptr, indices = (np.asarray(array, dtype=np.int64) for array in graph.csr())
+    n = graph.num_vertices
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    faults = []
+    same_row = rows[1:] == rows[:-1]
+    if np.any(indices[1:][same_row] <= indices[:-1][same_row]):
+        faults.append("a neighbor row is not strictly increasing")
+    # Symmetric iff the (row, neighbor) pairs, as sorted keys, equal the
+    # (neighbor, row) pairs; the rows are sorted, so the first side already is.
+    if not np.array_equal(rows * n + indices, np.sort(indices * n + rows)):
+        faults.append("the adjacency is not symmetric")
+    if not graph.is_connected():
+        faults.append("the graph is not connected")
+    return faults
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--size", type=int, default=100_000)
@@ -82,6 +106,10 @@ def main(argv: list[str] | None = None) -> int:
         if not on_csr:
             print(f"FAIL: {name} left the CSR-native path", flush=True)
             failures += 1
+        else:
+            for fault in csr_faults(graph):
+                print(f"FAIL: {name}: {fault}", flush=True)
+                failures += 1
         del graph
 
     # A 2-worker shared-segment sweep: family graph built once in the

@@ -332,6 +332,19 @@ def _forced_batch_error(batch: BatchSpec, reason: Optional[str]) -> AnalysisErro
     return AnalysisError(f"batch={batch!r} was requested but {reason}")
 
 
+def _check_fractions(fractions: Sequence[float]) -> None:
+    """Raise :class:`AnalysisError` unless the coverage fractions are
+    distinct and each lies in ``(0, 1]``.
+
+    A repeated fraction would collect its times twice under one key.
+    """
+    for fraction in fractions:
+        if not 0.0 < fraction <= 1.0:
+            raise AnalysisError(f"fractions must be in (0, 1], got {fraction}")
+    if len(set(fractions)) != len(fractions):
+        raise AnalysisError(f"fractions must be distinct, got {tuple(fractions)}")
+
+
 @draw_order_critical
 def _run_trials_batched(
     graph: Graph,
@@ -474,9 +487,7 @@ def run_trials(
         raise AnalysisError(f"trials must be positive, got {trials}")
     get_protocol(protocol)  # validate the name eagerly
     scenario = as_scenario(scenario)
-    for fraction in fractions:
-        if not 0.0 < fraction <= 1.0:
-            raise AnalysisError(f"fractions must be in (0, 1], got {fraction}")
+    _check_fractions(fractions)
     options = dict(engine_options or {})
     collector = None
     if trace is None:

@@ -62,12 +62,14 @@ from repro import config
 from repro.analysis import shm
 from repro.analysis.montecarlo import (
     SpreadingTimeSample,
+    _check_fractions,
     _forced_batch_error,
     batch_dispatch_decision,
     run_trials,
 )
 from repro.analysis import pool as pool_module
 from repro.analysis.pool import ExecutorHandle, get_pool
+from repro.core.budgets import check_connected
 from repro.errors import AnalysisError
 from repro.graphs.base import Graph
 from repro.graphs.families import get_family
@@ -542,13 +544,16 @@ def run_trials_parallel(
         The merged :class:`SpreadingTimeSample`.
 
     Raises:
-        AnalysisError: on invalid arguments or an impossible forced-batch
-            setting.  A crashed, raising, or stalled *worker* does not
-            raise: its chunks are retried (``REPRO_CHUNK_RETRIES`` times,
-            with exponential backoff; ``REPRO_CHUNK_TIMEOUT`` bounds each
-            chunk wait) and finally run serially in the parent, so the
-            sweep completes bit-identically; only an error that reproduces
-            in the parent propagates.
+        AnalysisError: on invalid arguments (``fractions`` as
+            :func:`~repro.analysis.montecarlo.run_trials` checks them) or an
+            impossible forced-batch setting.  A crashed, raising, or stalled
+            *worker* does not raise: its chunks are retried
+            (``REPRO_CHUNK_RETRIES`` times, with exponential backoff;
+            ``REPRO_CHUNK_TIMEOUT`` bounds each chunk wait) and finally run
+            serially in the parent, so the sweep completes bit-identically;
+            only an error that reproduces in the parent propagates.
+        ProtocolError: for a disconnected graph, in the parent before any
+            chunk is dispatched.
     """
     if trials < 1:
         raise AnalysisError(f"trials must be positive, got {trials}")
@@ -556,6 +561,7 @@ def run_trials_parallel(
         raise AnalysisError(
             f"parallel must be 'shared' (the only transport), got {parallel!r}"
         )
+    _check_fractions(fractions)
     collector = None
     if trace is None and isinstance(graph_or_family, Graph):
         # Ambient tracing (collecting_traces) reaches parallel runs too,
@@ -593,6 +599,11 @@ def run_trials_parallel(
         raise AnalysisError("size is required when passing a family name")
     else:
         graph = get_family(str(graph_or_family)).build(int(size), seed=graph_seed)
+    # Every chunk's engine would refuse a disconnected graph; refuse it here,
+    # before dispatch, instead of retrying each chunk into the serial
+    # fallback.  The answer is memoized on the graph, and share_graph hands
+    # it to the workers.
+    check_connected(graph)
     specs = [
         ParallelTrialSpec(
             protocol=protocol,

@@ -6,14 +6,17 @@ module carries, through :mod:`multiprocessing.shared_memory`, only what
 grows with the vertex count:
 
 * **Graph CSR arrays** — :func:`share_graph` places a graph's
-  ``FlatAdjacency`` arrays (``indptr`` + ``indices``) into one shared
-  segment per graph, cached parent-side by graph identity so repeated calls
-  on the same graph (e.g. the two protocols of a Theorem-1 grid point)
-  reuse the segment.  Workers :func:`attach_graph` by name, rebuild the
-  :class:`~repro.graphs.base.Graph` once with the trusted
-  :meth:`~repro.graphs.base.Graph.from_csr` constructor, and pre-seed the
-  flat-adjacency cache with zero-copy views into the segment; a worker-side
-  name-keyed cache makes every later chunk on the same graph free.
+  ``FlatAdjacency`` arrays (``indptr`` + ``indices``) and its connectivity
+  into one shared int64 segment per graph, laid out as ``[n, nnz,
+  connected, indptr..., indices...]`` and cached parent-side by graph
+  identity so repeated calls on the same graph (e.g. the two protocols of a
+  Theorem-1 grid point) reuse the segment.  Workers :func:`attach_graph` by
+  name, rebuild the :class:`~repro.graphs.base.Graph` once with the trusted
+  :meth:`~repro.graphs.base.Graph.from_csr` constructor (its connectivity
+  memo seeded from the header, so no worker repeats the parent's BFS), and
+  pre-seed the flat-adjacency cache with zero-copy views into the segment;
+  a worker-side name-keyed cache makes every later chunk on the same graph
+  free.
 * **The coverage matrix** — a traced call's ``(trials, n)`` informing-time
   matrix (:func:`result_array`), which each worker writes in place at its
   chunk's row offset.
@@ -65,6 +68,9 @@ _GRAPH_SEGMENT_LIMIT = 8
 
 #: Worker-side bound on cached (segment, rebuilt graph) attachments.
 _WORKER_CACHE_LIMIT = 8
+
+#: Leading int64 words of a graph segment: ``n``, ``nnz``, ``connected``.
+_HEADER = 3
 
 
 def _attach_untracked(name: str) -> shared_memory.SharedMemory:
@@ -151,12 +157,16 @@ _REGISTRY_LOCK = threading.Lock()
 def share_graph(graph: Graph, *, pin: bool = False) -> str:
     """Place ``graph``'s CSR arrays in shared memory (cached) and return the name.
 
-    Layout: ``int64 [n, nnz, indptr[0..n], indices[0..nnz-1]]``.  The entry
-    is cached by graph identity, so sweeps that run several protocols on one
-    graph write the segment once.  With ``pin=True`` the returned segment is
-    pinned against eviction *before* the registry lock is released — the
-    caller owns one :func:`unpin_segment` for it — so no concurrent
-    registration can unlink it between return and first use.
+    Layout: ``int64 [n, nnz, connected, indptr[0..n], indices[0..nnz-1]]``,
+    where ``connected`` is ``graph.is_connected()`` as 0 or 1 — memoized on
+    the graph, so a sampler that already checked it pays nothing, and a
+    graph whose connectivity is still unknown is searched once here rather
+    than once per worker.  The entry is cached by graph identity, so sweeps
+    that run several protocols on one graph write the segment once.  With
+    ``pin=True`` the returned segment is pinned against eviction *before*
+    the registry lock is released — the caller owns one
+    :func:`unpin_segment` for it — so no concurrent registration can unlink
+    it between return and first use.
     """
     key = id(graph)
     with _REGISTRY_LOCK:
@@ -175,11 +185,10 @@ def share_graph(graph: Graph, *, pin: bool = False) -> str:
     flat = flat_adjacency(graph)
     n = flat.num_vertices
     nnz = int(flat.indices.size)
-    segment, header = create_array((2 + (n + 1) + nnz,), dtype=np.int64)
-    header[0] = n
-    header[1] = nnz
-    header[2 : 3 + n] = flat.indptr
-    header[3 + n :] = flat.indices
+    segment, header = create_array((_HEADER + (n + 1) + nnz,), dtype=np.int64)
+    header[:_HEADER] = (n, nnz, graph.is_connected())
+    header[_HEADER : _HEADER + n + 1] = flat.indptr
+    header[_HEADER + n + 1 :] = flat.indices
     del header
 
     with _REGISTRY_LOCK:
@@ -281,9 +290,12 @@ _ATTACHED_GRAPHS: dict[str, tuple[shared_memory.SharedMemory, Graph]] = {}
 def attach_graph(name: str, graph_name: Optional[str] = None) -> Graph:
     """Rebuild (cached) the :class:`Graph` stored in segment ``name``.
 
-    The reconstructed graph's flat-adjacency cache entry points at zero-copy
-    views into the shared segment, so the batch kernels' hottest arrays are
-    never copied into the worker.
+    Reads the :func:`share_graph` layout ``[n, nnz, connected, indptr...,
+    indices...]``.  The reconstructed graph's flat-adjacency cache entry
+    points at zero-copy views into the shared segment, so the batch
+    kernels' hottest arrays are never copied into the worker, and its
+    :meth:`~repro.graphs.base.Graph.is_connected` answers the parent's
+    ``connected`` word without a search.
     """
     cached = _ATTACHED_GRAPHS.get(name)
     if cached is not None:
@@ -291,14 +303,14 @@ def attach_graph(name: str, graph_name: Optional[str] = None) -> Graph:
         _ATTACHED_GRAPHS[name] = cached  # refresh recency
         return cached[1]
     segment = _attach_untracked(name)
-    header = np.ndarray((2,), dtype=np.int64, buffer=segment.buf)
-    n, nnz = int(header[0]), int(header[1])
-    arrays = np.ndarray((2 + (n + 1) + nnz,), dtype=np.int64, buffer=segment.buf)
-    indptr = arrays[2 : 3 + n]
-    indices = arrays[3 + n :]
+    header = np.ndarray((_HEADER,), dtype=np.int64, buffer=segment.buf)
+    n, nnz, connected = (int(word) for word in header)
+    arrays = np.ndarray((_HEADER + (n + 1) + nnz,), dtype=np.int64, buffer=segment.buf)
+    indptr = arrays[_HEADER : _HEADER + n + 1]
+    indices = arrays[_HEADER + n + 1 :]
     indptr.flags.writeable = False
     indices.flags.writeable = False
-    graph = Graph.from_csr(indptr, indices, name=graph_name)
+    graph = Graph.from_csr(indptr, indices, name=graph_name, connected=bool(connected))
     cache_adjacency(graph, FlatAdjacency.from_arrays(indptr, indices))
     while len(_ATTACHED_GRAPHS) >= _WORKER_CACHE_LIMIT:
         old_name = next(iter(_ATTACHED_GRAPHS))

@@ -115,6 +115,7 @@ from repro.core.async_engine import ASYNC_VIEWS, default_max_steps
 from repro.core.aux_processes import pull_probabilities
 from repro.core.budgets import (
     check_budget_policy,
+    check_connected,
     parse_count_budget,
     parse_time_budget,
     scenario_rejection,
@@ -296,10 +297,7 @@ def _prepare(
         raise ProtocolError(
             f"source {int(bad)} is not a vertex of {graph.name} (n={n})"
         )
-    if n > 1 and not graph.is_connected():
-        raise ProtocolError(
-            f"{graph.name} is not connected; the rumor can never reach every vertex"
-        )
+    check_connected(graph)
     return source_array, generators
 
 

@@ -7,6 +7,8 @@ is a simulated-time horizon.  The serial engines and
 with a :class:`ProtocolError` naming the option, on every path.  The serial
 engines and the couplings also check their source vertex here
 (:func:`check_source`); ``run_batch`` checks its source array vectorised.
+Every path, :func:`~repro.analysis.parallel.run_trials_parallel`'s parent
+included, refuses a disconnected graph through :func:`check_connected`.
 Which scenarios the engines run at all is decided here too
 (:func:`scenario_rejection`).
 """
@@ -25,11 +27,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "check_budget_policy",
+    "check_connected",
     "check_source",
     "parse_count_budget",
     "parse_time_budget",
     "scenario_rejection",
 ]
+
+
+def check_connected(graph: Graph) -> None:
+    """Raise :class:`ProtocolError` for a disconnected graph, from which the
+    rumor could never reach every vertex."""
+    if not graph.is_connected():
+        raise ProtocolError(
+            f"{graph.name} is not connected; the rumor can never reach every vertex"
+        )
 
 
 def check_source(graph: Graph, source: object) -> int:
@@ -46,10 +58,7 @@ def check_source(graph: Graph, source: object) -> int:
         raise ProtocolError(
             f"source {vertex} is not a vertex of {graph.name} (n={graph.num_vertices})"
         )
-    if graph.num_vertices > 1 and not graph.is_connected():
-        raise ProtocolError(
-            f"{graph.name} is not connected; the rumor can never reach every vertex"
-        )
+    check_connected(graph)
     return vertex
 
 

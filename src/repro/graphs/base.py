@@ -236,7 +236,8 @@ class Graph:
 
         All rumor-spreading theorems in the paper assume connectivity; the
         protocol engines validate it via this method, on every batch call.
-        The graph is immutable, so the answer is computed once and kept.
+        The graph is immutable, so the answer is computed once and kept (or
+        seeded by :meth:`from_csr`).
         """
         if self._connected is None:
             self._connected = self._search_connected()
@@ -267,9 +268,8 @@ class Graph:
         """Connectivity straight off the CSR arrays (no tuple materialization).
 
         Delegates to :func:`repro.graphs.csr_build.csr_is_connected` (a
-        level-synchronous frontier BFS in NumPy), so batch-only workers
-        (which attach graphs from shared CSR segments and never need the
-        Python adjacency) keep their O(1)-attach guarantee.
+        level-synchronous frontier BFS in NumPy), so a CSR-built graph is
+        checked without ever building its Python adjacency.
         """
         from repro.graphs import csr_build
 
@@ -391,7 +391,14 @@ class Graph:
         return clone
 
     @classmethod
-    def from_csr(cls, indptr, indices, *, name: Optional[str] = None) -> "Graph":
+    def from_csr(
+        cls,
+        indptr,
+        indices,
+        *,
+        name: Optional[str] = None,
+        connected: Optional[bool] = None,
+    ) -> "Graph":
         """Rebuild a graph from CSR adjacency arrays produced by this library.
 
         The trusted fast-path inverse of
@@ -406,9 +413,12 @@ class Graph:
 
         Attaching is O(1): the arrays are adopted as-is and the Python
         adjacency/edge tuples are materialised lazily, on the first access
-        that actually needs them.  Batch-only worker chunks — whose kernels
-        read the (cached) CSR arrays and whose connectivity check runs
-        straight off them — never pay the O(n + m) tuple pass at all.
+        that actually needs them.  Batch-only worker chunks, whose kernels
+        read the (cached) CSR arrays, never pay the O(n + m) tuple pass at
+        all.  ``connected`` seeds the :meth:`is_connected` memo with an
+        answer already computed on these arrays (``None`` leaves it to a
+        BFS on first use): :func:`repro.analysis.shm.attach_graph` passes
+        the parent's, so a worker's first chunk pays no BFS either.
         """
         n = len(indptr) - 1
         if n < 1:
@@ -420,5 +430,5 @@ class Graph:
         graph._degrees = None
         graph._name = name
         graph._csr = (indptr, indices)
-        graph._connected = None
+        graph._connected = connected
         return graph

@@ -5,16 +5,20 @@ users frequently have a :class:`networkx.Graph` in hand (e.g. a social
 network loaded from an edge list).  These helpers translate in both
 directions, relabelling arbitrary hashable networkx node identifiers to the
 contiguous integer ids the engines require and back.
+
+networkx is imported inside the helpers that use it, so ``import repro``
+(and every pool worker it starts) neither needs nor pays for it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Hashable
 
 from repro.errors import GraphError
 from repro.graphs.base import Graph
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = [
     "from_networkx",
@@ -60,6 +64,8 @@ def to_networkx(graph: Graph) -> "nx.Graph":
     carried over, so the round trip ``from_networkx(to_networkx(g))``
     reproduces ``g`` exactly.
     """
+    import networkx as nx
+
     nx_graph = nx.Graph(name=graph.name)
     nx_graph.add_nodes_from(range(graph.num_vertices))
     nx_graph.add_edges_from(graph.edges)
@@ -76,6 +82,8 @@ def from_edge_list(
     Convenience wrapper for loading external data sets: labels are mapped to
     contiguous integer ids and the mapping is returned alongside the graph.
     """
+    import networkx as nx
+
     nx_graph = nx.Graph()
     nx_graph.add_edges_from(edges)
     return from_networkx(nx_graph, name=name)

@@ -53,15 +53,22 @@ def csr_from_half_edges(
     in either orientation); endpoints must lie in ``0..n-1``.  Neighbor
     lists come out sorted, so the result feeds
     :meth:`repro.graphs.base.Graph.from_csr` directly.
+
+    Both orientations of every edge are encoded as one int64 key
+    ``head * n + tail`` and sorted once: for endpoints in ``0..n-1`` the key
+    order is exactly the lexicographic order of ``(head, tail)``, so the
+    sorted keys are the row-major neighbor lists, read back as
+    ``key // n`` (the row, counted into the degrees) and ``key % n`` (the
+    neighbor).  The keys fit in int64 while ``n * n < 2**63``, that is for
+    ``n`` below about ``3.03e9``.
     """
     heads = np.asarray(heads, dtype=np.int64).ravel()
     tails = np.asarray(tails, dtype=np.int64).ravel()
-    sym_heads = np.concatenate([heads, tails])
-    sym_tails = np.concatenate([tails, heads])
-    order = np.lexsort((sym_tails, sym_heads))
-    indices = sym_tails[order]
-    degrees = np.bincount(sym_heads, minlength=n)
-    return indptr_from_degrees(degrees), indices
+    key = np.concatenate([heads * n + tails, tails * n + heads])
+    key.sort()
+    degrees = np.bincount(key // n, minlength=n)
+    key %= n
+    return indptr_from_degrees(degrees), key
 
 
 def csr_edges(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -97,10 +104,25 @@ def _frontier_neighbors(
     indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray
 ) -> np.ndarray:
     """All neighbors of the frontier vertices, concatenated (with repeats)."""
-    degs = indptr[frontier + 1] - indptr[frontier]
-    total = int(degs.sum())
-    within = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(degs) - degs, degs)
-    return indices[np.repeat(indptr[frontier], degs) + within]
+    starts = indptr[frontier]
+    degs = indptr[frontier + 1] - starts
+    # Entry k of the concatenation lies in row r at starts[r] + k - (ends[r] - degs[r]).
+    offsets = np.repeat(starts - np.cumsum(degs) + degs, degs)
+    return indices[offsets + np.arange(offsets.size, dtype=np.int64)]
+
+
+def _distinct(candidates: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """One occurrence of each distinct vertex in ``candidates``.
+
+    One scatter and one gather: every candidate writes its position into
+    ``slot`` (a work array indexed by vertex), and a position survives iff
+    its write is the one that stuck.  Whichever repeat wins, each vertex
+    keeps exactly one occurrence, and neither connectivity nor a component
+    label depends on the order a BFS visits its frontier.
+    """
+    positions = np.arange(candidates.size, dtype=np.int64)
+    slot[candidates] = positions
+    return candidates[slot[candidates] == positions]
 
 
 def csr_is_connected(indptr: np.ndarray, indices: np.ndarray) -> bool:
@@ -111,12 +133,13 @@ def csr_is_connected(indptr: np.ndarray, indices: np.ndarray) -> bool:
     if n == 1:
         return True
     seen = np.zeros(n, dtype=bool)
+    slot = np.empty(n, dtype=np.int64)
     seen[0] = True
     frontier = np.array([0], dtype=np.int64)
     count = 1
     while frontier.size:
         neighbors = _frontier_neighbors(indptr, indices, frontier)
-        new = np.unique(neighbors[~seen[neighbors]])
+        new = _distinct(neighbors[~seen[neighbors]], slot)
         seen[new] = True
         count += new.size
         frontier = new
@@ -136,6 +159,7 @@ def connected_component_labels(
     indices = np.asarray(indices)
     n = int(indptr.size - 1)
     labels = np.full(n, -1, dtype=np.int64)
+    slot = np.empty(n, dtype=np.int64)
     label = 0
     start = 0
     while True:
@@ -147,7 +171,7 @@ def connected_component_labels(
         frontier = np.array([start], dtype=np.int64)
         while frontier.size:
             neighbors = _frontier_neighbors(indptr, indices, frontier)
-            new = np.unique(neighbors[labels[neighbors] < 0])
+            new = _distinct(neighbors[labels[neighbors] < 0], slot)
             labels[new] = label
             frontier = new
         label += 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.analysis.montecarlo import (
     run_adaptive_trials,
     run_trials,
 )
+from repro.analysis.parallel import run_trials_parallel
 from repro.errors import AnalysisError
 from repro.graphs import complete_graph, star_graph
 from repro.graphs.random_graphs import connected_erdos_renyi_graph
@@ -63,6 +66,20 @@ class TestRunTrials:
             run_trials(graph, 0, "pp", trials=2, fractions=(1.5,))
         with pytest.raises(AnalysisError):
             run_trials(graph, "uniform", "pp", trials=2)
+
+    @pytest.mark.parametrize(
+        "runner",
+        [
+            functools.partial(run_trials, batch=True),
+            functools.partial(run_trials, batch=False),
+            functools.partial(run_trials_parallel, num_workers=2),
+        ],
+        ids=["run_trials-batched", "run_trials-serial", "run_trials_parallel"],
+    )
+    def test_repeated_fraction_rejected(self, runner):
+        # A repeated fraction used to collect its times twice under one key.
+        with pytest.raises(AnalysisError, match="distinct"):
+            runner(complete_graph(8), 0, "pp", trials=3, seed=1, fractions=(0.5, 0.5))
 
     def test_unknown_protocol_rejected_eagerly(self):
         from repro.errors import ProtocolError

@@ -5,14 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.montecarlo import run_trials
 from repro.analysis.parallel import (
     ParallelTrialSpec,
     _run_chunk,
     default_worker_count,
     run_trials_parallel,
 )
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ProtocolError
 from repro.graphs import complete_graph, star_graph
+from repro.graphs.base import Graph
+from repro.telemetry.metrics import MetricsRegistry, collecting_metrics
 
 
 class TestWorkerHelpers:
@@ -139,3 +142,28 @@ class TestTransports:
                 batch=True,
                 engine_options={"record_trace": True},
             )
+
+
+class TestParentSideRejection:
+    """What every chunk would refuse is refused in the parent, with the
+    in-process error, before any chunk is dispatched or retried."""
+
+    @pytest.mark.parametrize(
+        "graph, kwargs, error",
+        [
+            (Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), {}, ProtocolError),
+            (complete_graph(8), {"fractions": (1.5,)}, AnalysisError),
+        ],
+        ids=["disconnected", "fraction-out-of-range"],
+    )
+    def test_raises_the_in_process_error_without_dispatch(self, graph, kwargs, error):
+        with pytest.raises(error) as in_process:
+            run_trials(graph, 0, "pp", trials=4, seed=1, **kwargs)
+        registry = MetricsRegistry()
+        with collecting_metrics(registry):
+            with pytest.raises(error) as pooled:
+                run_trials_parallel(graph, 0, "pp", trials=4, seed=1, num_workers=2, **kwargs)
+        assert str(pooled.value) == str(in_process.value)
+        counters = registry.snapshot()["counters"]
+        for name in ("parallel.chunks", "parallel.chunk_retries", "parallel.serial_fallbacks"):
+            assert counters.get(name, 0) == 0, name

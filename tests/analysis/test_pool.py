@@ -36,6 +36,8 @@ from repro.analysis.comparison import sweep_family
 from repro.analysis.parallel import run_trials_parallel
 from repro.analysis.pool import ExecutorHandle, get_pool, shutdown_pool
 from repro.errors import AnalysisError
+from repro.graphs import csr_build
+from repro.graphs.base import Graph
 from repro.graphs.random_graphs import random_regular_graph
 from repro.telemetry.metrics import MetricsRegistry, collecting_metrics
 from repro.telemetry.trace import CoverageRecorder
@@ -128,6 +130,55 @@ class TestPoolReuse:
         assert len(shm._SHARED_GRAPHS) == 1
         run_trials_parallel(graph, 0, "pp-a", trials=6, seed=2, num_workers=2)
         assert len(shm._SHARED_GRAPHS) == 1  # same graph, same segment
+
+
+class TestConnectivityInTheSegment:
+    """share_graph writes the parent's connectivity into the segment header,
+    and attach_graph hands it to the rebuilt graph: no worker searches a
+    graph the parent already validated."""
+
+    def test_attached_graph_answers_with_the_parents_connectivity(self, monkeypatch):
+        from repro.core import flatgraph
+
+        connected = random_regular_graph(16, 3, seed=1)
+        # Two disjoint K4s: 12 edges >= n - 1, so only a search could tell.
+        k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+        indptr, indices = csr_build.csr_from_half_edges(
+            8, *zip(*(k4 + [(u + 4, v + 4) for u, v in k4]))
+        )
+        disconnected = Graph.from_csr(indptr, indices, name="two K4s")
+        names = [shm.share_graph(connected), shm.share_graph(disconnected)]
+
+        def no_search(*args):
+            raise AssertionError("an attached graph re-ran the connectivity BFS")
+
+        monkeypatch.setattr(csr_build, "csr_is_connected", no_search)
+        try:
+            answers = [shm.attach_graph(name).is_connected() for name in names]
+            assert answers == [True, False]
+        finally:
+            for name in names:
+                if name in shm._ATTACHED_GRAPHS:
+                    segment, g = shm._ATTACHED_GRAPHS.pop(name)
+                    flatgraph.uncache_adjacency(g)
+                    del g
+                    segment.close()
+
+    def test_unknown_connectivity_is_searched_once_in_the_parent(self, monkeypatch):
+        path = [(v, v + 1) for v in range(9)]
+        indptr, indices = csr_build.csr_from_half_edges(10, *zip(*path))
+        graph = Graph.from_csr(indptr, indices)
+        searches = []
+        search = csr_build.csr_is_connected
+
+        def counting_search(*args):
+            searches.append(1)
+            return search(*args)
+
+        monkeypatch.setattr(csr_build, "csr_is_connected", counting_search)
+        run_trials_parallel(graph, 0, "pp", trials=4, seed=1, num_workers=2)
+        run_trials_parallel(graph, 0, "pp-a", trials=4, seed=2, num_workers=2)
+        assert len(searches) == 1
 
 
 class TestTeardown:

@@ -20,6 +20,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphGenerationError
 from repro.graphs import csr_build, generators
@@ -97,6 +99,109 @@ class TestCsrBuild:
         components = Graph.from_csr(indptr, indices).connected_components()
         for label, component in enumerate(components):
             assert all(labels[v] == label for v in component)
+
+
+# --------------------------------------------------------------------- #
+# The one-key assembly and the scatter/gather BFS against references.
+# --------------------------------------------------------------------- #
+def _lexsort_csr(n, heads, tails):
+    """The two-column ``np.lexsort`` assembly the one-key sort replaced."""
+    heads = np.asarray(heads, dtype=np.int64)
+    tails = np.asarray(tails, dtype=np.int64)
+    sym_heads = np.concatenate([heads, tails])
+    sym_tails = np.concatenate([tails, heads])
+    order = np.lexsort((sym_tails, sym_heads))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sym_heads, minlength=n), out=indptr[1:])
+    return indptr, sym_tails[order]
+
+
+def _python_bfs_labels(n, edges):
+    """Component labels by a plain-Python BFS, numbered by smallest member."""
+    adjacency = [[] for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    labels = [-1] * n
+    label = 0
+    for start in range(n):
+        if labels[start] >= 0:
+            continue
+        labels[start] = label
+        queue = [start]
+        for u in queue:
+            for w in adjacency[u]:
+                if labels[w] < 0:
+                    labels[w] = label
+                    queue.append(w)
+        label += 1
+    return labels
+
+
+@st.composite
+def simple_edge_sets(draw):
+    """``(n, heads, tails)``: a random simple edge set in random orientation
+    and order, as int64 or int32 arrays; empty sets and isolated vertices
+    included."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    chosen = draw(st.permutations(chosen))
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    oriented = [(v, u) if flip else (u, v) for (u, v), flip in zip(chosen, flips)]
+    dtype = draw(st.sampled_from([np.int64, np.int32]))
+    heads = np.array([u for u, _ in oriented], dtype=dtype)
+    tails = np.array([v for _, v in oriented], dtype=dtype)
+    return n, heads, tails
+
+
+class TestOneKeyAssembly:
+    @settings(max_examples=200, deadline=None)
+    @given(simple_edge_sets())
+    def test_equals_two_column_lexsort(self, edge_set):
+        n, heads, tails = edge_set
+        indptr, indices = csr_build.csr_from_half_edges(n, heads, tails)
+        ref_indptr, ref_indices = _lexsort_csr(n, heads, tails)
+        assert indptr.dtype == indices.dtype == np.int64
+        np.testing.assert_array_equal(indptr, ref_indptr)
+        np.testing.assert_array_equal(indices, ref_indices)
+
+    def test_keys_beyond_int32_from_int32_endpoints(self):
+        # 69_999 * 70_000 + 69_998 > 2**31: the key must be formed in int64.
+        n = 70_000
+        heads = np.array([69_999, 0], dtype=np.int32)
+        tails = np.array([69_998, 69_999], dtype=np.int32)
+        indptr, indices = csr_build.csr_from_half_edges(n, heads, tails)
+        ref_indptr, ref_indices = _lexsort_csr(n, heads, tails)
+        np.testing.assert_array_equal(indptr, ref_indptr)
+        np.testing.assert_array_equal(indices, ref_indices)
+        assert indices[indptr[n - 1] : indptr[n]].tolist() == [0, 69_998]
+
+
+class TestFrontierBfs:
+    def test_matches_python_bfs_on_graphs_with_many_components(self):
+        rng = np.random.default_rng(20160725)
+        disconnected = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 120))
+            pairs = [
+                (u, v)
+                for u, v in itertools.combinations(range(n), 2)
+                if rng.random() < 1.5 / n
+            ]
+            heads = np.array([u for u, _ in pairs], dtype=np.int64)
+            tails = np.array([v for _, v in pairs], dtype=np.int64)
+            indptr, indices = csr_build.csr_from_half_edges(n, heads, tails)
+            expected = _python_bfs_labels(n, pairs)
+            labels = csr_build.connected_component_labels(indptr, indices)
+            assert labels.tolist() == expected
+            connected = max(expected) == 0
+            assert csr_build.csr_is_connected(indptr, indices) == connected
+            graph = Graph.from_csr(indptr, indices)
+            assert graph.is_connected() == connected
+            assert graph.connected_components() == Graph(n, pairs).connected_components()
+            disconnected += not connected
+        assert disconnected >= 150  # the sample is mostly many-component graphs
 
 
 # --------------------------------------------------------------------- #

@@ -8,6 +8,11 @@ in a fresh interpreter.
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -74,3 +79,28 @@ def test_version_matches_package_metadata():
     assert repro.__version__ == __version__
     parts = __version__.split(".")
     assert len(parts) >= 2 and all(part.isdigit() for part in parts[:2])
+
+
+def test_import_and_run_without_networkx():
+    # networkx is optional: only the converters (and random_regular_graph's
+    # rare fallback) import it, inside the functions that need it.
+    script = textwrap.dedent(
+        """
+        import sys
+        sys.modules["networkx"] = None  # any import of it now raises
+        import repro
+        from repro.analysis import run_trials
+        from repro.graphs import random_regular_graph
+        sample = run_trials(random_regular_graph(16, 3, seed=1), 0, "pp", trials=3, seed=2)
+        assert sample.num_trials == 3
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
