@@ -37,9 +37,9 @@ def test_async_engine_view_cost(benchmark, view):
 @pytest.mark.parametrize("view", ["global", "node_clocks", "edge_clocks"])
 def test_batched_view_cost(benchmark, view):
     """Companion ablation: the batched kernels' per-view cost on the same
-    workload (128 trials at once; the clock-queue views pay per-tick scalar
-    draws for serial equivalence, so their batched win is smaller than the
-    global view's)."""
+    workload (128 trials at once; the clock-queue views advance a next-tick
+    table one tick at a time before the shared block consumer resolves the
+    contacts, so their batched win is smaller than the global view's)."""
     from repro.core.batch_engine import run_batch
 
     graph = hypercube_graph(8)

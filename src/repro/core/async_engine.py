@@ -75,9 +75,15 @@ ASYNC_VIEWS = ("global", "node_clocks", "edge_clocks")
 
 _PROTOCOL_NAMES = {"push": "push-a", "pull": "pull-a", "push-pull": "pp-a"}
 
-#: Ticks per refill of the global view's draws; the batched tick loop
-#: refills in chunks of the same size (``batch_engine._ASYNC_CHUNK``).
+#: Ticks per refill of the global view's draws.  The batched tick loop
+#: imports it: its refills must be exactly this size.
 _CHUNK = 4096
+
+#: Ticks per refill of the clock views' draws, imported by the batched
+#: table loop (its refills must match) and by the pooled chunks (which only
+#: need a width).  A run leaves at most one refill partly unused; ``pp-a``
+#: on a random 8-regular graph with 256 vertices takes about 1,800 ticks.
+_CLOCK_BLOCK = 1024
 
 
 def default_max_steps(num_vertices: int) -> int:
@@ -277,24 +283,26 @@ class _ScenarioState:
     2. the clock views' initial next-tick block: ``rng.exponential(1 / r_v,
        n)`` for ``node_clocks``; one per-pair block with scale
        ``deg(v) / r_v`` in CSR pair order for ``edge_clocks``;
-    3. per tick at time ``now``, first every boundary crossed in
-       (previous tick, now], chronologically: per unit-time epoch one
-       ``rng.random(n)`` churn update (for churn models with per-epoch
-       randomness) then one scalar burst draw; per dynamic-graph period the
-       resampler's own draws (the epoch fires before a resample on ties;
-       clocks are never redrawn — ``node_clocks`` clocks are graph
-       independent, and ``edge_clocks`` rejects dynamic graphs);
-    4. then the tick's own draws:
+    3. the ticks' own draws, ahead, one refill of ``min(size, steps left)``
+       ticks whenever the run goes on past its previous refill — so a
+       refill's draws precede the boundary draws of its ticks, and a run
+       that stops mid-refill keeps the whole refill drawn:
 
-       * ``global`` draws them ahead, per refill of ``min(_CHUNK,
-         remaining)`` ticks: the exponential gaps, the callers
+       * ``global`` (``_CHUNK`` ticks): the exponential gaps, the callers
          (``integers``, or rate-weighted uniforms under a ``Delay``), the
-         neighbor uniforms, then the loss uniforms when the run is lossy —
-         so a refill's draws precede the boundary draws of its ticks;
-       * ``node_clocks``: the neighbor uniform, the loss uniform when the
-         run is lossy, the reschedule exponential;
-       * ``edge_clocks``: the loss uniform when the run is lossy, the
-         reschedule exponential.
+         neighbor uniforms, then the loss uniforms when the run is lossy;
+       * ``node_clocks`` (``_CLOCK_BLOCK`` ticks): the neighbor uniforms,
+         the loss uniforms when the run is lossy, then the standard
+         exponentials that the clock's scale turns into reschedules;
+       * ``edge_clocks`` (``_CLOCK_BLOCK`` ticks): the loss uniforms when
+         the run is lossy, then the standard exponentials;
+    4. per tick at time ``now``, every boundary crossed in (previous tick,
+       now], chronologically: per unit-time epoch one ``rng.random(n)``
+       churn update (for churn models with per-epoch randomness) then one
+       scalar burst draw; per dynamic-graph period the resampler's own
+       draws (the epoch fires before a resample on ties; clocks are never
+       redrawn — ``node_clocks`` clocks are graph independent, and
+       ``edge_clocks`` rejects dynamic graphs).
     """
 
     __slots__ = (
@@ -505,31 +513,37 @@ def _run_node_clock_view(
     degrees = graph.degrees
     rates = None if state is None else state.rates
     # Vertex v ticks at rate r_v: gaps are Exp(1 / r_v).
-    scales = None if rates is None else 1.0 / rates
-    first_ticks = rng.exponential(1.0, n) if scales is None else rng.exponential(scales)
+    scales = None if rates is None else (1.0 / rates).tolist()
+    first_ticks = rng.exponential(1.0, n) if rates is None else rng.exponential(1.0 / rates)
     heap = [(float(first_ticks[v]), v) for v in range(n)]
     heapq.heapify(heap)
+    lossy = state is not None and state.lossy
     next_boundary = math.inf if state is None else state.next_boundary
     informed = record.informed
 
     steps = 0
-    while record.num_informed < n and steps < step_budget:
-        now, caller = heapq.heappop(heap)
-        if now > time_budget:
-            break
-        if now >= next_boundary and state is not None:
-            next_boundary = state.cross_boundaries(now, n, rng, informed)
-            adjacency = state.current_graph.adjacency
-            degrees = state.current_graph.degrees
-        steps += 1
-        degree = degrees[caller]
-        callee = adjacency[caller][min(int(rng.random() * degree), degree - 1)]
-        suppressed = state is not None and state.suppresses(
-            caller, callee, rng.random() if state.lossy else 0.0, informed
-        )
-        record.contact(caller, callee, now, suppressed)
-        reschedule_scale = 1.0 if scales is None else float(scales[caller])
-        heapq.heappush(heap, (now + float(rng.exponential(reschedule_scale)), caller))
+    while steps < step_budget:
+        refill = min(_CLOCK_BLOCK, step_budget - steps)
+        neighbor_uniforms = rng.random(refill).tolist()
+        loss_uniforms = rng.random(refill).tolist() if lossy else repeat(0.0)
+        exponentials = rng.standard_exponential(refill).tolist()
+        for u, loss, gap in zip(neighbor_uniforms, loss_uniforms, exponentials):
+            now, caller = heapq.heappop(heap)
+            if now > time_budget:
+                return steps
+            if now >= next_boundary and state is not None:
+                next_boundary = state.cross_boundaries(now, n, rng, informed)
+                adjacency = state.current_graph.adjacency
+                degrees = state.current_graph.degrees
+            steps += 1
+            degree = degrees[caller]
+            callee = adjacency[caller][min(int(u * degree), degree - 1)]
+            suppressed = state is not None and state.suppresses(caller, callee, loss, informed)
+            if record.contact(caller, callee, now, suppressed):
+                return steps
+            if scales is not None:
+                gap *= scales[caller]
+            heapq.heappush(heap, (now + gap, caller))
     return steps
 
 
@@ -558,26 +572,28 @@ def _run_edge_clock_view(
             pair_scales.append(scale)
     heap = [(float(rng.exponential(scale)), index) for index, scale in enumerate(pair_scales)]
     heapq.heapify(heap)
+    lossy = state is not None and state.lossy
     next_boundary = math.inf if state is None else state.next_boundary
     informed = record.informed
 
     steps = 0
-    while record.num_informed < n and steps < step_budget:
-        now, pair_index = heapq.heappop(heap)
-        if now > time_budget:
-            break
-        if now >= next_boundary and state is not None:
-            # Dynamic graphs are rejected upstream: the pair set never changes.
-            next_boundary = state.cross_boundaries(now, n, rng, informed)
-        steps += 1
-        caller, callee = ordered_pairs[pair_index]
-        suppressed = state is not None and state.suppresses(
-            caller, callee, rng.random() if state.lossy else 0.0, informed
-        )
-        record.contact(caller, callee, now, suppressed)
-        heapq.heappush(
-            heap, (now + float(rng.exponential(pair_scales[pair_index])), pair_index)
-        )
+    while steps < step_budget:
+        refill = min(_CLOCK_BLOCK, step_budget - steps)
+        loss_uniforms = rng.random(refill).tolist() if lossy else repeat(0.0)
+        exponentials = rng.standard_exponential(refill).tolist()
+        for loss, gap in zip(loss_uniforms, exponentials):
+            now, pair_index = heapq.heappop(heap)
+            if now > time_budget:
+                return steps
+            if now >= next_boundary and state is not None:
+                # Dynamic graphs are rejected upstream: the pair set never changes.
+                next_boundary = state.cross_boundaries(now, n, rng, informed)
+            steps += 1
+            caller, callee = ordered_pairs[pair_index]
+            suppressed = state is not None and state.suppresses(caller, callee, loss, informed)
+            if record.contact(caller, callee, now, suppressed):
+                return steps
+            heapq.heappush(heap, (now + gap * pair_scales[pair_index], pair_index))
     return steps
 
 

@@ -36,7 +36,9 @@ times-only result.  The bodies, by kernel family:
   queue becomes a next-tick matrix with one row per live trial, whose
   per-row ``argmin`` is the next event (identical to the heap pop —
   continuous tick times tie with probability zero), so batched next-event
-  simulation stays exact.
+  simulation stays exact.  Each trial draws its ticks' randomness in
+  refills, so the table advances a block of ticks at a time and the numpy
+  block consumer the global view uses resolves the block's contacts.
 * **Pooled chunks** (the asynchronous trio with a pooled generator, every
   view, static or dynamic graph, :func:`_pooled_clock_chunks`) — see
   *Pooled RNG mode*.
@@ -44,11 +46,11 @@ times-only result.  The bodies, by kernel family:
 **Exact serial equivalence.**  Each trial owns its own
 :class:`numpy.random.Generator` and the bodies consume randomness from it
 in *exactly* the order the serial engines do (``rng.random(n)`` per
-synchronous round while live; ``exponential``/``integers``/``random`` chunks
-of the same sizes for the asynchronous global view; per-tick scalar draws
-for the node-clock view and for loss or churn draws under the edge-clock
-view, whose plain reschedule exponentials come in per-trial blocks;
-push/pull uniform blocks plus parent draws for ``ppx``/``ppy``).
+synchronous round while live; refills of the same sizes and order for the
+asynchronous views — gaps, callers, neighbor uniforms and loss uniforms
+for the global view, neighbor uniforms, loss uniforms and reschedule
+exponentials for the clock views; push/pull uniform blocks plus parent
+draws for ``ppx``/``ppy``).
 Consequently a batched trial with generator ``g`` produces bit-for-bit the
 same informing times as a serial run seeded with ``g``, and leaves ``g`` in
 the same state — the batch dimension is a pure throughput optimization,
@@ -79,22 +81,23 @@ once.  This halves the Python-level draw overhead for small ``n`` but gives
 up serial equivalence: pooled samples agree with per-trial samples only *in
 distribution* (checked by KS tests in the suite).  The asynchronous pooled
 mode goes further: freed from the serial draw order,
-:func:`_pooled_clock_chunks` pre-draws the randomness of
-``_POOLED_CLOCK_CHUNK`` future ticks as ``(B, chunk)`` blocks and keeps no
-next-tick table, because the three views are one superposed Poisson process
-in distribution.  A pooled asynchronous result therefore does not depend on
+:func:`_pooled_clock_chunks` pre-draws the randomness of ``_CLOCK_BLOCK``
+future ticks as ``(B, chunk)`` blocks and keeps no next-tick table,
+because the three views are one superposed Poisson process in
+distribution.  A pooled asynchronous result therefore does not depend on
 the view, and both backends consume the pooled stream in the same order.
 
 **Kernel backends.**  The hot loops themselves — the synchronous round
-step, the block-resolved asynchronous tick loop, and the pooled chunk
+step, the block-resolved asynchronous tick loop, and the clock-view block
 consumer — live in :mod:`repro.core.kernels` with interchangeable
 ``"numpy"`` and numba-compiled ``"jit"`` implementations, selected per
 call with the ``backend=`` option (default ``"auto"``); see the package
 docstring for the per-kernel equivalence guarantees.  The auxiliary rounds
-and the clock-view table loop run numpy code only.  The three asynchronous
-bodies share one state, an :class:`~repro.core.kernels.AsyncState` that
-:func:`_async_state` builds once per run and the kernels take whole; its
-methods hold the boundary crossing and the rumor exchange they all use.
+and the clock-view table loop (which feeds the numpy block consumer) run
+numpy code only.  The three asynchronous bodies share one state, an
+:class:`~repro.core.kernels.AsyncState` that :func:`_async_state` builds
+once per run and the kernels take whole; its methods hold the boundary
+crossing and the rumor exchange they all use.
 
 The output is a times-only :class:`~repro.core.result.BatchTimes` record:
 batched runs never build parents, infection kinds, or traces.  Callers that
@@ -105,13 +108,12 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from itertools import compress
 from types import ModuleType
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.async_engine import ASYNC_VIEWS, default_max_steps
+from repro.core.async_engine import _CHUNK, _CLOCK_BLOCK, ASYNC_VIEWS, default_max_steps
 from repro.core.aux_processes import pull_probabilities
 from repro.core.budgets import (
     check_budget_policy,
@@ -122,6 +124,7 @@ from repro.core.budgets import (
 )
 from repro.core.flatgraph import FlatAdjacency, flat_adjacency
 from repro.core.kernels import AsyncState, resolve_backend
+from repro.core.kernels.numpy_backend import _BLOCK_TICKS
 from repro.core.result import BatchTimes
 from repro.core.sync_engine import default_max_rounds
 from repro.errors import ProtocolError, ReproError, SimulationError
@@ -165,19 +168,6 @@ _FAMILY_OPTIONS = {
     "async": frozenset({"max_steps", "max_time", "view", "on_budget_exhausted", "backend"}),
     "aux": frozenset({"max_rounds", "on_budget_exhausted", "backend"}),
 }
-
-#: Chunk size of the serial asynchronous global-view engine; the batched
-#: kernel must refill per-trial randomness buffers in chunks of exactly this
-#: size to reproduce the serial draw order.
-_ASYNC_CHUNK = 4096
-
-#: Number of future ticks whose randomness the pooled clock-view chunks
-#: draw ahead of time as one ``(B, chunk)`` block per kind.
-_POOLED_CLOCK_CHUNK = 4096
-
-#: Reschedule exponentials the per-trial edge-clock loop draws ahead per
-#: trial and refill (a 512 KiB block at 64 trials); see :class:`_BlockDraws`.
-_CLOCK_BLOCK = 1024
 
 
 def _rejection(
@@ -1029,11 +1019,11 @@ def _async_ticks(job: _BatchJob) -> _Outcome:
     # at a buffer boundary (chunks never outlive the budget), so the budget
     # check lives in the refill.  The jit drain counts a trial's executed
     # ticks as the ticks of its retired chunks plus its in-chunk position.
-    state.chunk = _ASYNC_CHUNK
-    state.gaps = np.empty((batch, _ASYNC_CHUNK))
-    state.callers = np.empty((batch, _ASYNC_CHUNK), dtype=np.int32)
-    state.nbr_uniforms = np.empty((batch, _ASYNC_CHUNK))
-    state.loss_uniforms = np.empty((batch, _ASYNC_CHUNK)) if job.parts.lossy else None
+    state.chunk = _CHUNK
+    state.gaps = np.empty((batch, _CHUNK))
+    state.callers = np.empty((batch, _CHUNK), dtype=np.int32)
+    state.nbr_uniforms = np.empty((batch, _CHUNK))
+    state.loss_uniforms = np.empty((batch, _CHUNK)) if job.parts.lossy else None
     state.positions = np.zeros(batch, dtype=np.int64)
     state.buffer_lengths = np.zeros(batch, dtype=np.int64)
     state.chunk_base = np.zeros(batch, dtype=np.int64)
@@ -1058,7 +1048,7 @@ def _pooled_clock_chunks(job: _BatchJob) -> _Outcome:
     ``Exp(1/n)`` gaps, a uniformly random caller, and a uniformly random
     neighbor as callee (the view equivalence of
     :mod:`repro.experiments.view_equivalence`).  That lets this body
-    pre-draw the whole randomness of the next ``_POOLED_CLOCK_CHUNK`` ticks
+    pre-draw the whole randomness of the next ``_CLOCK_BLOCK`` ticks
     as three ``(B, chunk)`` blocks — gaps, callers, neighbor uniforms — and
     hand them to a lean per-tick loop (the backend's
     ``clock_chunk_consume``, which resolves the callees of the ticks it
@@ -1088,7 +1078,7 @@ def _pooled_clock_chunks(job: _BatchJob) -> _Outcome:
         if remaining <= 0:
             live[rows] = False
             break
-        width = min(_POOLED_CLOCK_CHUNK, remaining)
+        width = min(_CLOCK_BLOCK, remaining)
         # Under a Delay every vertex v ticks at rate r_v (node clocks) — and
         # its edge-view pair clocks, rate r_v/deg(v) each, superpose to the
         # same r_v — so the pooled process has per-trial total rate sum(r_v)
@@ -1124,98 +1114,6 @@ def _pooled_clock_chunks(job: _BatchJob) -> _Outcome:
 # ---------------------------------------------------------------------- #
 # Clock-queue views (node_clocks / edge_clocks), per-trial generators
 # ---------------------------------------------------------------------- #
-class _ScalarDraws:
-    """Per-tick scalar draws of the live trials' own generators, in row order.
-
-    Each call draws one value per live row; the generators are independent,
-    so drawing every row's neighbor uniform before every row's reschedule
-    keeps each generator's own sequence in the serial per-tick order.
-    """
-
-    __slots__ = ("uniforms", "exponentials")
-
-    def __init__(self, generators: Sequence[np.random.Generator]) -> None:
-        self.uniforms = [generator.random for generator in generators]
-        self.exponentials = [generator.standard_exponential for generator in generators]
-
-    def uniform(self) -> np.ndarray:
-        return np.array([draw() for draw in self.uniforms])
-
-    def exponential(self) -> np.ndarray:
-        return np.array([draw() for draw in self.exponentials])
-
-    def retire(self, keep: np.ndarray) -> None:
-        self.uniforms = list(compress(self.uniforms, keep))
-        self.exponentials = list(compress(self.exponentials, keep))
-
-
-class _BlockDraws:
-    """Reschedule exponentials drawn ``_CLOCK_BLOCK`` ticks ahead per trial.
-
-    Serves trials whose per-tick stream is the reschedule exponential alone
-    (the edge view without loss draws or churn-epoch draws).  Every live row
-    takes one tick per loop iteration, so all rows consume the same block
-    column and refill together.  ``standard_exponential(k)`` makes the same
-    draws as ``k`` scalar calls, so a column times the clock's scale is the
-    serial engine's ``exponential(scale)``.  A retiring row gets its
-    generator state from the refill back and redraws exactly the columns it
-    consumed, so no over-drawn value leaks into its end state.
-    """
-
-    __slots__ = ("generators", "block", "column", "saved")
-
-    def __init__(self, generators: Sequence[np.random.Generator]) -> None:
-        self.generators = list(generators)
-        self.block = np.empty((len(self.generators), 0))
-        self.column = 0
-        self.saved: list = []
-
-    def exponential(self) -> np.ndarray:
-        if self.column == self.block.shape[1]:
-            self.saved = [generator.bit_generator.state for generator in self.generators]
-            self.block = np.empty((len(self.generators), _CLOCK_BLOCK))
-            for row, generator in zip(self.block, self.generators):
-                generator.standard_exponential(out=row)
-            self.column = 0
-        values = self.block[:, self.column]
-        self.column += 1
-        return values
-
-    def retire(self, keep: np.ndarray) -> None:
-        if self.column < self.block.shape[1]:
-            for j in np.flatnonzero(~keep):
-                generator = self.generators[j]
-                generator.bit_generator.state = self.saved[j]
-                generator.standard_exponential(self.column)
-            self.saved = list(compress(self.saved, keep))
-        self.generators = list(compress(self.generators, keep))
-        self.block = self.block[keep]
-
-
-#: The draw source of the clock-view table loop: ``uniform`` and
-#: ``exponential`` return one value per live row, in row order, and
-#: ``retire`` drops the rows where ``keep`` is false.
-_TickDraws = Union[_ScalarDraws, _BlockDraws]
-
-
-def _retire_rows(
-    keep: np.ndarray,
-    rows: np.ndarray,
-    table: np.ndarray,
-    draws: _TickDraws,
-    n: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shrink the live rows, their table and their draws to ``keep``.
-
-    Returns the new rows, table, flat table offset of each row, and flat
-    ``(B, n)`` offset of each row.
-    """
-    draws.retire(keep)
-    rows = rows[keep]
-    table = table[keep]
-    return rows, table, np.arange(rows.size) * table.shape[1], rows * n
-
-
 def _clock_table(job: _BatchJob) -> _Outcome:
     """The next-tick table loop of the clock-queue views.
 
@@ -1225,60 +1123,55 @@ def _clock_table(job: _BatchJob) -> _Outcome:
     the heap pop with a vectorised per-row ``argmin`` — with continuous tick
     times the minimum entry *is* the heap's next event (ties have measure
     zero, and both resolutions pick the lowest index), so the event sequence
-    is identical.  Every loop iteration advances all live trials by one
-    tick, with the rumor exchange vectorised across trials.  The table
-    holds only the live trials, in ascending trial order, and shrinks when
-    trials retire, so the per-tick ``argmin``, tick-time gather and
-    reschedule scatter touch it in place; scenario state, informed sets and
-    times stay indexed by absolute trial.
+    is identical.  The table holds only the live trials, in ascending trial
+    order, and shrinks when trials retire; scenario state, informed sets
+    and times stay indexed by absolute trial.
 
-    Per-trial randomness follows the serial draw order exactly: ``Delay``
-    rates first (when present), then the initial next-tick table as one
+    Per-trial randomness follows the serial draw order exactly (see
+    :class:`~repro.core.async_engine._ScenarioState`): ``Delay`` rates
+    first (when present), then the initial next-tick table as one
     ``exponential`` block per trial (``n`` rate-``r_v`` clocks for
     ``node_clocks``; one rate-``r_v/deg(v)`` clock per ordered adjacent
-    pair, in the serial pair order, for ``edge_clocks``), then per tick the
-    epoch/resample boundary draws crossed since the previous event followed
-    by the tick's own draws — neighbor uniform (``node_clocks`` only), loss
-    uniform (when a loss or burst-loss component is present), reschedule
-    exponential — so fixed-seed results agree trial-for-trial with
+    pair, in the serial pair order, for ``edge_clocks``), then one refill
+    per ``min(_CLOCK_BLOCK, steps left)`` ticks: the neighbor uniforms
+    (``node_clocks`` only), the loss uniforms (when a loss, burst-loss or
+    jammer component is present) and the standard exponentials that the
+    firing clock's scale turns into its reschedule.  Every live trial takes
+    one tick per column, so all of them refill together; the boundary draws
+    of a refill's ticks come after it, and a trial that stops mid-refill
+    keeps the whole refill drawn, as the serial engine does.  Fixed-seed
+    results therefore agree trial-for-trial with
     :func:`~repro.core.async_engine.run_asynchronous`, scenarios included,
     and every generator ends in the serial engine's end state.
 
-    Where a trial's per-tick stream is the reschedule exponential alone —
-    ``edge_clocks`` without loss and without churn-epoch draws — the loop
-    draws ``_CLOCK_BLOCK`` standard exponentials per trial at a time (the
-    same draws as that many scalar calls, and ``exponential(s)`` is
-    ``s * standard_exponential()``) and all live trials consume one block
-    column per tick.  A retiring trial restores its generator state from
-    the last refill and redraws exactly the columns it consumed.  The node
-    view interleaves a neighbor uniform with each reschedule, which no block
-    call reproduces, so it keeps per-tick scalar draws (as does the edge
-    view under loss or churn).
+    With no draw left inside a refill, the loop advances the table one
+    sub-block of at most ``_BLOCK_TICKS`` columns at a time (argmin, take
+    and put per column) and hands the sub-block's tick times and contacts
+    to the numpy backend's ``clock_chunk_consume``: scenario-free runs are
+    relaxed, every other run is walked column by column (time budget,
+    boundaries, dynamic graphs, the exchange).  A trial that retires inside
+    a sub-block has advanced its table past its last tick; nothing reads
+    those entries, and its rows leave before the next sub-block.
 
     Under ``node_clocks`` a dynamic graph rides the per-trial padded stacked
-    CSR (:class:`_TrialGraphs`); the clocks themselves are graph independent
-    and are never redrawn.  A pooled generator never reaches this loop (see
+    CSR (:class:`_TrialGraphs`), on which the consumer resolves each
+    column's callees; the clocks themselves are graph independent and are
+    never redrawn.  A pooled generator never reaches this loop (see
     :func:`_pooled_clock_chunks`).
     """
     state = _async_state(job)
     generators = job.generators
+    assert generators is not None  # a pooled generator takes its own body
     n, batch = state.n, state.batch
     degrees = state.degrees
     node_view = job.view == "node_clocks"
+    lossy = job.parts.lossy
     rates = state.rates
 
-    pair_caller = pair_callee = pair_scale = node_scales = None
+    # `scale` is each clock's mean gap: it turns a standard exponential
+    # into the clock's reschedule (None for the rate-1 vertex clocks).
     if node_view:
-        # One rate-r_v clock per vertex (r_v = 1 without a Delay): the
-        # first ticks are the serial engine's initial exponential block.
-        if rates is not None:
-            node_scales = 1.0 / rates  # (B, n): mean gap of each vertex clock
-        next_tick = np.empty((batch, n))
-        for b in range(batch):
-            if node_scales is None:
-                next_tick[b] = generators[b].exponential(1.0, n)
-            else:
-                next_tick[b] = generators[b].exponential(node_scales[b])
+        scale = None if rates is None else 1.0 / rates  # (B, n)
     else:
         # One clock per ordered pair (v, w) with rate r_v/deg(v).  The pair
         # order (v ascending, neighbors in adjacency order) is exactly the
@@ -1286,98 +1179,82 @@ def _clock_table(job: _BatchJob) -> _Outcome:
         # the same stream as the serial engine's per-pair scalar draws.
         pair_caller = np.repeat(np.arange(n, dtype=np.int64), degrees)
         pair_callee = state.indices
-        pair_scale = degrees[pair_caller].astype(float)
+        scale = degrees[pair_caller].astype(float)
         if rates is not None:
             # (B, #pairs): each trial's own rates reweight its pair clocks.
-            pair_scale = pair_scale[None, :] / rates[:, pair_caller]
-        next_tick = np.empty((batch, pair_caller.size))
-        for b in range(batch):
-            next_tick[b] = generators[b].exponential(
-                pair_scale if rates is None else pair_scale[b]
-            )
+            scale = scale[None, :] / rates[:, pair_caller]
+    clocks = n if node_view else pair_caller.size
+    table = np.empty((batch, clocks))
+    for b, generator in enumerate(generators):
+        if scale is None:
+            table[b] = generator.exponential(1.0, n)
+        else:
+            table[b] = generator.exponential(scale[b] if scale.ndim == 2 else scale)
 
-    # Dynamic graphs only reach the node view (edge_clocks is rejected) and
-    # never touch the next-tick table — vertex clocks are graph independent.
-    trial_graphs = state.trial_graphs
-    lossy = job.parts.lossy
-    draws: _TickDraws
-    if node_view or lossy or job.parts.churn_updates:
-        # The tick's uniforms (or epoch draws) interleave with its
-        # reschedule, which no block call reproduces.
-        draws = _ScalarDraws(generators)
-    else:
-        draws = _BlockDraws(generators)
-
-    # What the loop reads, bound once: the loop costs tens of microseconds
-    # per tick.
-    steps, step_budget = state.steps, state.step_budget
-    time_budget, finite_time_budget = state.time_budget, state.finite_time_budget
-    has_boundaries = state.has_boundaries
-    cross, exchange = state.cross, state.exchange
-    # The live trials (absolute ids, ascending) and the next-tick table
-    # aligned with them; both shrink only when trials retire.  Every live
-    # trial takes one tick per iteration, so `executed` is each one's step
-    # count.
-    rows = np.arange(batch, dtype=np.int64)
-    table = next_tick
-    slot_base = rows * table.shape[1]
-    cell_base = rows * n
+    # The live trials (absolute ids, ascending; every trial, or none under
+    # a zero step budget) and the per-row arrays aligned with them; all
+    # shrink only when trials retire.  Every live trial takes one tick per
+    # column, so `executed` is each one's step count at a refill.
+    live = state.live
+    rows = np.flatnonzero(live)
     executed = 0
     while rows.size:
-        if executed >= step_budget:
-            # The serial while-condition checks the step budget before each pop.
-            steps[rows] = executed
-            draws.retire(np.zeros(rows.size, dtype=bool))
+        refill = min(_CLOCK_BLOCK, state.step_budget - executed)
+        if refill <= 0:
+            # The serial loop checks the step budget before each refill.
+            live[rows] = False
+            state.steps[rows] = executed
             break
-        idx = table.argmin(axis=1)
-        tick_time = table.take(slot_base + idx)
-        if finite_time_budget:
-            over = tick_time > time_budget
-            if over.any():
-                # Serial pops the over-budget event and stops without drawing.
-                steps[rows[over]] = executed
-                keep = ~over
-                rows, table, slot_base, cell_base = _retire_rows(
-                    keep, rows, table, draws, n
+        # Zero-width where the view or the run draws none.
+        uniforms = np.empty((rows.size, refill if node_view else 0))
+        loss = np.empty((rows.size, refill if lossy else 0))
+        gaps = np.empty((rows.size, refill))
+        for i, b in enumerate(rows.tolist()):
+            generator = generators[b]
+            if node_view:
+                generator.random(out=uniforms[i])
+            if lossy:
+                generator.random(out=loss[i])
+            generator.standard_exponential(out=gaps[i])
+        gaps = np.ascontiguousarray(gaps.T)  # one row of every trial's gaps per column
+        for lo in range(0, refill, _BLOCK_TICKS):
+            width = min(_BLOCK_TICKS, refill - lo)
+            slot_base = np.arange(rows.size) * clocks
+            tick_times = np.empty((width, rows.size))
+            slots = np.empty((width, rows.size), dtype=np.int64)
+            for column in range(width):
+                # The heap pop and push of every live row: the next event is
+                # the row's earliest clock, which then reschedules.
+                idx = table.argmin(axis=1, out=slots[column])
+                flat = slot_base + idx
+                now = table.take(flat, out=tick_times[column])
+                gap = gaps[lo + column]
+                if scale is not None:
+                    gap = gap * scale.take(flat if scale.ndim == 2 else idx)
+                table.put(flat, now + gap)
+            block_loss = loss[:, lo:lo + width] if lossy else None
+            if node_view:
+                job.kern.clock_chunk_consume(
+                    state, rows, executed + lo, tick_times.T, slots.T,
+                    uniforms[:, lo:lo + width], block_loss,
                 )
+            else:
+                job.kern.clock_chunk_consume(
+                    state, rows, executed + lo, tick_times.T, pair_caller.take(slots.T),
+                    pair_callee.take(slots.T), block_loss, resolved=True,
+                )
+            keep = live.take(rows)
+            if not keep.all():
+                rows = rows[keep]
                 if rows.size == 0:
                     break
-                idx = idx[keep]
-                tick_time = tick_time[keep]
-        if has_boundaries and tick_time.max() >= state.boundary_floor:
-            # Boundaries crossed in (previous event, now] fire before the
-            # exchange, chronologically, epoch before resample on ties —
-            # the serial engine's interleaved draws.
-            cross(rows, tick_time)
-        executed += 1
-        # The tick's draws in the serial order: neighbor uniform (node view
-        # only), loss uniform (when lossy), reschedule exponential.
-        if node_view:
-            u = draws.uniform()
-        loss_u = draws.uniform() if lossy else None
-        resched = draws.exponential()
-        if node_view:
-            caller = idx
-            if trial_graphs is not None:
-                callee = trial_graphs.callees(rows, caller, u)
-            else:
-                deg = degrees.take(caller)
-                offsets = (u * deg).astype(np.int64)
-                np.minimum(offsets, deg - 1, out=offsets)
-                callee = state.indices.take(state.start.take(caller) + offsets)
-            if node_scales is not None:
-                resched = resched * node_scales.take(cell_base + caller)
-        else:
-            caller = pair_caller.take(idx)
-            callee = pair_callee.take(idx)
-            pairs = idx if rates is None else rows * pair_caller.size + idx
-            resched = resched * pair_scale.take(pairs)
-        table.put(slot_base + idx, tick_time + resched)
-        done = exchange(rows, cell_base + caller, cell_base + callee, tick_time, loss_u, executed)
-        if done is not None:
-            keep = np.ones(rows.size, dtype=bool)
-            keep[done] = False
-            rows, table, slot_base, cell_base = _retire_rows(keep, rows, table, draws, n)
+                table = table[keep]
+                gaps = gaps[:, keep]
+                uniforms = uniforms[keep]
+                loss = loss[keep]
+                if scale is not None and scale.ndim == 2:
+                    scale = scale[keep]
+        executed += refill
     return _async_outcome(state)
 
 

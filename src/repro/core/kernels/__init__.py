@@ -4,9 +4,11 @@ The batched Monte Carlo engine separates *orchestration* (validation,
 scenario unpacking, RNG stream management, result assembly — all of which
 stays in :mod:`repro.core.batch_engine`) from the *hot loops* that consume
 the pre-drawn randomness: the synchronous round step, the block-resolved
-asynchronous tick loop of the ``"global"`` view, and the pooled chunk
-consumer of all three views.  Those loops live here as pure-array kernel
-functions with two interchangeable implementations:
+asynchronous tick loop of the ``"global"`` view, and the clock-view block
+consumer of the pooled chunks (all three views) and of the per-trial
+clock-view table loop (whose numpy-pinned body feeds the numpy consumer).
+Those loops live here as pure-array kernel functions with two
+interchangeable implementations:
 
 ``numpy``
     :mod:`repro.core.kernels.numpy_backend` — the reference vectorised
@@ -29,7 +31,8 @@ the compiled loops (by the engine or by :class:`AsyncState`'s
 in an order that does not depend on the backend; the kernels are
 deterministic functions of those draws.  Consequently every RNG mode is
 **bit-identical** across backends: the per-trial modes draw in the serial
-engines' documented order (the full ``KERNEL_CASES`` registry replays under
+engines' documented order, every asynchronous view in refills drawn before
+the kernel consumes them (the full ``KERNEL_CASES`` registry replays under
 both), and a pooled generator is consumed in whole blocks the engine draws
 before either backend's consumer runs (the pooled asynchronous body, under
 every view) or in the engine's own loop (the pooled rounds).

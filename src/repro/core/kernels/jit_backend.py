@@ -514,22 +514,25 @@ def clock_chunk_consume(
     executed: int,
     tick_times: np.ndarray,
     callers: np.ndarray,
-    uniforms: np.ndarray,
+    contacts: np.ndarray,
     loss_block: Optional[np.ndarray],
+    resolved: bool = False,
 ) -> None:
     """Consume one pre-drawn pooled block; identical results to numpy.
 
     All block randomness is drawn by the engine before this runs, so the
-    compiled per-trial column drain, which resolves each tick's callee on
-    the state's static CSR, reads the same pooled stream the numpy column
-    loop would.  Blocks of a run with epoch or resample boundaries
-    (churn updates, a burst channel, an adaptive crash adversary or a
-    dynamic graph) delegate to the numpy consumer — the crossings draw
-    from the pooled generator mid-column.
+    compiled per-trial column drain, which resolves each tick's callee from
+    its neighbor uniform (``contacts``) on the state's static CSR, reads the
+    same pooled stream the numpy column loop would.  Blocks of a run with
+    epoch or resample boundaries (churn updates, a burst channel, an
+    adaptive crash adversary or a dynamic graph) delegate to the numpy
+    consumer — the crossings draw from the pooled generator mid-column — as
+    do blocks of ``resolved`` callees (only the numpy-pinned clock-view
+    table loop sends those).
     """
-    if state.has_boundaries:
+    if state.has_boundaries or resolved:
         numpy_backend.clock_chunk_consume(
-            state, rows, executed, tick_times, callers, uniforms, loss_block
+            state, rows, executed, tick_times, callers, contacts, loss_block, resolved
         )
         return
     parts = state.parts
@@ -540,7 +543,7 @@ def clock_chunk_consume(
     loss_prob = float(parts.loss_threshold(state.bad)) if has_loss else 0.0
     _clock_drain(
         rows, tick_times.shape[1], int(executed), tick_times,
-        np.ascontiguousarray(callers), uniforms,
+        np.ascontiguousarray(callers), contacts,
         state.degrees, state.start, state.indices,
         loss_block if loss_block is not None else _F2, has_loss, loss_prob,
         np.ascontiguousarray(state.up) if state.up is not None else _B2,

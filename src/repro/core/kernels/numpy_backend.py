@@ -13,13 +13,17 @@ exchange of every caller.  Both paths give the same result, and neither
 changes what is drawn.
 
 The two asynchronous kernels share one block consumer
-(:class:`_TickColumns`).  Live trials move in lockstep (each executes one
-tick per column and all of them refill at the same tick), so a block of
-ticks can be resolved for every live trial at once: the tick times as one
-sequential ``cumsum`` along the tick axis and the contacts as flat
-``(trial, vertex)`` positions, row-major.  No resolved value depends on the
-order of the draws, so the per-trial RNG streams are the serial engines',
-and a pooled block is consumed exactly as the engine drew it.
+(:class:`_TickColumns`): ``async_tick_loop`` feeds it the global view's
+chunks, and ``clock_chunk_consume`` the pooled chunks and the per-trial
+clock-view table loop's blocks.  Live trials move in lockstep (each
+executes one tick per column and all of them refill at the same tick), so
+a block of ticks can be resolved for every live trial at once: the tick
+times (for the global view, one sequential ``cumsum`` along the tick
+axis; for the clock views, the table's per-column minima) and the contacts
+as flat ``(trial, vertex)`` positions, row-major.  No resolved value
+depends on the order of the draws, so the per-trial RNG streams are the
+serial engines', and a pooled block is consumed exactly as the engine drew
+it.
 
 The consumer takes a block one of two ways, decided once per kernel call
 from its inputs.  A run with no per-contact scenario state (no loss
@@ -403,14 +407,15 @@ class _TickColumns:
     """The numpy block consumer of an :class:`~repro.core.kernels.AsyncState`.
 
     Both asynchronous kernels feed it blocks: ``async_tick_loop`` the global
-    view's buffered chunks, ``clock_chunk_consume`` the pooled views'
-    pre-drawn blocks.  A block is ``width`` consecutive ticks of the live
-    trials ``rows``, resolved row-major: ``tick_times[i, j]`` holds row
-    ``i``'s ``j``-th tick time and ``caller_pos[i, j]`` / ``callees[i, j]``
-    the flat positions of its contact's endpoints in the raveled ``(B, n)``
-    state.  Under a dynamic graph a resample may replace a trial's graph
-    mid-block, so ``callees`` carries the neighbor uniforms instead and
-    every column resolves its own callees.
+    view's buffered chunks, ``clock_chunk_consume`` the pooled chunks and
+    the clock-view table loop's blocks.  A block is ``width`` consecutive
+    ticks of the live trials ``rows``, resolved row-major:
+    ``tick_times[i, j]`` holds row ``i``'s ``j``-th tick time and
+    ``caller_pos[i, j]`` / ``callees[i, j]`` the flat positions of its
+    contact's endpoints in the raveled ``(B, n)`` state.  Under a dynamic
+    graph a resample may replace a trial's graph mid-block, so ``callees``
+    carries the neighbor uniforms instead and every column resolves its
+    own callees.
 
     :meth:`consume` resolves a block one of two ways, fixed for the kernel
     call by its state:
@@ -764,7 +769,7 @@ def _callees(state: "AsyncState", callers: np.ndarray, uniforms: np.ndarray) -> 
 
 
 # ---------------------------------------------------------------------- #
-# Pooled chunk consumer
+# Clock-view block consumer
 # ---------------------------------------------------------------------- #
 def clock_chunk_consume(
     state: "AsyncState",
@@ -772,19 +777,23 @@ def clock_chunk_consume(
     executed: int,
     tick_times: np.ndarray,
     callers: np.ndarray,
-    uniforms: np.ndarray,
+    contacts: np.ndarray,
     loss_block: Optional[np.ndarray],
+    resolved: bool = False,
 ) -> None:
-    """Consume one pre-drawn ``(rows, width)`` block of pooled ticks.
+    """Consume one pre-drawn ``(rows, width)`` block of clock-view ticks.
 
-    All randomness of the block (``tick_times`` / ``callers`` / neighbor
-    ``uniforms`` / ``loss_block``) is already drawn by the engine; only
-    epoch and resample crossings draw from the pooled generator mid-block.
-    The block goes to the shared block consumer in row-major sub-blocks of
-    ``_BLOCK_TICKS`` ticks, with contacts as flat positions; each
-    sub-block's callees are resolved for the rows still live, on the static
-    CSR, or by the column walk against each trial's current graph under a
-    dynamic graph.  Mutates the state in place.
+    The pooled chunks and the per-trial clock-view table loop feed it.
+    Every tick's time, caller and loss uniform is known before the call:
+    only epoch and resample crossings draw, from the trials' generators,
+    mid-block.  ``contacts`` holds each tick's neighbor uniform or, when
+    ``resolved``, the callee vertex the engine already picked (the edge
+    view's pair callees).  The block goes to the shared block consumer in
+    row-major sub-blocks of ``_BLOCK_TICKS`` ticks, with contacts as flat
+    positions; each sub-block's neighbor uniforms are resolved for the rows
+    still live, on the static CSR, or by the column walk against each
+    trial's current graph under a dynamic graph.  Mutates the state in
+    place; a row that retires leaves ``state.live``.
     """
     columns = _TickColumns(state)
     width = tick_times.shape[1]
@@ -794,8 +803,10 @@ def clock_chunk_consume(
         live_rows = rows[local]
         row_base = (live_rows * state.n)[:, None]
         block_callers = callers[local, lo:hi]
-        callees = uniforms[local, lo:hi]
-        if state.trial_graphs is None:
+        callees = contacts[local, lo:hi]
+        if resolved:
+            callees = callees + row_base
+        elif state.trial_graphs is None:
             callees = _callees(state, block_callers, callees) + row_base
         kept = columns.consume(
             live_rows,

@@ -137,9 +137,10 @@ batched sync        (rounds)         numpy,    kernel ``(B, n)`` time matrix,
 batched async       global           numpy,    kernel ``(B, n)`` time matrix; the jit
                                      jit       status-code drain reports metric deltas
                                                Python-side, RNG untouched
-batched clock       node_clocks,     numpy     kernel ``(B, n)`` time matrix (table
-views               edge_clocks      (pinned)  loops are numpy-pinned; pooled chunked
-                                               path runs either backend)
+batched clock       node_clocks,     numpy     kernel ``(B, n)`` time matrix (the
+views               edge_clocks      (pinned)  table loop is numpy-pinned and feeds
+                                               the numpy block consumer; pooled
+                                               chunked path runs either backend)
 batched ppx/ppy     (rounds)         numpy     kernel ``(B, n)`` time matrix
 parallel            all of the       both      workers write per-chunk time-matrix
                     above                      rows into one shared ``(trials, n)``

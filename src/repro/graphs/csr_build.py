@@ -151,30 +151,30 @@ def connected_component_labels(
 ) -> np.ndarray:
     """Component label per vertex, numbered ``0, 1, ...`` by smallest member.
 
-    Labels are assigned in increasing order of each component's smallest
-    vertex id (the BFS starts sweep vertices in order), which matches the
-    ordering of :meth:`repro.graphs.base.Graph.connected_components`.
+    :func:`scipy.sparse.csgraph.connected_components` labels the graph in
+    linear time; the labels are then renumbered in increasing order of each
+    component's smallest vertex id, which matches the ordering of
+    :meth:`repro.graphs.base.Graph.connected_components`.  scipy is
+    imported here, so importing :mod:`repro` does not load it.
     """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
     indptr = np.asarray(indptr)
     indices = np.asarray(indices)
     n = int(indptr.size - 1)
-    labels = np.full(n, -1, dtype=np.int64)
-    slot = np.empty(n, dtype=np.int64)
-    label = 0
-    start = 0
-    while True:
-        unvisited = np.nonzero(labels[start:] < 0)[0]
-        if unvisited.size == 0:
-            return labels
-        start += int(unvisited[0])
-        labels[start] = label
-        frontier = np.array([start], dtype=np.int64)
-        while frontier.size:
-            neighbors = _frontier_neighbors(indptr, indices, frontier)
-            new = _distinct(neighbors[labels[neighbors] < 0], slot)
-            labels[new] = label
-            frontier = new
-        label += 1
+    if indices.size and not 0 <= int(indices.min()) <= int(indices.max()) < n:
+        # scipy reads indices unchecked: out of range, it would crash.
+        raise ValueError(f"CSR indices must lie in 0..{n - 1}")
+    adjacency = csr_array(
+        (np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(n, n)
+    )
+    count, labels = connected_components(adjacency, directed=False)
+    smallest = np.full(count, n, dtype=np.int64)
+    np.minimum.at(smallest, labels, np.arange(n, dtype=np.int64))
+    rank = np.empty(count, dtype=np.int64)
+    rank[np.argsort(smallest)] = np.arange(count, dtype=np.int64)
+    return rank[labels]
 
 
 def component_representatives(labels: np.ndarray) -> np.ndarray:

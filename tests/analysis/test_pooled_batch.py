@@ -233,7 +233,7 @@ class TestChunkedPooledClockViews:
         )
         assert np.array_equal(a.completion_time, b.completion_time)
         # A tiny chunk width forces many block refills; results stay valid.
-        monkeypatch.setattr(batch_engine, "_POOLED_CLOCK_CHUNK", 7)
+        monkeypatch.setattr(batch_engine, "_CLOCK_BLOCK", 7)
         tiny = run_batch(
             graph, 0, "pp-a", trials=40, pooled_rng=np.random.default_rng(5),
             view="node_clocks",

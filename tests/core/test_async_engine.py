@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.async_engine import (
+    _CLOCK_BLOCK,
     ASYNC_MODES,
     ASYNC_VIEWS,
     default_max_steps,
@@ -15,7 +16,7 @@ from repro.core.async_engine import (
 )
 from repro.core.result import check_result_consistency
 from repro.errors import ProtocolError, SimulationError
-from repro.graphs import complete_graph, path_graph, star_graph
+from repro.graphs import complete_graph, cycle_graph, path_graph, star_graph
 from repro.graphs.base import Graph
 from repro.graphs.random_graphs import random_regular_graph
 
@@ -171,6 +172,48 @@ class TestViewEquivalence:
             for s in range(40)
         ]
         assert np.mean(other) == pytest.approx(np.mean(base), rel=0.25)
+
+
+class TestClockViewDrawOrder:
+    """The clock views' documented draw order (see ``_ScenarioState``).
+
+    The serial/batch equivalence harness cannot see a draw-order change
+    made to both engines at once, so this replays the documented draws on
+    a fresh generator of the same seed and compares the end states.
+    """
+
+    @pytest.mark.parametrize("max_steps", [None, 2500])
+    @pytest.mark.parametrize("lossy", [False, True])
+    @pytest.mark.parametrize("view", ["node_clocks", "edge_clocks"])
+    def test_generator_end_state_replays_the_documented_draws(self, view, lossy, max_steps):
+        # Push on a 96-cycle takes thousands of ticks, so the run crosses
+        # several refills; a 2,500-step budget ends on a short refill.
+        graph = cycle_graph(96)
+        rng = np.random.default_rng(29)
+        result = run_asynchronous(
+            graph, 0, mode="push", view=view, seed=rng, max_steps=max_steps,
+            scenario="loss:p=0.3" if lossy else None, on_budget_exhausted="partial",
+        )
+        assert result.steps > 2 * _CLOCK_BLOCK
+        budget = default_max_steps(graph.num_vertices) if max_steps is None else max_steps
+
+        replay = np.random.default_rng(29)
+        if view == "node_clocks":
+            replay.exponential(1.0, graph.num_vertices)
+        else:
+            replay.exponential(
+                [graph.degree(v) for v in range(graph.num_vertices) for _ in graph.neighbors(v)]
+            )
+        drawn = 0
+        while drawn < result.steps:
+            block = min(_CLOCK_BLOCK, budget - drawn)
+            if view == "node_clocks":
+                replay.random(block)  # neighbor uniforms
+            if lossy:
+                replay.random(block)  # loss uniforms
+            replay.standard_exponential(block)  # reschedules
+            drawn += block
+        assert replay.bit_generator.state == rng.bit_generator.state
 
 
 _TRACE_SCENARIOS = [

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import pytest
 
 from repro.errors import GraphError
 from repro.graphs import converters, cycle_graph, star_graph
+
+# networkx is an optional dependency: without it the module skips.
+nx = pytest.importorskip("networkx")
 
 
 class TestFromNetworkx:

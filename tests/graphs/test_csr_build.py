@@ -85,6 +85,11 @@ class TestCsrBuild:
         reps = csr_build.component_representatives(labels)
         assert reps.tolist() == [0, 1, 2]
 
+    def test_component_labels_reject_out_of_range_indices(self):
+        # scipy reads CSR indices unchecked; a bad one must raise, not crash.
+        with pytest.raises(ValueError, match="0..1"):
+            csr_build.connected_component_labels(np.array([0, 1, 2]), np.array([5, 0]))
+
     def test_labels_match_graph_connected_components(self):
         rng = np.random.default_rng(7)
         heads, tails = [], []
@@ -202,6 +207,19 @@ class TestFrontierBfs:
             assert graph.connected_components() == Graph(n, pairs).connected_components()
             disconnected += not connected
         assert disconnected >= 150  # the sample is mostly many-component graphs
+        # One graph with thousands of components: n/4 random edges leave
+        # about 3n/4 of them, most isolated vertices.
+        n = 4000
+        endpoints = rng.integers(0, n, size=(n // 4, 2))
+        pairs = sorted({(min(u, v), max(u, v)) for u, v in endpoints.tolist() if u != v})
+        heads = np.array([u for u, _ in pairs], dtype=np.int64)
+        tails = np.array([v for _, v in pairs], dtype=np.int64)
+        indptr, indices = csr_build.csr_from_half_edges(n, heads, tails)
+        expected = _python_bfs_labels(n, pairs)
+        assert max(expected) >= 2500
+        labels = csr_build.connected_component_labels(indptr, indices)
+        assert labels.dtype == np.int64
+        assert labels.tolist() == expected
 
 
 # --------------------------------------------------------------------- #

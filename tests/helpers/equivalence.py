@@ -506,44 +506,61 @@ for _view in ("global", "node_clocks", "edge_clocks"):
 
 # --- Long runs across the per-trial loops' refills ----------------------- #
 # Every case above stops within a few hundred ticks, before the global
-# view's 4096-tick chunk or the edge view's block of reschedule draws
-# (batch_engine._CLOCK_BLOCK) refills.  Push on a long cycle takes 8,000 to
-# 10,000 ticks per trial; the budgets below retire rows part-way through a
-# block, which the generator end-state check turns into a test of the
-# block's replay.
+# view's 4096-tick chunk (async_engine._CHUNK) or the clock views' refill
+# (async_engine._CLOCK_BLOCK) runs out, and inside the first sub-block of
+# the shared block consumer (numpy_backend._BLOCK_TICKS).  Push on a long
+# cycle takes 8,000 to 10,000 ticks per trial; the budgets below retire
+# rows part-way through a refill and a sub-block, which the generator
+# end-state check turns into a test of the refill's replay.
 def _cycle96():
     return cycle_graph(96)
 
 
+def _rr128():
+    return random_regular_graph(128, 3, seed=7)
+
+
 _LONG_SOURCES = (0, 17, 40, 63, 80, 95)
+_WIDE_SOURCES = tuple(range(0, 128, 2))
 for _view in ("global", "node_clocks", "edge_clocks"):
     register_case(f"{_view}-long-push", "push-a", _cycle96, _LONG_SOURCES, 71, view=_view)
-# Without a scenario the global view resolves each block by earliest-arrival
-# relaxation: long runs of every mode cross refills, a wide batch puts many
-# rows in one block and completes several of them in the same block, and a
-# time budget past the first refill cuts rows part-way through a block.
+# Without a scenario the block consumer resolves each sub-block by
+# earliest-arrival relaxation: long runs of every mode cross refills, a
+# wide batch puts many rows in one sub-block and completes several of them
+# in the same sub-block, and a time budget past the first refill cuts rows
+# part-way through a sub-block.  Under a scenario it walks the columns.
 register_case("global-long-pp", "pp-a", _cycle96, _LONG_SOURCES, 79)
 register_case("global-long-pull", "pull-a", _cycle96, _LONG_SOURCES, 81)
-register_case(
-    "global-wide-pp", "pp-a", lambda: random_regular_graph(128, 3, seed=7),
-    tuple(range(0, 128, 2)), 83,
-)
+register_case("global-wide-pp", "pp-a", _rr128, _WIDE_SOURCES, 83)
+for _view in ("node_clocks", "edge_clocks"):
+    register_case(f"{_view}-long-pp", "pp-a", _cycle96, _LONG_SOURCES, 79, view=_view)
+    register_case(f"{_view}-long-pull", "pull-a", _cycle96, _LONG_SOURCES, 81, view=_view)
+    register_case(f"{_view}-wide-pp", "pp-a", _rr128, _WIDE_SOURCES, 83, view=_view)
 register_case(
     "global-long-time-budget", "push-a", _cycle96, _LONG_SOURCES, 85,
     max_time=60.0, on_budget_exhausted="partial",
 )
-register_case(
-    "edge_clocks-long-delay", "push-a", lambda: cycle_graph(64), (0, 21, 42), 73,
-    scenario=Delay(low=0.5, high=2.0), view="edge_clocks",
-)
-register_case(
-    "edge_clocks-long-time-budget", "push-a", _cycle96, (0, 30, 60, 90), 75,
-    view="edge_clocks", max_time=30.0, on_budget_exhausted="partial",
-)
-register_case(
-    "edge_clocks-long-step-budget", "pp-a", _cycle96, (0, 48, 5), 77,
-    view="edge_clocks", max_steps=2500, on_budget_exhausted="partial",
-)
+for _view in ("node_clocks", "edge_clocks"):
+    register_case(
+        f"{_view}-long-delay", "push-a", lambda: cycle_graph(64), (0, 21, 42), 73,
+        scenario=Delay(low=0.5, high=2.0), view=_view,
+    )
+    register_case(
+        f"{_view}-long-time-budget", "push-a", _cycle96, (0, 30, 60, 90), 75,
+        view=_view, max_time=30.0, on_budget_exhausted="partial",
+    )
+    register_case(
+        f"{_view}-long-step-budget", "pp-a", _cycle96, (0, 48, 5), 77,
+        view=_view, max_steps=2500, on_budget_exhausted="partial",
+    )
+    # Walked sub-blocks: rows complete thousands of ticks apart and the
+    # time budget cuts the slowest, so the survivors' loss uniforms must
+    # follow them through every retirement.
+    register_case(
+        f"{_view}-long-loss-time-budget", "push-a", _cycle96, _LONG_SOURCES, 75,
+        scenario=MessageLoss(0.2), view=_view, max_time=120.0,
+        on_budget_exhausted="partial",
+    )
 
 
 # --- Synchronous rounds wide enough for the frontier path ---------------- #

@@ -66,8 +66,7 @@ class TestNetworkxInterop:
     """A user can bring a networkx graph, convert, and run the whole pipeline."""
 
     def test_full_pipeline_on_converted_graph(self):
-        import networkx as nx
-
+        nx = pytest.importorskip("networkx")
         nx_graph = nx.les_miserables_graph()
         graph, mapping = from_networkx(nx_graph)
         assert graph.is_connected()
