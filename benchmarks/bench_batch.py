@@ -58,6 +58,10 @@ The per-trial asynchronous gates ``test_batched_async_speedup_over_serial``,
 view's tick loop and under the two clock views' next-tick table (whose
 ticks are drawn in refills and resolved by the shared block consumer), with
 the fixed-seed samples checked equal.
+``test_jit_async_global_speedup_over_serial`` repeats the global-view gate
+with ``backend="jit"``, which runs every refill through the compiled
+column drain; like the PR-6 gate it records itself as skipped without
+numba.
 
 Every gate records its measured numbers through ``bench_record`` into
 ``BENCH_batch.json`` (see ``conftest.py``).
@@ -564,10 +568,14 @@ ASYNC_TRIALS = {"smoke": 128, "quick": 256, "full": 512}
 CLOCK_VIEW_TRIALS = {"smoke": 64, "quick": 96, "full": 128}
 
 
-def _async_speedup_gate(graph, trials, view, record_name, bench_record, gate=2.0):
+def _async_speedup_gate(
+    graph, trials, view, record_name, bench_record, gate=2.0, backend=None
+):
     """Batched per-trial pp-a >= ``gate`` x the serial engine under ``view``
-    (and exactly seed-equivalent to it)."""
-    kwargs = dict(engine_options={"view": view})
+    (and exactly seed-equivalent to it), on the kernel ``backend`` (the
+    default one for ``None``; the serial engine takes no kernel)."""
+    options = {"view": view} if backend is None else {"view": view, "backend": backend}
+    kwargs = dict(engine_options=options)
     # Warm both paths (flat adjacency cache, allocator).
     run_trials(graph, 0, "pp-a", trials=8, seed=0, batch=False, **kwargs)
     run_trials(graph, 0, "pp-a", trials=8, seed=0, batch=True, **kwargs)
@@ -635,6 +643,24 @@ def test_batched_edge_clock_speedup_over_serial(bench_preset, scenario_graph, be
     _async_speedup_gate(
         scenario_graph, CLOCK_VIEW_TRIALS[bench_preset], "edge_clocks",
         "batched_edge_clock_vs_serial", bench_record,
+    )
+
+
+def test_jit_async_global_speedup_over_serial(bench_preset, scenario_graph, bench_record):
+    """Batched pp-a on the compiled global view >= 2x the serial engine."""
+    if not jit_backend.is_compiled():
+        bench_record(
+            "jit_async_global_vs_serial",
+            seconds=None,
+            speedup=None,
+            gate=2.0,
+            skipped="numba not installed",
+        )
+        pytest.skip("numba is not installed; jit gate records itself as skipped")
+    # The gate's warm-up runs compile the drain before anything is timed.
+    _async_speedup_gate(
+        scenario_graph, ASYNC_TRIALS[bench_preset], "global",
+        "jit_async_global_vs_serial", bench_record, backend="jit",
     )
 
 

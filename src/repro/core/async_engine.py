@@ -75,8 +75,8 @@ ASYNC_VIEWS = ("global", "node_clocks", "edge_clocks")
 
 _PROTOCOL_NAMES = {"push": "push-a", "pull": "pull-a", "push-pull": "pp-a"}
 
-#: Ticks per refill of the global view's draws.  The batched tick loop
-#: imports it: its refills must be exactly this size.
+#: Ticks per refill of the global view's draws.  ``AsyncState.refills``
+#: imports it: the batched refills must be exactly this size.
 _CHUNK = 4096
 
 #: Ticks per refill of the clock views' draws, imported by the batched

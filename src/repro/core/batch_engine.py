@@ -26,11 +26,10 @@ times-only result.  The bodies, by kernel family:
   matrix and the per-vertex pull probabilities come from the shared
   vectorised :func:`~repro.core.aux_processes.pull_probabilities`.
 * **The global tick loop** (the asynchronous trio under the ``"global"``
-  view with per-trial generators, :func:`_async_ticks`) — per-trial
-  exponential time accumulators and randomness buffers; the numpy backend
-  moves the live trials in lockstep, one tick each per column, and
-  resolves every refill in blocks of ticks for all of them at once, with
-  the rumor exchange vectorised across trials.
+  view with per-trial generators, :func:`_async_ticks`) — every live trial
+  draws its next refill of ticks in the serial engine's order, and the
+  backend's block consumer takes each refill for all of them at once: the
+  live trials move in lockstep, one tick each per column.
 * **The clock-view table loop** (``"node_clocks"`` and ``"edge_clocks"``
   with per-trial generators, :func:`_clock_table`) — the serial priority
   queue becomes a next-tick matrix with one row per live trial, whose
@@ -38,7 +37,7 @@ times-only result.  The bodies, by kernel family:
   continuous tick times tie with probability zero), so batched next-event
   simulation stays exact.  Each trial draws its ticks' randomness in
   refills, so the table advances a block of ticks at a time and the numpy
-  block consumer the global view uses resolves the block's contacts.
+  block consumer resolves the block's contacts.
 * **Pooled chunks** (the asynchronous trio with a pooled generator, every
   view, static or dynamic graph, :func:`_pooled_clock_chunks`) — see
   *Pooled RNG mode*.
@@ -88,16 +87,18 @@ distribution.  A pooled asynchronous result therefore does not depend on
 the view, and both backends consume the pooled stream in the same order.
 
 **Kernel backends.**  The hot loops themselves — the synchronous round
-step, the block-resolved asynchronous tick loop, and the clock-view block
-consumer — live in :mod:`repro.core.kernels` with interchangeable
-``"numpy"`` and numba-compiled ``"jit"`` implementations, selected per
-call with the ``backend=`` option (default ``"auto"``); see the package
-docstring for the per-kernel equivalence guarantees.  The auxiliary rounds
-and the clock-view table loop (which feeds the numpy block consumer) run
-numpy code only.  The three asynchronous bodies share one state, an
+step and the block consumer that every asynchronous body feeds — live in
+:mod:`repro.core.kernels` with interchangeable ``"numpy"`` and
+numba-compiled ``"jit"`` implementations, selected per call with the
+``backend=`` option (default ``"auto"``); see the package docstring for the
+per-kernel equivalence guarantees.  :func:`run_batch` resolves the
+requested backend once per call and takes numpy wherever the jit backend
+has no loop: the auxiliary rounds, the clock-view table loop, and every
+asynchronous run with epoch or resample boundaries.  The three
+asynchronous bodies share one state, an
 :class:`~repro.core.kernels.AsyncState` that :func:`_async_state` builds
-once per run and the kernels take whole; its methods hold the boundary
-crossing and the rumor exchange they all use.
+once per run and the kernels take whole; its methods hold the global
+view's refills, the boundary crossing and the rumor exchange.
 
 The output is a times-only :class:`~repro.core.result.BatchTimes` record:
 batched runs never build parents, infection kinds, or traces.  Callers that
@@ -113,7 +114,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.async_engine import _CHUNK, _CLOCK_BLOCK, ASYNC_VIEWS, default_max_steps
+from repro.core.async_engine import _CLOCK_BLOCK, ASYNC_VIEWS, default_max_steps
 from repro.core.aux_processes import pull_probabilities
 from repro.core.budgets import (
     check_budget_policy,
@@ -123,7 +124,7 @@ from repro.core.budgets import (
     scenario_rejection,
 )
 from repro.core.flatgraph import FlatAdjacency, flat_adjacency
-from repro.core.kernels import AsyncState, resolve_backend
+from repro.core.kernels import AsyncState, numpy_backend, resolve_backend
 from repro.core.kernels.numpy_backend import _BLOCK_TICKS
 from repro.core.result import BatchTimes
 from repro.core.sync_engine import default_max_rounds
@@ -452,6 +453,11 @@ class _ScenarioParts:
         return self.churn_updates or self.adaptive_churn or self.burst is not None
 
     @property
+    def has_boundaries(self) -> bool:
+        """Whether an asynchronous run fires epoch or resample boundaries."""
+        return self.needs_epochs or self.dynamic is not None
+
+    @property
     def has_adaptive(self) -> bool:
         """Whether an adaptive adversary (crash or jam) is present."""
         return self.adaptive_churn or self.adaptive_loss is not None
@@ -518,8 +524,8 @@ class _BatchJob:
 
     ``budget`` is the round budget of the synchronous and auxiliary
     families and the step budget of the asynchronous one; ``time_budget``
-    is infinite for the round-based families.  ``kern`` is the resolved
-    backend module (the numpy one for the numpy-only bodies).
+    is infinite for the round-based families.  ``kern`` is the backend
+    module that runs the body's hot loop, as :func:`run_batch` chose it.
     """
 
     graph: Graph
@@ -972,7 +978,7 @@ def _async_state(job: _BatchJob) -> AsyncState:
         next_epoch=np.ones(batch) if parts.needs_epochs else None,
         next_resample=np.full(batch, float(dynamic.period)) if dynamic is not None else None,
         trial_graphs=_TrialGraphs(graph, batch) if dynamic is not None else None,
-        has_boundaries=parts.needs_epochs or dynamic is not None,
+        has_boundaries=parts.has_boundaries,
     )
     parts.init_adaptive(graph, batch)
     state.boundary_floor = float(state.pending(np.arange(batch)).min())
@@ -1000,33 +1006,16 @@ def _async_ticks(job: _BatchJob) -> _Outcome:
     """The global-view tick loop.
 
     Every trial carries its own exponential time accumulator (the rate-``n``
-    global Poisson clock).  Per-trial randomness is drawn in chunks of the
-    same sizes and order as the serial
-    :func:`~repro.core.async_engine.run_asynchronous` global view (gaps,
-    callers, neighbor uniforms, loss uniforms; ``Delay`` rates first).  The
-    loop itself is the backend's ``async_tick_loop``: the numpy one moves
-    the live trials in lockstep and consumes each refill in blocks of ticks
-    resolved for all of them at once, the jit one drains trial by trial.
-    Both are bit-identical.  A pooled generator never reaches this loop
-    (see :func:`_pooled_clock_chunks`).
+    global Poisson clock).  The backend's ``async_tick_loop`` draws the
+    per-trial randomness in refills of the same sizes and order as the
+    serial :func:`~repro.core.async_engine.run_asynchronous` global view
+    (:meth:`~repro.core.kernels.AsyncState.refills`: gaps, callers, neighbor
+    uniforms, loss uniforms; ``Delay`` rates first) and hands each refill to
+    its block consumer, the one the pooled chunks and the clock-view table
+    loop feed.  Both backends are bit-identical.  A pooled generator never
+    reaches this loop (see :func:`_pooled_clock_chunks`).
     """
     state = _async_state(job)
-    batch = state.batch
-    # Per-trial randomness buffers mirroring the serial engine's chunked
-    # draws: refilled (exponential gaps, callers, neighbor uniforms, loss
-    # uniforms — in that order) whenever exhausted, with chunk size
-    # min(4096, remaining budget).  A trial can only run out of step budget
-    # at a buffer boundary (chunks never outlive the budget), so the budget
-    # check lives in the refill.  The jit drain counts a trial's executed
-    # ticks as the ticks of its retired chunks plus its in-chunk position.
-    state.chunk = _CHUNK
-    state.gaps = np.empty((batch, _CHUNK))
-    state.callers = np.empty((batch, _CHUNK), dtype=np.int32)
-    state.nbr_uniforms = np.empty((batch, _CHUNK))
-    state.loss_uniforms = np.empty((batch, _CHUNK)) if job.parts.lossy else None
-    state.positions = np.zeros(batch, dtype=np.int64)
-    state.buffer_lengths = np.zeros(batch, dtype=np.int64)
-    state.chunk_base = np.zeros(batch, dtype=np.int64)
     job.kern.async_tick_loop(state)
     return _async_outcome(state)
 
@@ -1101,8 +1090,8 @@ def _pooled_clock_chunks(job: _BatchJob) -> _Outcome:
 
         # Everything random about the block is drawn; the backend's consumer
         # walks its columns and mutates the state in place (only epoch and
-        # resample crossings still draw, from the pooled generator — the jit
-        # backend delegates those blocks to numpy).
+        # resample crossings still draw, from the pooled generator, which is
+        # why run_batch sends those runs to numpy).
         job.kern.clock_chunk_consume(
             state, rows, executed, tick_times, callers, uniforms, loss_block
         )
@@ -1147,7 +1136,8 @@ def _clock_table(job: _BatchJob) -> _Outcome:
     With no draw left inside a refill, the loop advances the table one
     sub-block of at most ``_BLOCK_TICKS`` columns at a time (argmin, take
     and put per column) and hands the sub-block's tick times and contacts
-    to the numpy backend's ``clock_chunk_consume``: scenario-free runs are
+    to the numpy backend's ``clock_chunk_consume`` (:func:`run_batch` runs
+    this body on numpy whatever the backend asked for): scenario-free runs are
     relaxed, every other run is walked column by column (time budget,
     boundaries, dynamic graphs, the exchange).  A trial that retires inside
     a sub-block has advanced its table past its last tick; nothing reads
@@ -1255,12 +1245,9 @@ def _clock_table(job: _BatchJob) -> _Outcome:
                 if scale is not None and scale.ndim == 2:
                     scale = scale[keep]
         executed += refill
+        if job.metrics is not None:
+            job.metrics.count("engine.drain_returns")
     return _async_outcome(state)
-
-
-#: The bodies whose hot loop is a :mod:`repro.core.kernels` kernel; the
-#: others always run numpy code.
-_KERNEL_BODIES = (_sync_rounds, _async_ticks, _pooled_clock_chunks)
 
 
 # ---------------------------------------------------------------------- #
@@ -1329,9 +1316,13 @@ def run_batch(
             incomplete instead.
         backend: kernel backend — ``"numpy"``, ``"jit"``, or ``"auto"`` (see
             :mod:`repro.core.kernels`).  ``None`` reads
-            ``REPRO_KERNEL_BACKEND`` and then defaults to ``"auto"``.  The
-            auxiliary rounds and the per-trial clock-view table loop always
-            run numpy code.
+            ``REPRO_KERNEL_BACKEND`` and then defaults to ``"auto"``.  An
+            unknown name raises whatever the protocol.  The auxiliary
+            rounds, the per-trial clock-view table loop and every
+            asynchronous run with epoch or resample boundaries (churn
+            updates, a burst channel, an adaptive crash adversary, a dynamic
+            graph) run numpy code whatever the backend; the
+            ``engine.backend`` gauge names the one that ran.
 
     Returns:
         A :class:`~repro.core.result.BatchTimes` with round-valued times
@@ -1340,7 +1331,8 @@ def run_batch(
     Raises:
         ProtocolError: for a protocol without a batched body, an option its
             family does not take (for example ``view`` on ``pp`` or
-            ``max_steps`` on ``ppx``), an unknown view, a negative budget,
+            ``max_steps`` on ``ppx``), an unknown view or kernel backend
+            (``backend`` or ``REPRO_KERNEL_BACKEND``), a negative budget,
             invalid sources and generators (sources that are not integral or
             not 1-D, a non-integral ``trials``, or a ``trials`` that
             disagrees with the sources or generators).
@@ -1388,7 +1380,11 @@ def run_batch(
         body = _async_ticks
     else:
         body = _clock_table
-    kern = resolve_backend(backend if body in _KERNEL_BODIES else "numpy")
+    kern = resolve_backend(backend)
+    if body in (_aux_rounds, _clock_table) or (family == "async" and parts.has_boundaries):
+        # The jit backend has no loop for these: the numpy-only bodies, and
+        # boundary crossings, which draw from a generator mid-block.
+        kern = numpy_backend
     if metrics is not None:
         metrics.gauge("engine.backend", kern.BACKEND_NAME)
     outcome = body(

@@ -3,12 +3,14 @@
 The batched Monte Carlo engine separates *orchestration* (validation,
 scenario unpacking, RNG stream management, result assembly — all of which
 stays in :mod:`repro.core.batch_engine`) from the *hot loops* that consume
-the pre-drawn randomness: the synchronous round step, the block-resolved
-asynchronous tick loop of the ``"global"`` view, and the clock-view block
-consumer of the pooled chunks (all three views) and of the per-trial
-clock-view table loop (whose numpy-pinned body feeds the numpy consumer).
-Those loops live here as pure-array kernel functions with two
-interchangeable implementations:
+the pre-drawn randomness: the synchronous round step and the asynchronous
+block consumer.  Every asynchronous body feeds that one consumer whole
+blocks of ticks: the per-trial ``"global"`` view through its backend's
+``async_tick_loop`` (one block per refill of
+:meth:`AsyncState.refills`), the pooled chunks (all three views) and the
+per-trial clock-view table loop through ``clock_chunk_consume``.  Those
+loops live here as pure-array kernel functions with two interchangeable
+implementations:
 
 ``numpy``
     :mod:`repro.core.kernels.numpy_backend` — the reference vectorised
@@ -27,12 +29,12 @@ asynchronous batch, which the engine builds once per run.
 
 **Equivalence contract.**  All trial-level randomness is drawn *outside*
 the compiled loops (by the engine or by :class:`AsyncState`'s
-:meth:`~AsyncState.draw_chunk` and :meth:`~AsyncState.cross_boundaries`),
+:meth:`~AsyncState.refills` and :meth:`~AsyncState.cross_boundaries`),
 in an order that does not depend on the backend; the kernels are
 deterministic functions of those draws.  Consequently every RNG mode is
 **bit-identical** across backends: the per-trial modes draw in the serial
 engines' documented order, every asynchronous view in refills drawn before
-the kernel consumes them (the full ``KERNEL_CASES`` registry replays under
+the consumer takes them (the full ``KERNEL_CASES`` registry replays under
 both), and a pooled generator is consumed in whole blocks the engine draws
 before either backend's consumer runs (the pooled asynchronous body, under
 every view) or in the engine's own loop (the pooled rounds).
@@ -40,18 +42,21 @@ every view) or in the engine's own loop (the pooled rounds).
 The backend is selected per call through the ``backend=`` engine option
 (threaded through ``run_trials`` / ``run_trials_parallel`` / the CLI
 ``--backend`` flag), defaulting to the ``REPRO_KERNEL_BACKEND``
-environment variable and then to ``"auto"``.
+environment variable and then to ``"auto"``;
+:func:`~repro.core.batch_engine.run_batch` resolves it once per call and
+takes numpy wherever the jit backend has no loop.
 """
 
 from __future__ import annotations
 
 import warnings
 from types import ModuleType
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from repro import config
+from repro.core.async_engine import _CHUNK
 from repro.errors import ProtocolError
 from repro.randomness.rng import as_generator
 
@@ -93,6 +98,15 @@ def available_backends() -> list[str]:
     return names
 
 
+def _checked_name(name: object) -> str:
+    """``name`` once it is one of :data:`KERNEL_BACKENDS`; a :class:`ProtocolError` otherwise."""
+    if name not in KERNEL_BACKENDS:
+        raise ProtocolError(
+            f"unknown kernel backend {name!r}; expected one of {KERNEL_BACKENDS}"
+        )
+    return str(name)
+
+
 def resolve_backend(backend: Optional[str] = None) -> ModuleType:
     """Resolve a backend name to its kernel module.
 
@@ -104,11 +118,7 @@ def resolve_backend(backend: Optional[str] = None) -> ModuleType:
     :class:`~repro.errors.ProtocolError`.
     """
     global _jit_fallback_warned
-    name = default_backend_name() if backend is None else backend
-    if name not in KERNEL_BACKENDS:
-        raise ProtocolError(
-            f"unknown kernel backend {name!r}; expected one of {KERNEL_BACKENDS}"
-        )
+    name = _checked_name(default_backend_name() if backend is None else backend)
     from repro.core.kernels import numpy_backend
 
     if name == "numpy":
@@ -168,7 +178,7 @@ class AsyncState:
     ``"global"`` tick loop and clock-view table loop, and the pooled
     chunks), and the body hands it whole to the backend's
     ``async_tick_loop`` or ``clock_chunk_consume``.  Every array is indexed
-    by absolute trial row; a backend that compacts its working set keeps
+    by absolute trial row; a consumer that compacts its working set keeps
     its own row mapping and writes results back through these arrays.
 
     It holds the run's shape, budgets and generators; narrow int32 copies
@@ -182,8 +192,7 @@ class AsyncState:
     unexecuted over-budget tick); and the scenario state (``parts`` with
     the adversary budgets, ``up``, ``bad``, ``next_epoch``,
     ``next_resample``, ``trial_graphs`` and ``boundary_floor``, a lower
-    bound on the earliest boundary pending for a live row).  Only the
-    global tick loop adds to it: its chunk buffers.
+    bound on the earliest boundary pending for a live row).
     """
 
     __slots__ = (
@@ -201,10 +210,6 @@ class AsyncState:
         # scenario state
         "parts", "up", "bad", "next_epoch", "next_resample", "trial_graphs",
         "has_boundaries", "boundary_floor",
-        # the global tick loop's per-trial chunk buffers
-        "chunk",
-        "gaps", "callers", "nbr_uniforms", "loss_uniforms",
-        "positions", "buffer_lengths", "chunk_base",
     )
 
     def __init__(self, **fields: object) -> None:
@@ -225,26 +230,58 @@ class AsyncState:
             self.n - 1,
         )
 
-    def draw_chunk(self, trial: int, chunk: int) -> None:
-        """Refill ``trial``'s chunk buffers with the draws of its next ``chunk`` ticks.
+    def refills(
+        self,
+    ) -> Iterator[tuple[np.ndarray, int, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]]:
+        """The per-trial global view's ticks, one refill at a time.
 
-        The single definition of the serial engine's per-chunk draw order
-        (exponential gaps, callers, neighbor uniforms, loss uniforms),
-        shared by both backends' global tick loops.  Under a ``Delay`` the
-        superposed clock has rate ``sum(r_v)`` and callers are
-        rate-weighted; resolving the caller uniforms now does not move them
-        in the stream.
+        A refill is each live row's next ``min(_CHUNK, steps left)`` ticks,
+        drawn row by row in the serial engine's order (exponential gaps,
+        callers, rate-weighted under a ``Delay``, neighbor uniforms, loss
+        uniforms when the run is lossy) into row-major blocks.  One
+        sequential ``cumsum`` along each row, after its ``now`` is added to
+        its first gap, turns the gaps into tick times: bit-identical to
+        adding one gap per tick, which ``now + cumsum(gaps)`` is not.  Each
+        refill is yielded as ``clock_chunk_consume``'s ``(rows, executed,
+        tick_times, callers, uniforms, loss)``, and the next one reuses its
+        buffers.  The live rows execute one tick per column, so one scalar
+        counts their ticks, and a row runs out of step budget only here.
         """
-        rng = self.rng_for(trial)
-        if self.rates_cum is None:
-            self.gaps[trial, :chunk] = rng.exponential(1.0 / self.n, chunk)
-            self.callers[trial, :chunk] = rng.integers(0, self.n, chunk)
-        else:
-            self.gaps[trial, :chunk] = rng.exponential(1.0 / self.rates_cum[trial, -1], chunk)
-            self.callers[trial, :chunk] = self.weighted_callers(trial, rng.random(chunk))
-        self.nbr_uniforms[trial, :chunk] = rng.random(chunk)
-        if self.loss_uniforms is not None:
-            self.loss_uniforms[trial, :chunk] = rng.random(chunk)
+        lossy = self.parts.lossy
+        rows = np.flatnonzero(self.live)
+        # Every refill fills the heads of one set of buffers (the loss
+        # buffer stays empty unless the run is lossy).
+        size = rows.size * min(_CHUNK, self.step_budget)
+        buffers = (
+            np.empty(size), np.empty(size, dtype=np.int32), np.empty(size),
+            np.empty(size if lossy else 0),
+        )
+        executed = 0
+        while rows.size:
+            width = min(_CHUNK, self.step_budget - executed)
+            if width <= 0:
+                self.live[rows] = False
+                self.steps[rows] = executed
+                return
+            tick_times, callers, uniforms, loss = (
+                buffer[: rows.size * width].reshape(rows.size, -1) for buffer in buffers
+            )
+            for i, b in enumerate(rows.tolist()):
+                rng = self.rng_for(b)
+                if self.rates_cum is None:
+                    tick_times[i] = rng.exponential(1.0 / self.n, width)
+                    callers[i] = rng.integers(0, self.n, width)
+                else:
+                    tick_times[i] = rng.exponential(1.0 / self.rates_cum[b, -1], width)
+                    callers[i] = self.weighted_callers(b, rng.random(width))
+                rng.random(out=uniforms[i])
+                if lossy:
+                    rng.random(out=loss[i])
+            tick_times[:, 0] += self.now.take(rows)
+            np.cumsum(tick_times, axis=1, out=tick_times)
+            yield rows, executed, tick_times, callers, uniforms, loss if lossy else None
+            executed += width
+            rows = rows[self.live.take(rows)]
 
     def pending(self, rows: np.ndarray) -> np.ndarray:
         """Each row's earliest pending epoch or resample boundary."""

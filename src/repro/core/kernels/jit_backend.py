@@ -3,30 +3,25 @@
 Each kernel re-expresses its numpy counterpart as a compiled per-trial /
 per-vertex loop over the CSR ``indptr``/``indices`` arrays.  The loops
 consume exactly the randomness the engine pre-drew (contact uniforms per
-round, the chunked gap/caller/uniform buffers, the pooled tick blocks) and
-are deterministic given it, so:
+round, the tick blocks of the asynchronous bodies) and are deterministic
+given it, so:
 
-* **Sync rounds** and the **per-trial async modes** are bit-identical to
-  the numpy backend (and therefore to the serial engines) — the full
+* **Sync rounds** are bit-identical to the numpy backend (and therefore to
+  the serial engines).
+* **Asynchronous blocks** go to one compiled column drain
+  (``_clock_drain``): every refill of the per-trial global view
+  (:meth:`~repro.core.kernels.AsyncState.refills`) through
+  ``async_tick_loop``, and every pooled chunk through
+  ``clock_chunk_consume``.  All of a block's randomness is drawn before the
+  drain runs, so both backends read the same streams, and the full
   ``KERNEL_CASES`` registry replays under ``backend="jit"``.
-* The **pooled chunk consumer** (every asynchronous view under a pooled
-  generator) is also draw-order identical: the engine draws each block
-  before the consumer runs, so both backends read the same pooled stream.
-  Blocks of a run with epoch or resample boundaries (churn updates, a
-  burst channel, an adaptive crash adversary, a dynamic graph) delegate
-  to the numpy consumer: the crossings draw from the pooled generator
-  mid-column, which a nopython loop cannot.
 
+The drain has no loop for epoch or resample crossings, which draw from a
+generator mid-block, nor for the clock-view table loop's resolved callees:
+:func:`~repro.core.batch_engine.run_batch` sends those runs (churn updates,
+a burst channel, an adaptive crash adversary, a dynamic graph, and every
+per-trial ``node_clocks``/``edge_clocks`` run) to the numpy consumer.
 Every RNG mode is therefore bit-identical across the two backends.
-
-The asynchronous drain returns control to Python with a per-trial status
-code whenever a trial needs something a nopython region cannot do — a
-buffer refill (:meth:`~repro.core.kernels.AsyncState.draw_chunk`) or an
-epoch/resample crossing
-(:meth:`~repro.core.kernels.AsyncState.cross_boundaries`), both of which
-draw from ``numpy.random.Generator`` objects — and the Python loop resumes it.
-A boundary break happens *before* the pending draw is consumed, so the
-tick time is recomputed from the identical floats on re-entry.
 
 Without numba the module still imports: the kernels stay plain-Python
 (the resolver then routes ``backend="jit"`` to numpy with a warning), and
@@ -42,7 +37,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from repro import config
-from repro.core.kernels import numpy_backend
 from repro.telemetry.metrics import current_metrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -80,14 +74,7 @@ def _compile(fn: Callable[..., None]) -> Callable[..., None]:
 # concrete array argument even when the matching has_* flag is False).
 _B2 = np.zeros((0, 0), dtype=bool)
 _F2 = np.zeros((0, 0), dtype=np.float64)
-_F1 = np.zeros(0, dtype=np.float64)
 _I64 = np.zeros(0, dtype=np.int64)
-
-# Status codes the asynchronous drain hands back to the Python driver.
-_NEED_REFILL = 0
-_OVERTIME = 1
-_BOUNDARY = 2
-_COMPLETED = 3
 
 
 def warmup() -> None:
@@ -225,210 +212,7 @@ def sync_round_step_dynamic(
 
 
 # ---------------------------------------------------------------------- #
-# Asynchronous ("global" view) tick loop
-# ---------------------------------------------------------------------- #
-def _async_drain_impl(
-    rows: np.ndarray, status: np.ndarray, gaps: np.ndarray,
-    callers: np.ndarray, nbr_uniforms: np.ndarray,
-    loss_uniforms: np.ndarray, has_loss: bool,
-    positions: np.ndarray, buffer_lengths: np.ndarray, now: np.ndarray,
-    informed: np.ndarray, times: np.ndarray, has_times: bool,
-    num_informed: np.ndarray, completed: np.ndarray,
-    completion_time: np.ndarray,
-    degrees: np.ndarray, start: np.ndarray, indices: np.ndarray,
-    use_tg: bool, tg_degrees: np.ndarray, tg_start: np.ndarray,
-    tg_indices: np.ndarray, tg_width: int,
-    loss_thresh: np.ndarray, up: np.ndarray, has_up: bool,
-    bound: np.ndarray, has_bound: bool,
-    has_adaptive: bool, adaptive_p: float, jam_budget: np.ndarray,
-    time_budget: float, finite_time_budget: bool, mode_code: int, n: int,
-) -> None:
-    # Advance each listed trial until it needs the Python driver: a buffer
-    # refill (_NEED_REFILL), a boundary crossing (_BOUNDARY — the pending
-    # draw is NOT consumed, so re-entry recomputes the identical tick
-    # time), the time budget (_OVERTIME — draw consumed, not executed,
-    # mirroring the serial engine), or completion (_COMPLETED).
-    for j in range(rows.shape[0]):
-        b = rows[j]
-        p = positions[b]
-        blen = buffer_lengths[b]
-        t_now = now[b]
-        st = _NEED_REFILL
-        while True:
-            if p >= blen:
-                st = _NEED_REFILL
-                break
-            gap = gaps[b, p]
-            t = t_now + gap
-            if finite_time_budget and t > time_budget:
-                p += 1
-                t_now = t
-                st = _OVERTIME
-                break
-            if has_bound and t >= bound[b]:
-                st = _BOUNDARY
-                break
-            p += 1
-            t_now = t
-            caller = callers[b, p - 1]
-            u = nbr_uniforms[b, p - 1]
-            if use_tg:
-                vp = b * n + caller
-                deg = tg_degrees[vp]
-                off = int(u * deg)
-                if off > deg - 1:
-                    off = deg - 1
-                callee = tg_indices[b * tg_width + tg_start[vp] + off]
-            else:
-                deg = degrees[caller]
-                off = int(u * deg)
-                if off > deg - 1:
-                    off = deg - 1
-                callee = indices[start[caller] + off]
-            ci = informed[b, caller]
-            ce = informed[b, callee]
-            if mode_code == 2:
-                ok = ci != ce
-            elif mode_code == 0:
-                ok = ci and not ce
-            else:
-                ok = (not ci) and ce
-            # The up-check precedes the loss-check so the adaptive jammer
-            # only sees would-transmit contacts; for plain loss the order is
-            # irrelevant (pure conjunction, the draw is consumed either way).
-            if ok and has_up and not (up[b, caller] and up[b, callee]):
-                ok = False
-            if ok and has_loss and loss_uniforms[b, p - 1] < loss_thresh[b]:
-                ok = False
-            if (
-                ok
-                and has_adaptive
-                and jam_budget[b] > 0
-                and loss_uniforms[b, p - 1] < adaptive_p
-            ):
-                jam_budget[b] -= 1
-                ok = False
-            if ok:
-                if mode_code == 2:
-                    target = callee if ci else caller
-                elif mode_code == 0:
-                    target = callee
-                else:
-                    target = caller
-                informed[b, target] = True
-                if has_times:
-                    times[b, target] = t
-                num_informed[b] += 1
-                if num_informed[b] == n:
-                    completed[b] = True
-                    completion_time[b] = t
-                    st = _COMPLETED
-                    break
-        positions[b] = p
-        now[b] = t_now
-        status[j] = st
-
-
-_async_drain = _compile(_async_drain_impl)
-
-
-def _mode_code(state: "AsyncState") -> int:
-    """The drains' exchange rule: 0 push, 1 pull, 2 push-pull."""
-    return 2 if state.mode_pp else (0 if state.push_allowed else 1)
-
-
-def _jammer(parts: "_ScenarioParts") -> tuple[bool, float, np.ndarray]:
-    """Whether an adaptive jammer is present, its loss probability and budgets."""
-    if parts.adaptive_loss is None:
-        return False, 0.0, _I64
-    return True, float(parts.adaptive_loss.p), parts.jam_budget
-
-
-def async_tick_loop(state: "AsyncState") -> None:
-    """Drain an :class:`~repro.core.kernels.AsyncState` to completion.
-
-    The compiled drain does all per-tick work; this driver handles
-    everything that needs a :class:`numpy.random.Generator` — chunk
-    refills and epoch/resample crossings, through the state's own methods
-    (the numpy backend's draw order) — plus retirements.  A retired
-    trial's row costs the drain nothing (it is dropped from the ``rows``
-    list), so the active set is compact by construction.  The boundary
-    bounds, the loss thresholds and the stacked-CSR arrays are re-read
-    every pass: a crossing moves the first two, and a resample can
-    reallocate the last.
-    """
-    parts = state.parts
-    live = state.live
-    has_adaptive, adaptive_p, jam_budget = _jammer(parts)
-    lossy = state.loss_uniforms is not None and not has_adaptive
-    trials = np.arange(state.batch)
-    times = state.times if state.times is not None else _F2
-    up = state.up if state.up is not None else _B2
-    loss_arr = state.loss_uniforms if state.loss_uniforms is not None else _F2
-    metrics = current_metrics()
-
-    while True:
-        rows = np.flatnonzero(live)
-        if rows.size == 0:
-            break
-        bound = state.pending(trials) if state.has_boundaries else _F1
-        loss_thresh = (
-            np.full(state.batch, parts.loss_threshold(state.bad), dtype=np.float64)
-            if lossy
-            else _F1
-        )
-        tg = state.trial_graphs
-        if tg is not None:
-            tg_degrees, tg_start, tg_indices = tg.degrees, tg.rel_start, tg.indices
-            tg_width = tg.width
-        else:
-            tg_degrees = tg_start = tg_indices = _I64
-            tg_width = 0
-        status = np.empty(rows.size, dtype=np.int64)
-        _async_drain(
-            rows, status, state.gaps, state.callers, state.nbr_uniforms,
-            loss_arr, lossy,
-            state.positions, state.buffer_lengths, state.now,
-            state.informed, times, state.times is not None,
-            state.num_informed, state.completed, state.completion_time,
-            state.degrees, state.start, state.indices,
-            tg is not None, tg_degrees, tg_start, tg_indices, tg_width,
-            loss_thresh, up, state.up is not None, bound, state.has_boundaries,
-            has_adaptive, adaptive_p, jam_budget,
-            state.time_budget, state.finite_time_budget, _mode_code(state), state.n,
-        )
-        if metrics is not None:
-            metrics.count("engine.drain_returns")
-        for j in range(rows.size):
-            b = int(rows[j])
-            st = int(status[j])
-            if st == _COMPLETED:
-                live[b] = False
-                state.steps[b] = state.chunk_base[b] + state.positions[b]
-            elif st == _OVERTIME:
-                live[b] = False
-                state.overtime[b] = True
-                state.steps[b] = state.chunk_base[b] + state.positions[b]
-            elif st == _BOUNDARY:
-                state.cross_boundaries(
-                    b, float(state.now[b] + state.gaps[b, state.positions[b]])
-                )
-            else:  # _NEED_REFILL: retire the chunk, then the budget check
-                state.chunk_base[b] += state.buffer_lengths[b]
-                state.positions[b] = 0
-                state.buffer_lengths[b] = 0
-                remaining = state.step_budget - int(state.chunk_base[b])
-                if remaining <= 0:
-                    live[b] = False
-                    state.steps[b] = state.chunk_base[b]
-                    continue
-                chunk = min(state.chunk, remaining)
-                state.draw_chunk(b, chunk)
-                state.buffer_lengths[b] = chunk
-
-
-# ---------------------------------------------------------------------- #
-# Pooled chunk consumer
+# The asynchronous block consumer
 # ---------------------------------------------------------------------- #
 def _clock_drain_impl(
     rows: np.ndarray, width: int, executed: int, tick_times: np.ndarray,
@@ -508,6 +292,31 @@ def _clock_drain_impl(
 _clock_drain = _compile(_clock_drain_impl)
 
 
+def _mode_code(state: "AsyncState") -> int:
+    """The drain's exchange rule: 0 push, 1 pull, 2 push-pull."""
+    return 2 if state.mode_pp else (0 if state.push_allowed else 1)
+
+
+def _jammer(parts: "_ScenarioParts") -> tuple[bool, float, np.ndarray]:
+    """Whether an adaptive jammer is present, its loss probability and budgets."""
+    if parts.adaptive_loss is None:
+        return False, 0.0, _I64
+    return True, float(parts.adaptive_loss.p), parts.jam_budget
+
+
+def async_tick_loop(state: "AsyncState") -> None:
+    """Drain an :class:`~repro.core.kernels.AsyncState` to completion.
+
+    Each refill of :meth:`~repro.core.kernels.AsyncState.refills` goes
+    whole to the compiled column drain.
+    """
+    metrics = current_metrics()
+    for refill in state.refills():
+        _drain(state, *refill)
+        if metrics is not None:
+            metrics.count("engine.drain_returns")
+
+
 def clock_chunk_consume(
     state: "AsyncState",
     rows: np.ndarray,
@@ -523,18 +332,25 @@ def clock_chunk_consume(
     All block randomness is drawn by the engine before this runs, so the
     compiled per-trial column drain, which resolves each tick's callee from
     its neighbor uniform (``contacts``) on the state's static CSR, reads the
-    same pooled stream the numpy column loop would.  Blocks of a run with
-    epoch or resample boundaries (churn updates, a burst channel, an
-    adaptive crash adversary or a dynamic graph) delegate to the numpy
-    consumer — the crossings draw from the pooled generator mid-column — as
-    do blocks of ``resolved`` callees (only the numpy-pinned clock-view
-    table loop sends those).
+    same pooled stream the numpy consumer would.  A run with epoch or
+    resample boundaries and the ``resolved`` callees of the clock-view table
+    loop never reach this backend (see the module docstring).
     """
-    if state.has_boundaries or resolved:
-        numpy_backend.clock_chunk_consume(
-            state, rows, executed, tick_times, callers, contacts, loss_block, resolved
-        )
-        return
+    assert not resolved, "the clock-view table loop runs on the numpy backend"
+    _drain(state, rows, executed, tick_times, callers, contacts, loss_block)
+
+
+def _drain(
+    state: "AsyncState",
+    rows: np.ndarray,
+    executed: int,
+    tick_times: np.ndarray,
+    callers: np.ndarray,
+    uniforms: np.ndarray,
+    loss_block: Optional[np.ndarray],
+) -> None:
+    """One block through ``_clock_drain``, with the state's scenario inputs."""
+    assert not state.has_boundaries, "runs with boundaries take the numpy backend"
     parts = state.parts
     has_adaptive, adaptive_p, jam_budget = _jammer(parts)
     has_loss = loss_block is not None and not has_adaptive
@@ -543,7 +359,7 @@ def clock_chunk_consume(
     loss_prob = float(parts.loss_threshold(state.bad)) if has_loss else 0.0
     _clock_drain(
         rows, tick_times.shape[1], int(executed), tick_times,
-        np.ascontiguousarray(callers), contacts,
+        np.ascontiguousarray(callers), uniforms,
         state.degrees, state.start, state.indices,
         loss_block if loss_block is not None else _F2, has_loss, loss_prob,
         np.ascontiguousarray(state.up) if state.up is not None else _B2,

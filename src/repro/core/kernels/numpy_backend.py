@@ -12,18 +12,18 @@ the round-start counts.  Every other round falls back to the full-width
 exchange of every caller.  Both paths give the same result, and neither
 changes what is drawn.
 
-The two asynchronous kernels share one block consumer
-(:class:`_TickColumns`): ``async_tick_loop`` feeds it the global view's
-chunks, and ``clock_chunk_consume`` the pooled chunks and the per-trial
-clock-view table loop's blocks.  Live trials move in lockstep (each
-executes one tick per column and all of them refill at the same tick), so
-a block of ticks can be resolved for every live trial at once: the tick
-times (for the global view, one sequential ``cumsum`` along the tick
-axis; for the clock views, the table's per-column minima) and the contacts
-as flat ``(trial, vertex)`` positions, row-major.  No resolved value
-depends on the order of the draws, so the per-trial RNG streams are the
-serial engines', and a pooled block is consumed exactly as the engine drew
-it.
+Every asynchronous block goes to one consumer (:class:`_TickColumns`):
+``async_tick_loop`` hands it each refill of the global view
+(:meth:`~repro.core.kernels.AsyncState.refills`), ``clock_chunk_consume``
+the pooled chunks and the per-trial clock-view table loop's blocks.  Live
+trials move in lockstep (each executes one tick per column and all of them
+refill at the same tick), so a block of ticks is resolved for every live
+trial at once: the tick times (for the global view, one sequential
+``cumsum`` along the tick axis; for the clock views, the table's
+per-column minima) and the contacts as flat ``(trial, vertex)``
+positions, row-major.  No resolved value depends on the order of the
+draws, so the per-trial RNG streams are the serial engines', and a pooled
+block is consumed exactly as the engine drew it.
 
 The consumer takes a block one of two ways, decided once per kernel call
 from its inputs.  A run with no per-contact scenario state (no loss
@@ -407,8 +407,8 @@ class _TickColumns:
     """The numpy block consumer of an :class:`~repro.core.kernels.AsyncState`.
 
     Both asynchronous kernels feed it blocks: ``async_tick_loop`` the global
-    view's buffered chunks, ``clock_chunk_consume`` the pooled chunks and
-    the clock-view table loop's blocks.  A block is ``width`` consecutive
+    view's refills, ``clock_chunk_consume`` the pooled chunks and the
+    clock-view table loop's blocks.  A block is ``width`` consecutive
     ticks of the live trials ``rows``, resolved row-major:
     ``tick_times[i, j]`` holds row ``i``'s ``j``-th tick time and
     ``caller_pos[i, j]`` / ``callees[i, j]`` the flat positions of its
@@ -681,7 +681,7 @@ class _TickColumns:
 
     def _retire_overtime(self, gone: np.ndarray, executed: Union[int, np.ndarray]) -> None:
         # The popped tick counts in `steps` and is flagged for the engine
-        # to uncount, as the jit drain's buffer bookkeeping does.
+        # to uncount.
         state = self.state
         state.live[gone] = False
         state.overtime[gone] = True
@@ -694,60 +694,16 @@ class _TickColumns:
 def async_tick_loop(state: "AsyncState") -> None:
     """Drain an :class:`~repro.core.kernels.AsyncState` to completion.
 
-    Refill, resolve, consume.  Every live trial executes one tick per
-    column, so all of them exhaust their buffers at the same tick and one
-    scalar counts the ticks each has executed.  The refill draws every
-    live trial's next chunk through :meth:`AsyncState.draw_chunk`, in row
-    order (the serial engine's chunk sizes and draw order).  The chunk is
-    then resolved in blocks of ``_BLOCK_TICKS`` columns and each block is
-    consumed by :class:`_TickColumns`.  ``steps`` is recorded at each
-    trial's retirement.
+    Each refill of :meth:`~repro.core.kernels.AsyncState.refills` goes to
+    the block consumer of :func:`clock_chunk_consume`, through one
+    :class:`_TickColumns` for the whole run.
     """
-    rows = np.flatnonzero(state.live)
     columns = _TickColumns(state)
     metrics = current_metrics()
-    executed = 0
-    while rows.size:
+    for refill in state.refills():
+        _consume(columns, *refill)
         if metrics is not None:
-            metrics.count("engine.drain_returns", int(rows.size))
-        remaining = state.step_budget - executed
-        if remaining <= 0:
-            # Chunks never outlive the step budget, so it runs out here.
-            state.live[rows] = False
-            state.steps[rows] = executed
-            break
-        chunk = min(state.chunk, remaining)
-        for b in rows.tolist():
-            state.draw_chunk(b, chunk)
-        for lo in range(0, chunk, _BLOCK_TICKS):
-            block = _resolve_block(state, rows, lo, min(lo + _BLOCK_TICKS, chunk))
-            rows = rows[columns.consume(rows, executed + lo, *block)]
-            if rows.size == 0:
-                break
-        executed += chunk
-
-
-def _resolve_block(
-    state: "AsyncState", rows: np.ndarray, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Resolve ticks ``lo:hi`` of the live rows' buffered chunk.
-
-    Returns ``(tick_times, caller_pos, callees, loss)``, row-major, as
-    :meth:`_TickColumns.consume` takes them.
-    """
-    row_base = (rows * state.n)[:, None]
-    tick_times = np.empty((rows.size, hi - lo + 1))
-    tick_times[:, 0] = state.now.take(rows)
-    tick_times[:, 1:] = state.gaps[rows, lo:hi]
-    # A sequential sum along the tick axis, seeded with `now`: bit-identical
-    # to adding one gap per tick, which `now + cumsum(gaps)` is not.
-    np.cumsum(tick_times, axis=1, out=tick_times)
-    callers = state.callers[rows, lo:hi]
-    uniforms = state.nbr_uniforms[rows, lo:hi]
-    loss = None if state.loss_uniforms is None else state.loss_uniforms[rows, lo:hi]
-    if state.trial_graphs is None:
-        uniforms = _callees(state, callers, uniforms) + row_base
-    return tick_times[:, 1:], callers + row_base, uniforms, loss
+            metrics.count("engine.drain_returns")
 
 
 def _callees(state: "AsyncState", callers: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -769,7 +725,7 @@ def _callees(state: "AsyncState", callers: np.ndarray, uniforms: np.ndarray) -> 
 
 
 # ---------------------------------------------------------------------- #
-# Clock-view block consumer
+# The block consumer of every asynchronous body
 # ---------------------------------------------------------------------- #
 def clock_chunk_consume(
     state: "AsyncState",
@@ -781,21 +737,43 @@ def clock_chunk_consume(
     loss_block: Optional[np.ndarray],
     resolved: bool = False,
 ) -> None:
-    """Consume one pre-drawn ``(rows, width)`` block of clock-view ticks.
+    """Consume one pre-drawn ``(rows, width)`` block of asynchronous ticks.
 
-    The pooled chunks and the per-trial clock-view table loop feed it.
-    Every tick's time, caller and loss uniform is known before the call:
-    only epoch and resample crossings draw, from the trials' generators,
-    mid-block.  ``contacts`` holds each tick's neighbor uniform or, when
-    ``resolved``, the callee vertex the engine already picked (the edge
-    view's pair callees).  The block goes to the shared block consumer in
-    row-major sub-blocks of ``_BLOCK_TICKS`` ticks, with contacts as flat
-    positions; each sub-block's neighbor uniforms are resolved for the rows
-    still live, on the static CSR, or by the column walk against each
-    trial's current graph under a dynamic graph.  Mutates the state in
-    place; a row that retires leaves ``state.live``.
+    The pooled chunks and the per-trial clock-view table loop feed it, and
+    ``async_tick_loop`` feeds the same code (:func:`_consume`) the global
+    view's refills.  Every tick's time, caller and loss uniform is known
+    before the call: only epoch and resample crossings draw, from the
+    trials' generators, mid-block.  ``contacts`` holds each tick's neighbor
+    uniform or, when ``resolved``, the callee vertex the engine already
+    picked (the edge view's pair callees).  The block goes to the shared
+    block consumer in row-major sub-blocks of ``_BLOCK_TICKS`` ticks, with
+    contacts as flat positions; each sub-block's neighbor uniforms are
+    resolved for the rows still live, on the static CSR, or by the column
+    walk against each trial's current graph under a dynamic graph.  Mutates
+    the state in place; a row that retires leaves ``state.live``.
     """
-    columns = _TickColumns(state)
+    _consume(
+        _TickColumns(state), rows, executed, tick_times, callers, contacts, loss_block,
+        resolved,
+    )
+
+
+def _consume(
+    columns: _TickColumns,
+    rows: np.ndarray,
+    executed: int,
+    tick_times: np.ndarray,
+    callers: np.ndarray,
+    contacts: np.ndarray,
+    loss_block: Optional[np.ndarray],
+    resolved: bool = False,
+) -> None:
+    """:func:`clock_chunk_consume` on the block consumer ``columns``.
+
+    ``async_tick_loop`` calls it once per refill with the one consumer of
+    its run, so a traced ``clock_chunk_consume`` never nests in it.
+    """
+    state = columns.state
     width = tick_times.shape[1]
     local = np.arange(rows.size)  # the block's rows still live
     for lo in range(0, width, _BLOCK_TICKS):

@@ -134,8 +134,8 @@ serial sync/async   all three        n/a       per-run ``SpreadingResult.informe
 serial ppx/ppy      (rounds)         n/a       per-run ``SpreadingResult.informed_time``
 batched sync        (rounds)         numpy,    kernel ``(B, n)`` time matrix,
                                      jit       fixed-seed-identical across backends
-batched async       global           numpy,    kernel ``(B, n)`` time matrix; the jit
-                                     jit       status-code drain reports metric deltas
+batched async       global           numpy,    kernel ``(B, n)`` time matrix; both
+                                     jit       backends count one metric per refill
                                                Python-side, RNG untouched
 batched clock       node_clocks,     numpy     kernel ``(B, n)`` time matrix (the
 views               edge_clocks      (pinned)  table loop is numpy-pinned and feeds
@@ -157,6 +157,7 @@ from typing import Callable
 from repro.core.async_engine import run_asynchronous
 from repro.core.aux_processes import run_auxiliary_process
 from repro.core.budgets import scenario_rejection
+from repro.core.kernels import _checked_name
 from repro.core.result import SpreadingResult
 from repro.core.sync_engine import run_synchronous
 from repro.errors import ProtocolError
@@ -352,15 +353,21 @@ def spread(
         **options: engine-specific options forwarded to the underlying
             runner (``max_rounds``, ``max_steps``, ``max_time``, ``view``,
             ``record_trace``, ``on_budget_exhausted``).  The batch-only
-            ``backend`` option is accepted and ignored, so one options dict
-            can drive both a serial and a batched run.
+            ``backend`` option is checked against
+            :data:`~repro.core.kernels.KERNEL_BACKENDS` and otherwise
+            ignored, so one options dict can drive both a serial and a
+            batched run.
 
     Returns:
         The :class:`~repro.core.result.SpreadingResult` of the run.
     """
     # Kernel backends are a batch-engine notion (see repro.core.kernels);
-    # the serial engines have exactly one implementation.
-    options.pop("backend", None)
+    # the serial engines have exactly one implementation.  Only the name is
+    # checked: resolving it would warn about numba on a run that uses no
+    # kernel.
+    backend = options.pop("backend", None)
+    if backend is not None:
+        _checked_name(backend)
     spec = get_protocol(protocol)
     scenario = as_scenario(scenario)
     if scenario is not None:

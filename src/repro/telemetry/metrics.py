@@ -36,11 +36,10 @@ Metric name conventions used by the built-in instrumentation:
                                           scenarios (up callers only; counted
                                           by batched synchronous rounds only)
 ``engine.kernel_invocations``             batched kernel entries
-``engine.drain_returns``                  kernel loop returns: jit global
-                                          view, one per status-code drain
-                                          exit; numpy global view, one per
-                                          live trial per refill; pooled
-                                          clock chunks, one per chunk
+``engine.drain_returns``                  refills of the asynchronous
+                                          bodies (global view, clock-view
+                                          table, pooled chunks), one per
+                                          refill whatever the backend
 ``analysis.trials``                       Monte Carlo trials completed
 ``analysis.batch_seconds`` (timer)        wall time inside the batched path
 ``analysis.serial_seconds`` (timer)       wall time inside the serial path

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from helpers.equivalence import KERNEL_CASES, assert_kernel_case, case_ids
-from repro.analysis.montecarlo import run_trials
+from repro.analysis.montecarlo import ASYNC_AUTO_MIN_TRIALS, run_trials
 from repro.core import kernels
 from repro.core.batch_engine import is_batchable, run_batch
 from repro.core.kernels import (
@@ -28,8 +28,9 @@ from repro.core.kernels import (
     resolve_backend,
     warmup_kernels,
 )
+from repro.core.protocols import spread
 from repro.errors import ProtocolError
-from repro.graphs import complete_graph
+from repro.graphs import complete_graph, cycle_graph
 from repro.graphs.random_graphs import random_regular_graph
 from repro.scenarios import (
     BurstLoss,
@@ -39,6 +40,7 @@ from repro.scenarios import (
     MessageLoss,
     NodeChurn,
 )
+from repro.telemetry.metrics import collecting_metrics
 
 #: Scenarios of the pooled cross-backend checks, by id.
 POOLED_SCENARIOS = {
@@ -58,6 +60,17 @@ POOLED_CELLS = [
     for name in POOLED_SCENARIOS
     if not (view == "edge_clocks" and name == "dynamic")
 ]
+
+#: One batch call per body: every protocol family and every asynchronous
+#: view (the pooled chunks take all three views; see the tests below).
+BODY_CALLS = {
+    "pp": ("pp", {}),
+    "ppx": ("ppx", {}),
+    "ppy": ("ppy", {}),
+    "global": ("pp-a", {"view": "global"}),
+    "node_clocks": ("pp-a", {"view": "node_clocks"}),
+    "edge_clocks": ("pp-a", {"view": "edge_clocks"}),
+}
 
 #: A cross-section of the registry for the pure-python jit replay: cheap to
 #: run everywhere, yet spanning sync/async protocols, views, and scenarios.
@@ -97,6 +110,53 @@ class TestResolution:
         for protocol in ("pp", "pp-a", "ppx"):
             assert is_batchable(protocol, {"backend": "numpy"}, None)
         assert not is_batchable("pp", {"backend": "numpy", "record_trace": True}, None)
+
+
+class TestUnknownBackendName:
+    """A bad backend name fails where it enters, whatever path the call
+    takes: every batch body, the pooled chunks, and the serial engines
+    that ignore the option otherwise."""
+
+    @pytest.mark.parametrize("given", ["option", "environment"])
+    @pytest.mark.parametrize("body", list(BODY_CALLS))
+    def test_rejected_on_every_path(self, monkeypatch, body, given):
+        protocol, options = BODY_CALLS[body]
+        graph = cycle_graph(8)
+        if given == "option":
+            options = {**options, "backend": "bogus"}
+        else:
+            monkeypatch.setenv("REPRO_KERNEL_BACKEND", "bogus")
+        calls = [
+            lambda: run_batch(graph, 0, protocol, trials=2, seed=1, **options),
+            lambda: run_trials(
+                graph, 0, protocol, trials=2, seed=1, batch=True, engine_options=options
+            ),
+        ]
+        if protocol == "pp-a":
+            calls.append(
+                lambda: run_batch(
+                    graph, 0, protocol, trials=2, pooled_rng=np.random.default_rng(1),
+                    **options,
+                )
+            )
+        if given == "option":
+            # The serial engines take no kernel, yet the option is checked;
+            # auto mode sends a narrow asynchronous batch to them too.
+            assert ASYNC_AUTO_MIN_TRIALS > 2
+            calls += [
+                lambda: spread(graph, 0, protocol=protocol, seed=1, **options),
+                lambda: run_trials(
+                    graph, 0, protocol, trials=2, seed=1, batch=False,
+                    engine_options=options,
+                ),
+                lambda: run_trials(
+                    graph, 0, protocol, trials=2, seed=1, batch="auto",
+                    engine_options=options,
+                ),
+            ]
+        for call in calls:
+            with pytest.raises(ProtocolError, match="unknown kernel backend 'bogus'"):
+                call()
 
 
 class TestFallback:
@@ -155,6 +215,22 @@ class TestPurePythonJit:
     @pytest.mark.parametrize("case", REPLAY_CASES, ids=case_ids(REPLAY_CASES))
     def test_registry_cross_section_replays_serial(self, case):
         assert_kernel_case(case, backend="jit")
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["per-trial", "pooled"])
+    @pytest.mark.parametrize(
+        "scenario, ran",
+        [(None, "jit"), ("loss:p=0.2", "jit"), ("churn:crash_rate=0.05", "numpy")],
+    )
+    def test_engine_backend_gauge_names_the_backend_that_ran(self, scenario, ran, pooled):
+        # A run with epoch boundaries takes the numpy consumer whatever the
+        # backend asked for, and the gauge says so.
+        graph = random_regular_graph(24, 4, seed=3)
+        with collecting_metrics() as metrics:
+            run_batch(
+                graph, 0, "pp-a", trials=6, seed=2, scenario=scenario, backend="jit",
+                pooled_rng=np.random.default_rng(2) if pooled else None,
+            )
+        assert metrics.gauges["engine.backend"] == ran
 
     @pytest.mark.parametrize("view, name", POOLED_CELLS, ids=[f"{v}-{s}" for v, s in POOLED_CELLS])
     def test_chunked_pooled_clock_view_is_bit_identical_across_backends(self, view, name):

@@ -561,6 +561,22 @@ for _view in ("node_clocks", "edge_clocks"):
         scenario=MessageLoss(0.2), view=_view, max_time=120.0,
         on_budget_exhausted="partial",
     )
+# The same three on the global view, whose refills hold 4,096 ticks.  Its
+# step budget ends in a short last refill (904 ticks: three sub-blocks and
+# 136 ticks): one row runs into it, the others complete in the first and
+# second refills.
+register_case(
+    "global-long-delay", "push-a", lambda: cycle_graph(64), (0, 21, 42), 73,
+    scenario=Delay(low=0.5, high=2.0),
+)
+register_case(
+    "global-long-step-budget", "pp-a", _cycle96, (0, 48, 5), 77,
+    max_steps=5000, on_budget_exhausted="partial",
+)
+register_case(
+    "global-long-loss-time-budget", "push-a", _cycle96, _LONG_SOURCES, 75,
+    scenario=MessageLoss(0.2), max_time=120.0, on_budget_exhausted="partial",
+)
 
 
 # --- Synchronous rounds wide enough for the frontier path ---------------- #

@@ -5,16 +5,19 @@ The worker-merge test compares only *chunking-invariant* counters —
 ``engine.messages_delivered``, and ``analysis.trials`` are identical
 however the trials are split across batches or workers.  Counters like
 ``engine.drain_returns`` and ``engine.kernel_invocations`` intentionally
-are not (they count kernel entries, which scale with the number of
-chunks), so they stay out of the comparison.
+are not (they count refills and kernel entries, which scale with the
+number of chunks), so they stay out of the comparison.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.analysis.montecarlo import run_trials
 from repro.analysis.parallel import chunk_plan, run_trials_parallel
+from repro.core.async_engine import _CHUNK, _CLOCK_BLOCK
+from repro.core.batch_engine import run_batch
 from repro.core.protocols import spread
 from repro.graphs import cycle_graph
 from repro.graphs.random_graphs import random_regular_graph
@@ -183,6 +186,41 @@ class TestEngineCounters:
         with collecting_metrics(MetricsRegistry()):
             measured = run_trials(small_cycle, 0, "pp-a", trials=4, seed=9, batch=True)
         assert plain.times == measured.times
+
+    @pytest.mark.parametrize(
+        "view, pooled",
+        [("global", False), ("node_clocks", False), ("edge_clocks", False),
+         ("global", True), ("edge_clocks", True)],
+    )
+    def test_drain_returns_count_refills(self, view, pooled):
+        # One per refill of every asynchronous body: the global view's
+        # refills of _CHUNK ticks, the clock-view table's and the pooled
+        # chunks' of _CLOCK_BLOCK.  Push on a long cycle takes several.
+        registry = MetricsRegistry()
+        with collecting_metrics(registry):
+            batch = run_batch(
+                cycle_graph(96), 0, "push-a", trials=3, seed=5, view=view,
+                pooled_rng=np.random.default_rng(5) if pooled else None,
+                record_times=False,
+            )
+        width = _CHUNK if view == "global" and not pooled else _CLOCK_BLOCK
+        refills = -(-int(batch.steps.max()) // width)
+        assert refills > 1
+        assert registry.counters["engine.drain_returns"] == refills
+
+    def test_drain_returns_agree_across_backends(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JIT_PURE_PYTHON", "1")
+        counters = {}
+        for backend in ("numpy", "jit"):
+            registry = MetricsRegistry()
+            with collecting_metrics(registry):
+                run_batch(
+                    cycle_graph(96), 0, "push-a", trials=3, seed=5, backend=backend,
+                    record_times=False,
+                )
+            assert registry.gauges["engine.backend"] == backend
+            counters[backend] = registry.counters
+        assert counters["numpy"] == counters["jit"]
 
 
 class TestWorkerMerge:
