@@ -75,7 +75,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from repro.analysis.montecarlo import run_trials
+from repro.analysis.montecarlo import TrialPlan, run_trials
 from repro.analysis.parallel import (
     ParallelTrialSpec,
     _run_chunk,
@@ -781,10 +781,12 @@ def _per_call_executor_point(graph, trials, seed):
     base, remainder = divmod(trials, SWEEP_WORKERS)
     specs = [
         ParallelTrialSpec(
-            protocol="pp",
-            source=0,
-            trials=base + (1 if index < remainder else 0),
-            trial_seed=chunk_seed,
+            plan=TrialPlan(
+                source=0,
+                protocol="pp",
+                trials=base + (1 if index < remainder else 0),
+                seed=chunk_seed,
+            ),
             graph=graph,
         )
         for index, chunk_seed in enumerate(chunk_seeds)

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import nullcontext
 from concurrent.futures import (
     BrokenExecutor,
     CancelledError,
@@ -62,9 +63,9 @@ from repro import config
 from repro.analysis import shm
 from repro.analysis.montecarlo import (
     SpreadingTimeSample,
-    _check_fractions,
-    _forced_batch_error,
-    batch_dispatch_decision,
+    TrialPlan,
+    _is_integer,
+    _require,
     run_trials,
 )
 from repro.analysis import pool as pool_module
@@ -74,7 +75,7 @@ from repro.errors import AnalysisError
 from repro.graphs.base import Graph
 from repro.graphs.families import get_family
 from repro.randomness.rng import SeedLike, as_generator, spawn_seeds
-from repro.scenarios.base import Scenario, ScenarioLike, as_scenario
+from repro.scenarios.base import ScenarioLike
 from repro.telemetry.metrics import (
     MetricsRegistry,
     collecting_metrics,
@@ -164,44 +165,27 @@ class ParallelTrialSpec:
     """Description of one chunk of trials executed in a worker process.
 
     Attributes:
+        plan: the chunk's :class:`~repro.analysis.montecarlo.TrialPlan`,
+            ``replace(plan, trials=size, seed=chunk_seed)`` of the call's
+            plan, run through :func:`~repro.analysis.montecarlo.run_trials`.
+            It pickles to the worker with its scenario (the standard models
+            and :class:`~repro.scenarios.FamilyResampler` all pickle —
+            custom resampler lambdas do not).
         graph: the graph to run on, for a chunk run in-process (the
             one-chunk path) or pickled to a worker.
         graph_shm: name of a shared-memory CSR segment to reattach the
             graph from (mutually exclusive with ``graph``).
         graph_display_name: display name restored onto the reattached graph.
-        source: source vertex or ``"random"``.
-        protocol: canonical protocol name.
-        trials: number of trials in this chunk.
-        trial_seed: seed for the chunk's trials.
-        fractions: coverage fractions to record.
-        batch: batch dispatch mode forwarded to
-            :func:`~repro.analysis.montecarlo.run_trials`; with the default
-            ``"auto"`` each worker simulates its chunk through the 2-D batch
-            kernels (one vectorised job instead of a Python loop over trials)
-            whenever the protocol allows it.
-        scenario: optional adversity scenario applied by every trial of the
-            chunk (pickled to the worker; the standard models and
-            :class:`~repro.scenarios.FamilyResampler` all pickle — custom
-            resampler lambdas do not).
-        engine_options: extra engine options forwarded to ``run_trials``
-            (e.g. the asynchronous ``view``).
         collect_metrics: run the chunk under a private worker-local
             :class:`~repro.telemetry.metrics.MetricsRegistry` and return its
             snapshot with the chunk metadata, so the parent can merge the
             workers' counters into its own registry.
     """
 
-    protocol: str
-    source: Union[int, str]
-    trials: int
-    trial_seed: int
+    plan: TrialPlan
     graph: Optional[Graph] = None
     graph_shm: Optional[str] = None
     graph_display_name: Optional[str] = None
-    fractions: tuple[float, ...] = ()
-    batch: Union[bool, int, str] = "auto"
-    scenario: Optional[Scenario] = None
-    engine_options: Optional[dict] = None
     collect_metrics: bool = False
 
 
@@ -212,7 +196,8 @@ class _PoolChunk:
     ``coverage_name`` names the parent-owned ``(total_trials,
     num_vertices)`` informing-time matrix from
     :func:`repro.analysis.shm.result_array` (``None`` for an untraced
-    call); the chunk writes its rows at ``[offset, offset + spec.trials)``.
+    call); the chunk writes its rows at ``[offset, offset +
+    spec.plan.trials)``.
     """
 
     spec: ParallelTrialSpec
@@ -235,19 +220,13 @@ def _run_chunk(
     spec: ParallelTrialSpec, trace: Optional[CoverageRecorder] = None
 ) -> SpreadingTimeSample:
     """Run one chunk on its graph (in a worker or in the parent)."""
-    _maybe_inject_fault(spec.trial_seed)
+    plan = spec.plan
+    _maybe_inject_fault(plan.seed)
     graph = _resolve_chunk_graph(spec)
     return run_trials(
-        graph,
-        spec.source,
-        spec.protocol,
-        trials=spec.trials,
-        seed=spec.trial_seed,
-        fractions=spec.fractions,
-        batch=spec.batch,
-        scenario=spec.scenario,
-        engine_options=spec.engine_options,
-        trace=trace,
+        graph, plan.source, plan.protocol, trials=plan.trials, seed=plan.seed,
+        fractions=plan.fractions, engine_options=plan.engine_options,
+        batch=plan.batch, scenario=plan.scenario, trace=trace,
     )
 
 
@@ -281,7 +260,7 @@ def _run_pool_chunk(
         shape = (chunk.total_trials, chunk.num_vertices)
         segment, coverage = shm.attach_array(chunk.coverage_name, shape)
         try:
-            coverage[chunk.offset : chunk.offset + spec.trials] = recorder.times_matrix()
+            coverage[chunk.offset : chunk.offset + spec.plan.trials] = recorder.times_matrix()
         finally:
             del coverage
             segment.close()
@@ -435,7 +414,7 @@ def _execute_shared(
     trace: Optional[CoverageRecorder] = None,
 ) -> SpreadingTimeSample:
     """Run the chunks on the pool and merge their samples in chunk order."""
-    trials = sum(spec.trials for spec in specs)
+    trials = sum(spec.plan.trials for spec in specs)
     segment = coverage = None
     try:
         if trace is not None:
@@ -455,7 +434,7 @@ def _execute_shared(
                     num_vertices=num_vertices,
                 )
             )
-            offset += spec.trials
+            offset += spec.plan.trials
         # The dispatcher retries crashed/raising/stalled chunks and, once a
         # chunk's retries are exhausted, runs it serially in the parent
         # through the same entry point, so a disturbed sweep's result is
@@ -544,24 +523,23 @@ def run_trials_parallel(
         The merged :class:`SpreadingTimeSample`.
 
     Raises:
-        AnalysisError: on invalid arguments (``fractions`` as
-            :func:`~repro.analysis.montecarlo.run_trials` checks them) or an
-            impossible forced-batch setting.  A crashed, raising, or stalled
-            *worker* does not raise: its chunks are retried
-            (``REPRO_CHUNK_RETRIES`` times, with exponential backoff;
-            ``REPRO_CHUNK_TIMEOUT`` bounds each chunk wait) and finally run
-            serially in the parent, so the sweep completes bit-identically;
-            only an error that reproduces in the parent propagates.
-        ProtocolError: for a disconnected graph, in the parent before any
-            chunk is dispatched.
+        AnalysisError, ProtocolError, ScenarioError: for a malformed call,
+            in the parent before any chunk is dispatched: the arguments a
+            :class:`~repro.analysis.montecarlo.TrialPlan` checks, a fixed
+            source that is not a vertex of the graph, a ``num_workers``
+            that is not a positive integer, and (as
+            :class:`~repro.errors.ProtocolError`) a disconnected graph.  A
+            crashed, raising, or stalled *worker* does not raise: its chunks
+            are retried (``REPRO_CHUNK_RETRIES`` times, with exponential
+            backoff; ``REPRO_CHUNK_TIMEOUT`` bounds each chunk wait) and
+            finally run serially in the parent, so the sweep completes
+            bit-identically; only an error that reproduces in the parent
+            propagates.
     """
-    if trials < 1:
-        raise AnalysisError(f"trials must be positive, got {trials}")
-    if parallel != "shared":
-        raise AnalysisError(
-            f"parallel must be 'shared' (the only transport), got {parallel!r}"
-        )
-    _check_fractions(fractions)
+    plan = TrialPlan(source, protocol, trials, seed, fractions, engine_options, scenario, batch)
+    _require("parallel", parallel, "'shared' (the only transport)", parallel == "shared")
+    workers = default_worker_count() if num_workers is None else num_workers
+    _require("num_workers", num_workers, "a positive integer", _is_integer(workers) and workers > 0)
     collector = None
     if trace is None and isinstance(graph_or_family, Graph):
         # Ambient tracing (collecting_traces) reaches parallel runs too,
@@ -578,80 +556,55 @@ def run_trials_parallel(
             "matrix width is the vertex count); build the family graph "
             "first and pass it directly"
         )
-    scenario = as_scenario(scenario)
-    # Fail fast in the parent on a malformed or impossible forced-batch
-    # setting instead of surfacing the error from inside a worker process.
-    # Chunks always run on a concrete graph, hence fixed_graph=True; the
-    # shared predicate is the same one run_trials dispatches on.
-    use_batch, reason = batch_dispatch_decision(
-        protocol, engine_options, scenario, batch, None, fixed_graph=True
-    )
-    if not use_batch and batch is not False and batch != "auto":
-        raise _forced_batch_error(batch, reason)
-    workers = default_worker_count() if num_workers is None else int(num_workers)
-    if workers < 1:
-        raise AnalysisError(f"num_workers must be positive, got {num_workers}")
 
-    graph_seed, plan = chunk_plan(trials, workers, seed)
+    graph_seed, chunks = chunk_plan(plan.trials, workers, plan.seed)
     if isinstance(graph_or_family, Graph):
         graph = graph_or_family
     elif size is None:
         raise AnalysisError("size is required when passing a family name")
     else:
         graph = get_family(str(graph_or_family)).build(int(size), seed=graph_seed)
-    # Every chunk's engine would refuse a disconnected graph; refuse it here,
-    # before dispatch, instead of retrying each chunk into the serial
-    # fallback.  The answer is memoized on the graph, and share_graph hands
-    # it to the workers.
+    # Every chunk's engine would refuse a disconnected graph, and every
+    # chunk a fixed source off the graph; refuse them here, before
+    # dispatch, instead of retrying each chunk into the serial fallback.
+    # The connectivity answer is memoized on the graph, and share_graph
+    # hands it to the workers.
     check_connected(graph)
-    specs = [
-        ParallelTrialSpec(
-            protocol=protocol,
-            source=source,
-            trials=chunk_size,
-            trial_seed=chunk_seed,
-            graph=graph,
-            fractions=tuple(fractions),
-            batch=batch,
-            scenario=scenario,
-            engine_options=engine_options,
-        )
-        for chunk_size, chunk_seed in plan
-    ]
+    if not isinstance(plan.source, str):
+        plan.source_on(graph, None)
+    plans = [replace(plan, trials=chunk_size, seed=chunk_seed) for chunk_size, chunk_seed in chunks]
 
     metrics = current_metrics()
-    if len(specs) == 1:
+    if metrics is not None:
+        metrics.count("parallel.chunks", len(plans))
+    if len(plans) == 1:
         # One chunk: run it in-process (identical to a worker run; no pool,
         # no shared memory).  The ambient metrics registry, when active,
         # sees the chunk directly.
-        if metrics is not None:
-            metrics.count("parallel.chunks")
-            with metrics.timer("parallel.chunk_seconds"):
-                sample = _run_chunk(specs[0], trace=trace)
-        else:
-            sample = _run_chunk(specs[0], trace=trace)
+        with metrics.timer("parallel.chunk_seconds") if metrics is not None else nullcontext():
+            sample = _run_chunk(ParallelTrialSpec(plan=plans[0], graph=graph), trace=trace)
     else:
-        if metrics is not None:
-            # Ask the workers to run their chunks under private registries
-            # and ship the snapshots back with their samples
-            # (_execute_shared merges them).
-            metrics.count("parallel.chunks", len(specs))
-            specs = [replace(spec, collect_metrics=True) for spec in specs]
-        handle = get_pool(len(specs))  # one process per chunk is all the call can use
-        # Publish the CSR arrays once (cached per graph across calls) and
-        # strip the picklable graph from the specs.  The pin (taken inside
-        # share_graph's registry lock) keeps the segment out of LRU
-        # eviction while this call's chunks are queued — a concurrent
-        # sweep may register many other graphs meanwhile.
+        handle = get_pool(len(plans))  # one process per chunk is all the call can use
+        # Publish the CSR arrays once (cached per graph across calls); the
+        # specs name the segment instead of pickling the graph.  The pin
+        # (taken inside share_graph's registry lock) keeps the segment out
+        # of LRU eviction while this call's chunks are queued — a
+        # concurrent sweep may register many other graphs meanwhile.  With
+        # a metrics registry active the workers run their chunks under
+        # private registries and ship the snapshots back with their
+        # samples (_execute_shared merges them).
         segment_name = shm.share_graph(graph, pin=True)
         specs = [
-            replace(spec, graph=None, graph_shm=segment_name, graph_display_name=graph.name)
-            for spec in specs
+            ParallelTrialSpec(
+                plan=chunk, graph_shm=segment_name, graph_display_name=graph.name,
+                collect_metrics=metrics is not None,
+            )
+            for chunk in plans
         ]
         try:
             sample = _execute_shared(handle, specs, graph.num_vertices, trace)
         finally:
             shm.unpin_segment(segment_name)
     if collector is not None:
-        collector.add(trace.trace(protocol=protocol, graph_name=sample.graph_name))
+        collector.add(trace.trace(protocol=plan.protocol, graph_name=sample.graph_name))
     return sample

@@ -19,7 +19,6 @@ from repro.core.batch_engine import (
     AUX_BATCH_PROTOCOLS,
     CLOCK_VIEWS,
     SYNC_BATCH_PROTOCOLS,
-    is_batchable,
     run_batch,
 )
 from repro.core.flatgraph import FlatAdjacency, flat_adjacency
@@ -27,6 +26,7 @@ from repro.core.protocols import (
     PROTOCOLS,
     ProtocolSpec,
     available_protocols,
+    check_options,
     get_protocol,
     is_asynchronous_protocol,
     is_synchronous_protocol,
@@ -49,7 +49,6 @@ __all__ = [
     "AUX_BATCH_PROTOCOLS",
     "CLOCK_VIEWS",
     "SYNC_BATCH_PROTOCOLS",
-    "is_batchable",
     "run_batch",
     "BatchTimes",
     "AUX_VARIANTS",
@@ -63,6 +62,7 @@ __all__ = [
     "PROTOCOLS",
     "ProtocolSpec",
     "available_protocols",
+    "check_options",
     "get_protocol",
     "is_asynchronous_protocol",
     "is_synchronous_protocol",

@@ -69,10 +69,11 @@ those plus ``Delay``.  Every body but the auxiliary rounds carries dynamic
 graphs as one *per-trial padded* stacked CSR (:class:`_TrialGraphs`) whose
 rows are replaced independently, at the shared round boundary or at each
 trial's own period boundary in simulated time.
-:func:`run_batch` rejects what the serial engines reject (see :func:`is_batchable`):
-a ``Delay`` on a synchronous protocol, a dynamic graph under the
-``"edge_clocks"`` view (resampling would change the per-pair clock set
-itself), and any runtime scenario on ``ppx``/``ppy``.
+:func:`run_batch` rejects what the serial engines reject (see
+:func:`~repro.core.protocols.check_options`): a ``Delay`` on a synchronous
+protocol, a dynamic graph under the ``"edge_clocks"`` view (resampling
+would change the per-pair clock set itself), and any runtime scenario on
+``ppx``/``ppy``.
 
 **Pooled RNG mode.**  Passing ``pooled_rng=`` replaces the per-trial
 generators with one shared generator drawing whole ``(B, n)`` matrices at
@@ -108,27 +109,28 @@ need those (coupling experiments, trace debugging) use the serial engines.
 from __future__ import annotations
 
 import numbers
+from collections import abc
 from dataclasses import dataclass
 from types import ModuleType
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.async_engine import _CLOCK_BLOCK, ASYNC_VIEWS, default_max_steps
+from repro.core.async_engine import _CLOCK_BLOCK, default_max_steps
 from repro.core.aux_processes import pull_probabilities
 from repro.core.budgets import (
     check_budget_policy,
     check_connected,
     parse_count_budget,
     parse_time_budget,
-    scenario_rejection,
 )
 from repro.core.flatgraph import FlatAdjacency, flat_adjacency
 from repro.core.kernels import AsyncState, numpy_backend, resolve_backend
 from repro.core.kernels.numpy_backend import _BLOCK_TICKS
+from repro.core.protocols import check_options
 from repro.core.result import BatchTimes
 from repro.core.sync_engine import default_max_rounds
-from repro.errors import ProtocolError, ReproError, SimulationError
+from repro.errors import ProtocolError, SimulationError
 from repro.graphs.base import Graph
 from repro.randomness.rng import SeedLike, spawn_generators
 from repro.scenarios.base import DynamicGraph, Scenario, ScenarioLike, as_scenario
@@ -136,7 +138,6 @@ from repro.telemetry.metrics import MetricsRegistry, current_metrics
 
 __all__ = [
     "run_batch",
-    "is_batchable",
     "SYNC_BATCH_PROTOCOLS",
     "ASYNC_BATCH_PROTOCOLS",
     "AUX_BATCH_PROTOCOLS",
@@ -163,71 +164,6 @@ _PROTOCOL_FAMILIES = {
     **{name: ("aux", name) for name in AUX_BATCH_PROTOCOLS},
 }
 
-#: The options each kernel family takes (beyond ``record_times``).
-_FAMILY_OPTIONS = {
-    "sync": frozenset({"max_rounds", "on_budget_exhausted", "backend"}),
-    "async": frozenset({"max_steps", "max_time", "view", "on_budget_exhausted", "backend"}),
-    "aux": frozenset({"max_rounds", "on_budget_exhausted", "backend"}),
-}
-
-
-def _rejection(
-    protocol: str, options: dict, scenario: Optional[Scenario]
-) -> Optional[ReproError]:
-    """Why ``protocol`` cannot run as a batch with these options, or ``None``.
-
-    The one decision behind both :func:`is_batchable` and the errors
-    :func:`run_batch` raises.  Scenario rejections are the serial engines'
-    own (:func:`~repro.core.budgets.scenario_rejection`).
-    """
-    if protocol not in _PROTOCOL_FAMILIES:
-        return ProtocolError(
-            f"protocol {protocol!r} has no batched kernel; batchable protocols: "
-            f"{sorted(SYNC_BATCH_PROTOCOLS) + sorted(ASYNC_BATCH_PROTOCOLS) + sorted(AUX_BATCH_PROTOCOLS)}"
-        )
-    family, _ = _PROTOCOL_FAMILIES[protocol]
-    taken = _FAMILY_OPTIONS[family]
-    misapplied = sorted(set(options) - taken)
-    if misapplied:
-        return ProtocolError(
-            f"protocol {protocol!r} does not take {misapplied}; "
-            f"its batch options are {sorted(taken)}"
-        )
-    view = options.get("view", "global")
-    if family == "async" and view not in ASYNC_VIEWS:
-        return ProtocolError(
-            f"unknown asynchronous view {view!r}; expected one of {ASYNC_VIEWS}"
-        )
-    return scenario_rejection(
-        protocol, scenario,
-        synchronous=family != "async", analysis_only=family == "aux", view=view,
-    )
-
-
-def is_batchable(
-    protocol: str,
-    engine_options: Optional[dict] = None,
-    scenario: ScenarioLike = None,
-) -> bool:
-    """Whether ``protocol`` (with these options and scenario) has a batched kernel.
-
-    Batched kernels cover the six realistic protocols (synchronous and
-    asynchronous push / pull / push–pull under all three asynchronous
-    views), the auxiliary processes ``ppx``/``ppy``, and the times-only
-    options of :func:`run_batch`; anything else — ``record_trace`` included,
-    which needs the serial engines' traces — falls back to the serial
-    engines.  Every runtime scenario — the adaptive adversaries
-    (:class:`~repro.scenarios.AdaptiveCrash`,
-    :class:`~repro.scenarios.AdaptiveLoss`) included — batches except where
-    the serial engine
-    itself rejects the combination (so the fallback path raises the
-    descriptive error): a :class:`~repro.scenarios.Delay` on a synchronous
-    protocol, a :class:`~repro.scenarios.DynamicGraph` under the
-    ``edge_clocks`` view, and any runtime scenario on an auxiliary process.
-    :func:`run_batch` raises exactly where this returns ``False``.
-    """
-    return _rejection(protocol, dict(engine_options or {}), as_scenario(scenario)) is None
-
 
 def _prepare(
     graph: Graph,
@@ -246,6 +182,12 @@ def _prepare(
     check_budget_policy(on_budget_exhausted)
     if pooled_rng is not None and rngs is not None:
         raise ProtocolError("pass either per-trial rngs or a pooled_rng, not both")
+    if rngs is not None and not (
+        isinstance(rngs, abc.Sequence) and all(isinstance(r, np.random.Generator) for r in rngs)
+    ):
+        raise ProtocolError(f"rngs must be a sequence of numpy.random.Generator, got {rngs!r}")
+    if pooled_rng is not None and not isinstance(pooled_rng, np.random.Generator):
+        raise ProtocolError(f"pooled_rng must be a numpy.random.Generator, got {pooled_rng!r}")
     if trials is not None and not isinstance(trials, numbers.Integral):
         raise ProtocolError(f"trials must be an integer, got {trials!r}")
     source_array = np.asarray(sources)
@@ -1329,15 +1271,18 @@ def run_batch(
         (synchronous protocols, ``ppx``/``ppy``) or continuous times.
 
     Raises:
-        ProtocolError: for a protocol without a batched body, an option its
-            family does not take (for example ``view`` on ``pp`` or
-            ``max_steps`` on ``ppx``), an unknown view or kernel backend
+        ProtocolError: for an unknown protocol, an option it does not take
+            (for example ``view`` on ``pp`` or ``max_steps`` on ``ppx``; see
+            :func:`~repro.core.protocols.check_options`), ``record_trace``
+            (serial engines only), an unknown view or kernel backend
             (``backend`` or ``REPRO_KERNEL_BACKEND``), a negative budget,
             invalid sources and generators (sources that are not integral or
-            not 1-D, a non-integral ``trials``, or a ``trials`` that
-            disagrees with the sources or generators).
+            not 1-D, a non-integral ``trials``, ``rngs`` that are not a
+            sequence of generators, a ``pooled_rng`` that is not a
+            generator, or a ``trials`` that disagrees with the sources or
+            generators).
         ScenarioError: where the serial engine rejects the scenario (see
-            :func:`is_batchable`).
+            :func:`~repro.core.protocols.check_options`).
         SimulationError: when trials stay incomplete under
             ``on_budget_exhausted="error"``.
     """
@@ -1349,9 +1294,11 @@ def run_batch(
     }
     given = {name: value for name, value in named.items() if value is not None}
     scenario = as_scenario(scenario)
-    rejection = _rejection(protocol, {**given, **unknown}, scenario)
-    if rejection is not None:
-        raise rejection
+    check_options(protocol, {**given, **unknown}, scenario)
+    if "record_trace" in unknown:
+        raise ProtocolError(
+            "record_trace needs the serial engines' contact traces; run_batch records times only"
+        )
     family, mode = _PROTOCOL_FAMILIES[protocol]
     n = graph.num_vertices
     synchronous = family != "async"

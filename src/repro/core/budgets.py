@@ -104,9 +104,9 @@ def scenario_rejection(
 ) -> Optional[ScenarioError]:
     """Why no engine runs ``protocol`` under ``scenario``, or ``None``.
 
-    The serial engines and :func:`~repro.core.protocols.spread` raise it,
-    the batch engine's check returns it, and the scenario sweeps skip the
-    cells it rejects.
+    The serial engines and :func:`~repro.core.protocols.check_options`
+    (the check of ``spread``, ``run_batch`` and the Monte Carlo runners)
+    raise it, and the scenario sweeps skip the cells it rejects.
     """
     if scenario is None:
         return None

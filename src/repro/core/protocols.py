@@ -152,9 +152,9 @@ parallel            all of the       both      workers write per-chunk time-matr
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping, Optional
 
-from repro.core.async_engine import run_asynchronous
+from repro.core.async_engine import ASYNC_VIEWS, run_asynchronous
 from repro.core.aux_processes import run_auxiliary_process
 from repro.core.budgets import scenario_rejection
 from repro.core.kernels import _checked_name
@@ -163,7 +163,7 @@ from repro.core.sync_engine import run_synchronous
 from repro.errors import ProtocolError
 from repro.graphs.base import Graph
 from repro.randomness.rng import SeedLike
-from repro.scenarios.base import ScenarioLike, as_scenario, scenario_source
+from repro.scenarios.base import Scenario, ScenarioLike, as_scenario, scenario_source
 from repro.telemetry.metrics import current_metrics
 
 __all__ = [
@@ -171,6 +171,7 @@ __all__ = [
     "PROTOCOLS",
     "available_protocols",
     "get_protocol",
+    "check_options",
     "spread",
     "is_synchronous_protocol",
     "is_asynchronous_protocol",
@@ -189,6 +190,9 @@ class ProtocolSpec:
             (they assume knowledge of which neighbors are informed).
         runner: callable implementing the protocol; signature
             ``runner(graph, source, seed=..., **options) -> SpreadingResult``.
+        options: the engine options the protocol takes, on the serial and
+            the batched path alike (:func:`check_options` rejects any
+            other).
     """
 
     name: str
@@ -196,6 +200,7 @@ class ProtocolSpec:
     synchronous: bool
     realistic: bool
     runner: Callable[..., SpreadingResult]
+    options: frozenset[str]
 
 
 def _sync_runner(mode: str) -> Callable[..., SpreadingResult]:
@@ -239,6 +244,15 @@ def _aux_runner(variant: str) -> Callable[..., SpreadingResult]:
     return run
 
 
+#: The engine options of each protocol group.  ``backend`` picks the batch
+#: kernels' implementation (the serial engines check the name and ignore
+#: it); ``record_trace`` runs only on the serial engines.
+_SYNC_OPTIONS = frozenset({"max_rounds", "record_trace", "on_budget_exhausted", "backend"})
+_ASYNC_OPTIONS = frozenset(
+    {"view", "max_steps", "max_time", "record_trace", "on_budget_exhausted", "backend"}
+)
+_AUX_OPTIONS = frozenset({"max_rounds", "on_budget_exhausted", "backend"})
+
 PROTOCOLS: dict[str, ProtocolSpec] = {
     "pp": ProtocolSpec(
         name="pp",
@@ -246,6 +260,7 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
         synchronous=True,
         realistic=True,
         runner=_sync_runner("push-pull"),
+        options=_SYNC_OPTIONS,
     ),
     "push": ProtocolSpec(
         name="push",
@@ -253,6 +268,7 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
         synchronous=True,
         realistic=True,
         runner=_sync_runner("push"),
+        options=_SYNC_OPTIONS,
     ),
     "pull": ProtocolSpec(
         name="pull",
@@ -260,6 +276,7 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
         synchronous=True,
         realistic=True,
         runner=_sync_runner("pull"),
+        options=_SYNC_OPTIONS,
     ),
     "pp-a": ProtocolSpec(
         name="pp-a",
@@ -267,6 +284,7 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
         synchronous=False,
         realistic=True,
         runner=_async_runner("push-pull"),
+        options=_ASYNC_OPTIONS,
     ),
     "push-a": ProtocolSpec(
         name="push-a",
@@ -274,6 +292,7 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
         synchronous=False,
         realistic=True,
         runner=_async_runner("push"),
+        options=_ASYNC_OPTIONS,
     ),
     "pull-a": ProtocolSpec(
         name="pull-a",
@@ -281,6 +300,7 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
         synchronous=False,
         realistic=True,
         runner=_async_runner("pull"),
+        options=_ASYNC_OPTIONS,
     ),
     "ppx": ProtocolSpec(
         name="ppx",
@@ -288,6 +308,7 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
         synchronous=True,
         realistic=False,
         runner=_aux_runner("ppx"),
+        options=_AUX_OPTIONS,
     ),
     "ppy": ProtocolSpec(
         name="ppy",
@@ -295,6 +316,7 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
         synchronous=True,
         realistic=False,
         runner=_aux_runner("ppy"),
+        options=_AUX_OPTIONS,
     ),
 }
 
@@ -316,6 +338,40 @@ def get_protocol(name: str) -> ProtocolSpec:
         raise ProtocolError(
             f"unknown protocol {name!r}; available: {available_protocols()}"
         ) from None
+
+
+def check_options(
+    protocol: str, options: Mapping[str, object], scenario: Optional[Scenario] = None
+) -> ProtocolSpec:
+    """The spec of ``protocol``, once ``options`` and ``scenario`` suit it.
+
+    The one check of a protocol's engine options, shared by :func:`spread`,
+    :func:`~repro.core.batch_engine.run_batch` and the Monte Carlo runners'
+    :class:`~repro.analysis.montecarlo.TrialPlan`.  It raises
+    :class:`ProtocolError` for an unknown protocol, an option it does not
+    take (:attr:`ProtocolSpec.options`), an unknown ``view`` or ``backend``
+    name (checked, not resolved, so a serial run never warns about numba),
+    and the :func:`~repro.core.budgets.scenario_rejection` of ``scenario``.
+    """
+    spec = get_protocol(protocol)
+    misapplied = sorted(set(options) - spec.options)
+    if misapplied:
+        raise ProtocolError(
+            f"protocol {protocol!r} does not take {misapplied}; it takes {sorted(spec.options)}"
+        )
+    backend = options.get("backend")
+    if backend is not None:
+        _checked_name(backend)
+    view = options.get("view", "global")
+    if view not in ASYNC_VIEWS:
+        raise ProtocolError(f"unknown asynchronous view {view!r}; expected one of {ASYNC_VIEWS}")
+    rejection = scenario_rejection(
+        protocol, scenario,
+        synchronous=spec.synchronous, analysis_only=not spec.realistic, view=str(view),
+    )
+    if rejection is not None:
+        raise rejection
+    return spec
 
 
 def is_synchronous_protocol(name: str) -> bool:
@@ -351,34 +407,25 @@ def spread(
             ``"loss:p=0.3"``).  See the table in the module docstring for
             which scenarios each protocol supports.
         **options: engine-specific options forwarded to the underlying
-            runner (``max_rounds``, ``max_steps``, ``max_time``, ``view``,
-            ``record_trace``, ``on_budget_exhausted``).  The batch-only
-            ``backend`` option is checked against
-            :data:`~repro.core.kernels.KERNEL_BACKENDS` and otherwise
-            ignored, so one options dict can drive both a serial and a
-            batched run.
+            runner: the protocol's :attr:`ProtocolSpec.options` among
+            ``max_rounds``, ``max_steps``, ``max_time``, ``view``,
+            ``record_trace`` and ``on_budget_exhausted``.  An option the
+            protocol does not take raises :class:`ProtocolError`
+            (:func:`check_options`).  The batch-only ``backend`` option is
+            checked against :data:`~repro.core.kernels.KERNEL_BACKENDS` and
+            otherwise ignored, so one options dict can drive both a serial
+            and a batched run.
 
     Returns:
         The :class:`~repro.core.result.SpreadingResult` of the run.
     """
-    # Kernel backends are a batch-engine notion (see repro.core.kernels);
-    # the serial engines have exactly one implementation.  Only the name is
-    # checked: resolving it would warn about numba on a run that uses no
-    # kernel.
-    backend = options.pop("backend", None)
-    if backend is not None:
-        _checked_name(backend)
-    spec = get_protocol(protocol)
     scenario = as_scenario(scenario)
+    spec = check_options(protocol, options, scenario)
+    # Kernel backends are a batch-engine notion (see repro.core.kernels);
+    # the serial engines have exactly one implementation.
+    options.pop("backend", None)
     if scenario is not None:
         source = scenario_source(scenario, graph, source)
-        rejection = scenario_rejection(
-            protocol, scenario,
-            synchronous=spec.synchronous, analysis_only=not spec.realistic,
-            view=str(options.get("view", "global")),
-        )
-        if rejection is not None:
-            raise rejection
         if scenario.runtime_active():
             result = spec.runner(graph, source, seed=seed, scenario=scenario, **options)
             _record_spread_metrics(result)

@@ -1,11 +1,10 @@
 """Tests for the batched fast path of the Monte Carlo trial runners.
 
 Covers the dispatch policy of ``run_trials(batch=...)`` (including the
-shared :func:`~repro.analysis.montecarlo.batch_dispatch_decision`
-predicate), fixed-seed per-trial agreement between the batched and serial
-paths via the shared harness, a two-sample Kolmogorov–Smirnov sanity check
-on larger independently-seeded samples, and the worker-count environment
-override.
+one path decision, :meth:`~repro.analysis.montecarlo.TrialPlan.batched`),
+fixed-seed per-trial agreement between the batched and serial paths via
+the shared harness, a two-sample Kolmogorov–Smirnov sanity check on larger
+independently-seeded samples, and the worker-count environment override.
 """
 
 from __future__ import annotations
@@ -16,7 +15,8 @@ import pytest
 from helpers.equivalence import assert_same_distribution, assert_trials_paths_agree
 from repro.analysis import montecarlo
 from repro.analysis.montecarlo import (
-    batch_dispatch_decision,
+    ASYNC_AUTO_MIN_TRIALS,
+    TrialPlan,
     run_adaptive_trials,
     run_trials,
 )
@@ -85,26 +85,32 @@ class TestBatchDispatch:
         with pytest.raises(AnalysisError):
             run_trials(graph, 1, "pp", trials=4, seed=1, batch=0)
 
-    def test_dispatch_decision_is_the_shared_predicate(self):
-        """The one (protocol, options, scenario) eligibility helper behind
-        run_trials, run_adaptive_trials, and run_trials_parallel."""
-        ok, reason = batch_dispatch_decision("pp", None, None, True, 4)
-        assert ok and "batched kernels" in reason
-        ok, reason = batch_dispatch_decision("ppx", None, None, True, 4)
-        assert ok  # the aux processes now batch
-        ok, reason = batch_dispatch_decision(
-            "pp", {"record_trace": True}, None, True, 4
-        )
-        assert not ok and "no batched kernel" in reason
-        ok, reason = batch_dispatch_decision("pp", None, None, True, 4, fixed_graph=False)
-        assert not ok and "factories" in reason
+    def test_batched_is_the_one_path_decision(self):
+        """The one path decision behind run_trials, run_adaptive_trials, and
+        every chunk of run_trials_parallel."""
+        graph = star_graph(12)
+
+        def factory(rng):
+            return connected_erdos_renyi_graph(16, seed=rng)
+
+        assert TrialPlan(0, "pp", 4, batch=True).batched(graph)
+        assert TrialPlan(0, "ppx", 4, batch=True).batched(graph)  # the aux processes batch
+        assert not TrialPlan(0, "pp", 4, batch=False).batched(graph)
+        # record_trace has no batched kernel: auto runs it serially, and a
+        # forced batch mode is refused when the plan is built.
+        traced = {"record_trace": True}
+        assert not TrialPlan(0, "pp", 4, engine_options=traced).batched(graph)
+        with pytest.raises(AnalysisError, match="record_trace"):
+            TrialPlan(0, "pp", 4, engine_options=traced, batch=True)
+        # Graph factories run one trial per graph.
+        assert not TrialPlan(0, "pp", 4).batched(factory)
+        with pytest.raises(AnalysisError, match="factories"):
+            TrialPlan(0, "pp", 4, batch=True).batched(factory)
         # The auto heuristic only applies to narrow asynchronous runs.
-        ok, reason = batch_dispatch_decision("pp-a", None, None, "auto", 4)
-        assert not ok and "asynchronous" in reason
-        ok, _ = batch_dispatch_decision("pp-a", None, None, True, 4)
-        assert ok
-        ok, _ = batch_dispatch_decision("pp", None, None, "auto", 4)
-        assert ok
+        assert not TrialPlan(0, "pp-a", 4).batched(graph)
+        assert TrialPlan(0, "pp-a", ASYNC_AUTO_MIN_TRIALS).batched(graph)
+        assert TrialPlan(0, "pp-a", 4, batch=True).batched(graph)
+        assert TrialPlan(0, "pp", 4).batched(graph)
 
     def test_factory_mode_still_works_under_auto(self):
         def factory(rng):

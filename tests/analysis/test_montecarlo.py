@@ -14,9 +14,72 @@ from repro.analysis.montecarlo import (
     run_trials,
 )
 from repro.analysis.parallel import run_trials_parallel
-from repro.errors import AnalysisError
-from repro.graphs import complete_graph, star_graph
+from repro.errors import AnalysisError, ProtocolError
+from repro.graphs import complete_graph, cycle_graph, star_graph
 from repro.graphs.random_graphs import connected_erdos_renyi_graph
+from repro.telemetry.metrics import collecting_metrics
+
+
+def _adaptive(graph, source, protocol, *, trials, **kwargs):
+    return run_adaptive_trials(
+        graph, source, protocol, initial_trials=trials, batch_size=2, max_trials=8, **kwargs
+    )
+
+
+#: Every runner path, called as ``runner(graph, source, protocol, trials=..., ...)``.
+RUNNERS = {
+    "run_trials-serial": functools.partial(run_trials, batch=False),
+    "run_trials-batched": functools.partial(run_trials, batch=True),
+    "run_trials-pooled": functools.partial(run_trials, batch="pooled"),
+    "run_trials-auto": functools.partial(run_trials, batch="auto"),
+    "run_trials_parallel": functools.partial(run_trials_parallel, num_workers=2),
+    "run_adaptive_trials": _adaptive,
+    "collect_results": collect_results,
+}
+
+#: The runners that take coverage fractions.
+FRACTION_RUNNERS = [name for name in RUNNERS if name.startswith("run_trials")]
+
+#: (id, arguments replacing a valid call's, error type, message pattern).
+MALFORMED = [
+    ("fractional-source", {"source": 1.5}, AnalysisError, "source"),
+    ("bool-source", {"source": True}, AnalysisError, "source"),
+    ("unknown-source-name", {"source": "rand"}, AnalysisError, "source"),
+    ("source-off-the-graph", {"source": 99}, AnalysisError, "source 99 is not a vertex"),
+    ("bool-trials", {"trials": True}, AnalysisError, "trials"),
+    ("fractional-trials", {"trials": 2.5}, AnalysisError, "trials"),
+    ("string-seed", {"seed": "abc"}, AnalysisError, "seed"),
+    ("fractional-seed", {"seed": 1.5}, AnalysisError, "seed"),
+    ("negative-seed", {"seed": -1}, AnalysisError, "seed"),
+    (
+        "view-on-pp", {"engine_options": {"view": "node_clocks"}}, ProtocolError,
+        r"protocol 'pp' does not take \['view'\]",
+    ),
+    (
+        "unknown-option", {"engine_options": {"bogus": 1}}, ProtocolError,
+        r"protocol 'pp' does not take \['bogus'\]",
+    ),
+]
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+@pytest.mark.parametrize(
+    "change, error, pattern", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED]
+)
+def test_malformed_call_rejected_on_every_path(runner, change, error, pattern):
+    """One boundary: each malformed argument raises the same named error
+    from every runner path, before any trial runs — for the parallel
+    runner in the parent, with no chunk dispatched, retried or run in the
+    parent as a fallback."""
+    call = {"source": 0, "trials": 4, "seed": 1, **change}
+    source = call.pop("source")
+    with collecting_metrics() as metrics:
+        with pytest.raises(error, match=pattern):
+            RUNNERS[runner](cycle_graph(8), source, "pp", **call)
+    for counter in (
+        "analysis.trials", "parallel.chunks", "parallel.chunk_retries", "parallel.serial_fallbacks"
+    ):
+        assert metrics.counters.get(counter, 0) == 0, counter
 
 
 class TestRunTrials:
@@ -67,23 +130,21 @@ class TestRunTrials:
         with pytest.raises(AnalysisError):
             run_trials(graph, "uniform", "pp", trials=2)
 
-    @pytest.mark.parametrize(
-        "runner",
-        [
-            functools.partial(run_trials, batch=True),
-            functools.partial(run_trials, batch=False),
-            functools.partial(run_trials_parallel, num_workers=2),
-        ],
-        ids=["run_trials-batched", "run_trials-serial", "run_trials_parallel"],
-    )
+    @pytest.mark.parametrize("runner", FRACTION_RUNNERS)
     def test_repeated_fraction_rejected(self, runner):
         # A repeated fraction used to collect its times twice under one key.
         with pytest.raises(AnalysisError, match="distinct"):
-            runner(complete_graph(8), 0, "pp", trials=3, seed=1, fractions=(0.5, 0.5))
+            RUNNERS[runner](complete_graph(8), 0, "pp", trials=3, seed=1, fractions=(0.5, 0.5))
+
+    @pytest.mark.parametrize("runner", FRACTION_RUNNERS)
+    def test_fractions_must_be_a_sequence(self, runner):
+        call = functools.partial(RUNNERS[runner], complete_graph(8), 0, "pp", trials=3, seed=1)
+        with pytest.raises(AnalysisError, match="fractions"):
+            call(fractions=0.5)
+        # Any sequence of numbers is accepted, a numpy array included.
+        assert call(fractions=np.array([0.5, 0.9])) == call(fractions=(0.5, 0.9))
 
     def test_unknown_protocol_rejected_eagerly(self):
-        from repro.errors import ProtocolError
-
         with pytest.raises(ProtocolError):
             run_trials(star_graph(8), 0, "smoke-signals", trials=2)
 
@@ -175,6 +236,15 @@ class TestAdaptiveTrials:
             seed=13,
         )
         assert sample.num_trials == 30
+
+    @pytest.mark.parametrize(
+        "argument, value", [("initial_trials", 2.5), ("batch_size", 2.5), ("max_trials", 30.5)]
+    )
+    def test_fractional_counts_rejected_before_any_trial(self, argument, value):
+        with collecting_metrics() as metrics:
+            with pytest.raises(AnalysisError, match=argument):
+                run_adaptive_trials(star_graph(8), 0, "pp", **{argument: value})
+        assert "analysis.trials" not in metrics.counters
 
     def test_validation(self):
         graph = star_graph(8)

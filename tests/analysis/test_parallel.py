@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.montecarlo import run_trials
+from repro.analysis.montecarlo import TrialPlan, run_trials
 from repro.analysis.parallel import (
     ParallelTrialSpec,
     _run_chunk,
@@ -24,14 +24,14 @@ class TestWorkerHelpers:
 
     def test_chunk_runner_with_graph(self):
         spec = ParallelTrialSpec(
-            protocol="pp", source=1, trials=5, trial_seed=3, graph=star_graph(12)
+            plan=TrialPlan(source=1, protocol="pp", trials=5, seed=3), graph=star_graph(12)
         )
         sample = _run_chunk(spec)
         assert sample.num_trials == 5
         assert sample.protocol == "pp"
 
     def test_chunk_runner_requires_a_graph(self):
-        spec = ParallelTrialSpec(protocol="pp", source=0, trials=2, trial_seed=1)
+        spec = ParallelTrialSpec(plan=TrialPlan(source=0, protocol="pp", trials=2, seed=1))
         with pytest.raises(AnalysisError):
             _run_chunk(spec)
 
@@ -77,6 +77,8 @@ class TestRunTrialsParallel:
             run_trials_parallel(graph, 0, "pp", trials=0, seed=1)
         with pytest.raises(AnalysisError):
             run_trials_parallel(graph, 0, "pp", trials=4, seed=1, num_workers=0)
+        with pytest.raises(AnalysisError, match="num_workers"):
+            run_trials_parallel(graph, 0, "pp", trials=4, seed=1, num_workers=2.5)
 
     def test_fractions_recorded(self):
         graph = complete_graph(16)

@@ -15,7 +15,8 @@ import pytest
 from helpers.equivalence import assert_batch_matches_serial, assert_trials_paths_agree
 from repro.analysis import montecarlo
 from repro.analysis.montecarlo import run_trials
-from repro.core.batch_engine import is_batchable, run_batch
+from repro.core.batch_engine import run_batch
+from repro.core.protocols import check_options
 from repro.errors import ProtocolError, ScenarioError, SimulationError
 from repro.graphs import complete_graph, cycle_graph, star_graph
 from repro.graphs.base import Graph
@@ -52,7 +53,7 @@ class TestDispatch:
         """AdversarialSource is deterministic (not a runtime scenario), so
         the aux processes keep the fast path and both paths agree."""
         scenario = AdversarialSource("max_degree")
-        assert is_batchable("ppx", None, scenario)
+        check_options("ppx", {}, scenario)
         graph = star_graph(16)
         serial, batched = assert_trials_paths_agree(
             graph, "random", "ppx", trials=8, seed=5, scenario=scenario
@@ -72,11 +73,12 @@ class TestScenarioRules:
             )
 
     def test_auto_falls_back_and_both_paths_raise_identically(self):
-        """Dispatch under a runtime scenario goes serial, where the spread()
-        entry point raises the descriptive error — never a silent batch-path
-        divergence."""
+        """A runtime scenario on ppx raises the one descriptive error of
+        check_options, batched or serial, before any trial runs — never a
+        silent batch-path divergence."""
         graph = complete_graph(8)
-        assert not is_batchable("ppx", None, MessageLoss(0.2))
+        with pytest.raises(ScenarioError, match="analysis-only"):
+            check_options("ppx", {}, MessageLoss(0.2))
         with pytest.raises(ScenarioError, match="analysis-only"):
             run_trials(graph, 0, "ppx", trials=2, seed=0, scenario=MessageLoss(0.2))
         with pytest.raises(ScenarioError, match="analysis-only"):

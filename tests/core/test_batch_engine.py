@@ -23,13 +23,12 @@ from repro.core.batch_engine import (
     _async_state,
     _BatchJob,
     _ScenarioParts,
-    is_batchable,
     run_batch,
 )
 from repro.core.flatgraph import flat_adjacency
 from repro.core.kernels import AsyncState, numpy_backend
 from repro.core.kernels.numpy_backend import _TickColumns
-from repro.core.protocols import spread
+from repro.core.protocols import check_options, spread
 from repro.core.result import BatchTimes
 from repro.errors import ProtocolError, ScenarioError, SimulationError
 from repro.graphs import complete_graph, cycle_graph, path_graph, star_graph
@@ -172,7 +171,8 @@ class TestValidation:
         with pytest.raises(ProtocolError, match=rf"protocol '{protocol}' does not take") as error:
             run_batch(complete_graph(8), 0, protocol, trials=2, seed=1, **option)
         assert "on_budget_exhausted" in str(error.value)
-        assert not is_batchable(protocol, option)
+        with pytest.raises(ProtocolError, match=rf"protocol '{protocol}' does not take"):
+            check_options(protocol, option)
 
     @pytest.mark.parametrize("option", ["max_rounds", "max_steps", "max_time"])
     def test_negative_budget_rejected(self, option):
@@ -232,24 +232,28 @@ class TestValidation:
             run_batch(star_graph(8), 0, "pp")
 
     @pytest.mark.parametrize(
-        "sources, options",
+        "sources, options, match",
         [
-            ([0, 1], {"trials": 5}),
-            (0, {"rngs": 3, "trials": 5}),
-            (1.7, {"trials": 2}),
-            ([0.5, 1.9], {}),
-            ([[0, 1]], {}),
-            (0, {"trials": 2.5}),
+            ([0, 1], {"trials": 5}, None),
+            (0, {"rngs": 3, "trials": 5}, None),
+            (1.7, {"trials": 2}, None),
+            ([0.5, 1.9], {}, None),
+            ([[0, 1]], {}, None),
+            (0, {"trials": 2.5}, None),
+            (0, {"rngs": [1, 2]}, "rngs"),
+            (0, {"trials": 2, "pooled_rng": 1}, "pooled_rng"),
+            (0, {"rngs": np.random.default_rng(1)}, "rngs"),
         ],
         ids=[
             "trials-vs-sources", "trials-vs-rngs", "fractional-source",
             "fractional-sources", "2d-sources", "fractional-trials",
+            "integer-rngs", "integer-pooled-rng", "one-generator-as-rngs",
         ],
     )
-    def test_malformed_trial_inputs_rejected(self, sources, options):
-        if "rngs" in options:
+    def test_malformed_trial_inputs_rejected(self, sources, options, match):
+        if isinstance(options.get("rngs"), int):
             options = {**options, "rngs": spawn_generators(options["rngs"], 1)}
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match=match):
             run_batch(cycle_graph(8), sources, "pp", seed=1, **options)
 
     def test_numpy_integer_sources_accepted(self):
@@ -269,24 +273,35 @@ class TestValidation:
         with pytest.raises(ProtocolError):
             run_batch(star_graph(8), 0, "pp-a", trials=2, seed=0, view="smoke")
 
-    def test_is_batchable_matrix(self):
-        assert is_batchable("pp")
-        assert is_batchable("pp-a")
-        assert is_batchable("pp-a", {"view": "global", "max_steps": 10})
-        assert is_batchable("ppx")
-        assert is_batchable("ppy")
-        assert is_batchable("ppx", {"max_rounds": 10})
-        assert is_batchable("pp-a", {"view": "node_clocks"})
-        assert is_batchable("pp-a", {"view": "edge_clocks", "max_time": 2.0})
-        assert not is_batchable("pp", {"record_trace": True})
-        assert not is_batchable("ppx", {"record_trace": True})
-        assert not is_batchable("pp-a", {"view": "smoke"})  # unknown view
-        assert not is_batchable("pp", {"max_steps": 10})  # async option on sync
-        assert not is_batchable("ppx", {"max_steps": 10})  # async option on aux
+    def test_check_options_matrix(self):
+        """Accepted means no raise; every protocol batches with the options
+        it takes, except record_trace, which only the serial engines take."""
+        for protocol, options in [
+            ("pp", {}),
+            ("pp-a", {}),
+            ("pp-a", {"view": "global", "max_steps": 10}),
+            ("ppx", {}),
+            ("ppy", {}),
+            ("ppx", {"max_rounds": 10}),
+            ("pp-a", {"view": "node_clocks"}),
+            ("pp-a", {"view": "edge_clocks", "max_time": 2.0}),
+            ("pp", {"record_trace": True}),
+        ]:
+            check_options(protocol, options)
+        for protocol, options in [
+            ("ppx", {"record_trace": True}),
+            ("pp-a", {"view": "smoke"}),  # unknown view
+            ("pp", {"max_steps": 10}),  # async option on sync
+            ("ppx", {"max_steps": 10}),  # async option on aux
+        ]:
+            with pytest.raises(ProtocolError):
+                check_options(protocol, options)
+        with pytest.raises(ProtocolError, match="record_trace"):
+            run_batch(star_graph(8), 0, "pp", trials=2, seed=0, record_trace=True)
 
-    def test_is_batchable_scenario_matrix(self):
-        """Every runtime scenario batches wherever the serial engine runs
-        it; only the serial-rejected combinations fall back."""
+    def test_check_options_scenario_matrix(self):
+        """Every runtime scenario runs wherever the serial engine runs it;
+        only the serial-rejected combinations raise."""
         from repro.scenarios import (
             BurstLoss,
             Delay,
@@ -305,18 +320,21 @@ class TestValidation:
             TargetedChurn(0.1),
         ]
         for scenario in runtime:
-            assert is_batchable("pp", None, scenario)
+            check_options("pp", {}, scenario)
             for view in ("global", "node_clocks", "edge_clocks"):
-                assert is_batchable("pp-a", {"view": view}, scenario)
-            assert not is_batchable("ppx", None, scenario)
+                check_options("pp-a", {"view": view}, scenario)
+            with pytest.raises(ScenarioError):
+                check_options("ppx", {}, scenario)
         for view in ("global", "node_clocks", "edge_clocks"):
-            assert is_batchable("pp-a", {"view": view}, Delay())
-        assert not is_batchable("pp", None, Delay())  # sync has no clocks
-        assert is_batchable("pp", None, dynamic)
-        assert is_batchable("pp-a", None, dynamic)  # async dynamic batches now
-        assert is_batchable("pp-a", {"view": "node_clocks"}, dynamic)
+            check_options("pp-a", {"view": view}, Delay())
+        with pytest.raises(ScenarioError):
+            check_options("pp", {}, Delay())  # sync has no clocks
+        check_options("pp", {}, dynamic)
+        check_options("pp-a", {}, dynamic)  # async dynamic batches now
+        check_options("pp-a", {"view": "node_clocks"}, dynamic)
         # The one hole in the matrix: edge clocks cannot survive a resample.
-        assert not is_batchable("pp-a", {"view": "edge_clocks"}, dynamic)
+        with pytest.raises(ScenarioError):
+            check_options("pp-a", {"view": "edge_clocks"}, dynamic)
 
 
 class TestResampledGraphs:

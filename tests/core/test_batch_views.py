@@ -19,8 +19,9 @@ from helpers.equivalence import assert_same_distribution, assert_trials_paths_ag
 from repro.analysis import montecarlo
 from repro.analysis.montecarlo import ASYNC_AUTO_MIN_TRIALS, run_trials
 from repro.core.async_engine import ASYNC_VIEWS, run_asynchronous
-from repro.core.batch_engine import is_batchable, run_batch
+from repro.core.batch_engine import run_batch
 from repro.core.kernels import jit_backend
+from repro.core.protocols import check_options
 from repro.errors import ProtocolError, ScenarioError
 from repro.graphs import complete_graph, star_graph
 from repro.graphs.base import Graph
@@ -99,7 +100,7 @@ class TestScenarioEligibility:
         ids=lambda s: s.spec().split(":")[0],
     )
     def test_runtime_scenarios_are_batchable_under_clock_views(self, view, scenario):
-        assert is_batchable("pp-a", {"view": view}, scenario)
+        check_options("pp-a", {"view": view}, scenario)
         batched = run_batch(
             complete_graph(8), 4, "pp-a", view=view, trials=3, seed=0, scenario=scenario,
             max_steps=300, on_budget_exhausted="partial",
@@ -108,8 +109,9 @@ class TestScenarioEligibility:
 
     def test_dynamic_is_batchable_under_node_clocks_only(self):
         dynamic = DynamicGraph(FamilyResampler("erdos_renyi"), period=2)
-        assert is_batchable("pp-a", {"view": "node_clocks"}, dynamic)
-        assert not is_batchable("pp-a", {"view": "edge_clocks"}, dynamic)
+        check_options("pp-a", {"view": "node_clocks"}, dynamic)
+        with pytest.raises(ScenarioError, match="edge_clocks"):
+            check_options("pp-a", {"view": "edge_clocks"}, dynamic)
 
     def test_dynamic_edge_clocks_rejected_identically_on_both_paths(self):
         """The one rejected combination; the message names the view and the

@@ -18,7 +18,7 @@ import pytest
 from helpers.equivalence import KERNEL_CASES, assert_kernel_case, case_ids
 from repro.analysis.montecarlo import ASYNC_AUTO_MIN_TRIALS, run_trials
 from repro.core import kernels
-from repro.core.batch_engine import is_batchable, run_batch
+from repro.core.batch_engine import run_batch
 from repro.core.kernels import (
     KERNEL_BACKENDS,
     available_backends,
@@ -28,7 +28,7 @@ from repro.core.kernels import (
     resolve_backend,
     warmup_kernels,
 )
-from repro.core.protocols import spread
+from repro.core.protocols import check_options, spread
 from repro.errors import ProtocolError
 from repro.graphs import complete_graph, cycle_graph
 from repro.graphs.random_graphs import random_regular_graph
@@ -50,6 +50,17 @@ POOLED_SCENARIOS = {
     "burst-loss": BurstLoss(0.3, 0.5, 0.8),
     "delay": Delay(low=0.5, high=2.0),
     "dynamic": DynamicGraph(FamilyResampler("erdos_renyi"), period=2),
+}
+
+#: The backend a pooled ``backend="jit"`` run takes, by scenario: epoch and
+#: resample boundaries send it to numpy.
+POOLED_BACKENDS = {
+    "plain": "jit",
+    "loss": "jit",
+    "churn": "numpy",
+    "burst-loss": "numpy",
+    "delay": "jit",
+    "dynamic": "numpy",
 }
 
 #: Every (view, scenario) pair the engines run: edge clocks take no
@@ -108,8 +119,11 @@ class TestResolution:
 
     def test_engine_options_accept_backend(self):
         for protocol in ("pp", "pp-a", "ppx"):
-            assert is_batchable(protocol, {"backend": "numpy"}, None)
-        assert not is_batchable("pp", {"backend": "numpy", "record_trace": True}, None)
+            check_options(protocol, {"backend": "numpy"})
+        with pytest.raises(ProtocolError, match="record_trace"):
+            run_batch(
+                cycle_graph(8), 0, "pp", trials=2, seed=1, backend="numpy", record_trace=True
+            )
 
 
 class TestUnknownBackendName:
@@ -236,16 +250,24 @@ class TestPurePythonJit:
     def test_chunked_pooled_clock_view_is_bit_identical_across_backends(self, view, name):
         # Every pooled asynchronous run pre-draws whole (B, chunk) blocks, so
         # the jit backend consumes the pooled stream in exactly the numpy
-        # order under every view — same seed, same results.
+        # order under every view — same seed, same results.  The plain,
+        # loss and delay cells pin that jit replay.  The churn, burst-loss
+        # and dynamic cells have epoch or resample boundaries, so run_batch
+        # takes numpy whatever backend was asked for: they pin that
+        # fallback, numpy against numpy.
         graph = random_regular_graph(24, 4, seed=3)
-        results = {
-            backend: run_batch(
+
+        def run(backend):
+            return run_batch(
                 graph, 0, "pp-a", view=view, trials=50,
                 pooled_rng=np.random.default_rng(11), scenario=POOLED_SCENARIOS[name],
                 backend=backend,
             )
-            for backend in ("numpy", "jit")
-        }
+
+        with collecting_metrics() as metrics:
+            results = {"jit": run("jit")}
+        assert metrics.gauges["engine.backend"] == POOLED_BACKENDS[name]
+        results["numpy"] = run("numpy")
         assert np.array_equal(
             results["numpy"].completion_time, results["jit"].completion_time
         )

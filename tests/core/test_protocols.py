@@ -62,6 +62,27 @@ class TestSpread:
         result = spread(star_graph(12), 1, protocol="pp-a", seed=1, view="node_clocks")
         assert result.completed
 
+    @pytest.mark.parametrize(
+        "protocol, option",
+        [
+            ("pp", {"view": "global"}),
+            ("push", {"max_steps": 10}),
+            ("pp-a", {"max_rounds": 3}),
+            ("pull-a", {"bogus": 1}),
+            ("ppx", {"record_trace": True}),
+            ("ppy", {"max_time": 2.0}),
+        ],
+        ids=["view-on-pp", "max_steps-on-push", "max_rounds-on-pp-a", "unknown-on-pull-a",
+             "record_trace-on-ppx", "max_time-on-ppy"],
+    )
+    def test_misapplied_option_rejected(self, protocol, option):
+        """Each protocol family takes only its own options: the one
+        ProtocolError names the option, on spread as on every runner."""
+        name = sorted(option)[0]
+        with pytest.raises(ProtocolError, match=rf"protocol '{protocol}' does not take \['{name}'\]"):
+            spread(star_graph(8), 0, protocol=protocol, seed=1, **option)
+        assert name not in PROTOCOLS[protocol].options
+
     def test_sync_async_time_units_differ(self):
         sync = spread(star_graph(32), 1, protocol="pp", seed=2)
         asynchronous = spread(star_graph(32), 1, protocol="pp-a", seed=2)

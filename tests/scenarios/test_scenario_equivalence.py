@@ -17,7 +17,7 @@ import pytest
 
 from helpers.equivalence import assert_batch_matches_serial, assert_trials_paths_agree
 from repro.analysis.montecarlo import run_trials
-from repro.core.batch_engine import is_batchable
+from repro.core.protocols import check_options
 from repro.errors import ScenarioError
 from repro.graphs import complete_graph, star_graph
 from repro.graphs.random_graphs import random_regular_graph
@@ -117,9 +117,9 @@ class TestRunTrialsDispatch:
         """Async dynamic-graph trials batch now (no serial fallback): a
         forced batch succeeds and agrees with the serial path bit for bit."""
         scenario = DynamicGraph(FamilyResampler("erdos_renyi"), period=2)
-        assert is_batchable("pp-a", None, scenario)
-        assert is_batchable("pp", None, scenario)
-        assert is_batchable("pp-a", {"view": "node_clocks"}, scenario)
+        check_options("pp-a", {}, scenario)
+        check_options("pp", {}, scenario)
+        check_options("pp-a", {"view": "node_clocks"}, scenario)
         graph = complete_graph(12)
         assert_trials_paths_agree(
             graph, 0, "pp-a", trials=6, seed=1, batch=True, scenario=scenario
