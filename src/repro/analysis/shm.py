@@ -207,14 +207,8 @@ def share_graph(graph: Graph, *, pin: bool = False) -> str:
         return segment.name
 
 
-def pin_segment(name: str) -> None:
-    """Protect a graph segment from LRU eviction while a call is in flight."""
-    with _REGISTRY_LOCK:
-        _PINNED[name] = _PINNED.get(name, 0) + 1
-
-
 def unpin_segment(name: str) -> None:
-    """Release a :func:`pin_segment` / ``share_graph(pin=True)`` pin.
+    """Release a ``share_graph(pin=True)`` pin.
 
     The last unpin performs any unlink a full release deferred while the
     segment was in flight, so :func:`release_shared_graphs` stays

@@ -16,11 +16,13 @@ times-only result.  The bodies, by kernel family:
 
 * **Synchronous rounds** (``pp``/``push``/``pull``, :func:`_sync_rounds`) —
   one round-step call per round covers every live trial, after each trial
-  drew its full ``random(n)`` contact block; on a wide round whose smaller
-  status class is small the numpy step resolves only the callers next to
-  it (see :mod:`repro.core.kernels.numpy_backend`).  Finished trials leave
-  the working set (they stop consuming randomness, exactly like a serial
-  run that returned).
+  drew its full ``random(n)`` contact block.  The step resolves the
+  contacts on the shared graph, or takes the ones resolved on each trial's
+  own graph once a dynamic graph has resampled; on a wide shared-graph
+  round whose smaller status class is small the numpy step resolves only
+  the callers next to it (see :mod:`repro.core.kernels.numpy_backend`).
+  Finished trials leave the working set (they stop consuming randomness,
+  exactly like a serial run that returned).
 * **Auxiliary rounds** (``ppx``/``ppy`` of Definitions 5 and 7,
   :func:`_aux_rounds`) — informed-neighbor counts are a ``(B, n)`` integer
   matrix and the per-vertex pull probabilities come from the shared
@@ -283,9 +285,9 @@ class _TrialGraphs:
     outgrows it grows the pad for all rows.
 
     The arrays are kept flat — ``(B * n,)`` degree/start tables and a
-    raveled ``(B * width,)`` neighbor array — so the per-tick
-    :meth:`callees` gather is three 1-D ``np.take`` calls, the same memory
-    traffic as the static-graph fast path, instead of 2-D fancy indexing.
+    raveled ``(B * width,)`` neighbor array — so the :meth:`callees_at`
+    gather is three 1-D ``np.take`` calls, the same memory traffic as the
+    static-graph fast path, instead of 2-D fancy indexing.
     """
 
     __slots__ = ("graphs", "num_vertices", "width", "degrees", "rel_start", "indices")
@@ -330,20 +332,15 @@ class _TrialGraphs:
         self.rel_start[row * n : (row + 1) * n] = flat.indptr[:-1]
         self.indices[row * self.width : row * self.width + needed] = flat.indices
 
-    def callees(
-        self, rows: np.ndarray, callers: np.ndarray, uniforms: np.ndarray
-    ) -> np.ndarray:
-        """One uniform random neighbor per (trial row, caller) pair; the
-        three arrays broadcast together."""
-        return self.callees_at(
-            rows * self.num_vertices + callers, rows * self.width, uniforms
-        )
-
     def callees_at(
         self, pos: np.ndarray, row_offsets: np.ndarray, uniforms: np.ndarray
     ) -> np.ndarray:
-        """:meth:`callees` with the flat (row, caller) positions and per-row
-        neighbor-array offsets precomputed (hot-loop callers cache them)."""
+        """One uniform random neighbor per caller.
+
+        ``pos`` holds each caller's flat ``row * n + caller`` position and
+        ``row_offsets`` its row's ``row * width`` neighbor-array offset (the
+        column walk caches them); the three arrays broadcast together.
+        """
         deg = self.degrees.take(pos, mode="clip")
         offsets = (uniforms * deg).astype(np.int64)
         np.minimum(offsets, deg - 1, out=offsets)
@@ -517,31 +514,50 @@ class _LiveSet:
     finish, :meth:`retire` moves their rows into the per-trial final
     storage and compacts the rest, so finished trials stop paying any
     per-round cost (and stop consuming randomness, like a serial run that
-    returned).  ``rngs`` is empty in pooled mode.
+    returned).  ``rngs`` is empty in pooled mode, where ``pooled_rng``
+    draws for every trial.
     """
 
     __slots__ = (
-        "n", "ids", "rngs", "informed", "count", "times",
+        "n", "ids", "rngs", "pooled_rng", "informed", "count", "times",
         "final_times", "rounds", "final_count", "completed", "completion_time",
     )
 
-    def __init__(
-        self,
-        n: int,
-        sources: np.ndarray,
-        generators: Optional[list[np.random.Generator]],
-        record_times: bool,
-    ) -> None:
-        batch = sources.size
+    def __init__(self, job: _BatchJob) -> None:
+        n = job.graph.num_vertices
+        batch = job.sources.size
         self.n = n
         self.ids = np.arange(batch, dtype=np.int64)
-        self.rngs = list(generators) if generators is not None else []
-        self.informed, self.count, self.times = _initial_informed(n, sources, record_times)
-        self.final_times = np.empty((batch, n)) if record_times else None
+        self.rngs = list(job.generators) if job.generators is not None else []
+        self.pooled_rng = job.pooled_rng
+        self.informed, self.count, self.times = _initial_informed(
+            n, job.sources, job.record_times
+        )
+        self.final_times = np.empty((batch, n)) if job.record_times else None
         self.rounds = np.zeros(batch, dtype=np.int64)
         self.final_count = np.full(batch, n, dtype=np.int64)
         self.completed = np.zeros(batch, dtype=bool)
         self.completion_time = np.full(batch, np.inf)
+
+    def draw(self, out: np.ndarray, sizes: Optional[np.ndarray] = None) -> np.ndarray:
+        """Fill ``out`` with uniforms for the live trials and return it.
+
+        The pooled generator fills the whole buffer.  Otherwise live trial
+        ``i``'s generator fills row ``i`` of ``out`` or, given ``sizes``,
+        the ``i``-th of the consecutive ``sizes[i]``-long segments of the
+        flat ``out``: exactly the draw its serial run makes.
+        """
+        if self.pooled_rng is not None:
+            self.pooled_rng.random(out=out)
+        elif sizes is None:
+            for rng, row in zip(self.rngs, out):
+                rng.random(out=row)
+        else:
+            stop = 0
+            for rng, size in zip(self.rngs, sizes.tolist()):
+                start, stop = stop, stop + size
+                rng.random(out=out[start:stop])
+        return out
 
     def retire(self, round_index: int) -> Optional[np.ndarray]:
         """Retire the trials this round completed; the kept rows, or ``None``."""
@@ -584,11 +600,12 @@ def _sync_rounds(job: _BatchJob) -> _Outcome:
     """The synchronous round loop.
 
     Per live trial and round the randomness is drawn in the serial
-    engine's order: graph resample (at period boundaries), churn update,
-    burst channel draw, one ``random(n)`` contact block, loss uniforms.
-    The round itself is the backend's ``sync_round_step``; from a dynamic
-    graph's first resample on it is ``sync_round_step_dynamic``, on the
-    contacts a :class:`_TrialGraphs` resolves.
+    engine's order (:meth:`_LiveSet.draw`): graph resample (at period
+    boundaries), churn update, burst channel draw, one ``random(n)``
+    contact block, loss uniforms.  The round itself is the backend's
+    ``sync_round_step``, which resolves the contacts on the shared graph;
+    from a dynamic graph's first resample on, it takes the contacts a
+    :class:`_TrialGraphs` resolved on each trial's own graph instead.
     """
     graph, parts, kern, metrics = job.graph, job.parts, job.kern, job.metrics
     pooled_rng = job.pooled_rng
@@ -614,7 +631,7 @@ def _sync_rounds(job: _BatchJob) -> _Outcome:
     pull_allowed = mode in ("pull", "push-pull")
     push_allowed = mode in ("push", "push-pull")
 
-    live_set = _LiveSet(n, job.sources, job.generators, job.record_times)
+    live_set = _LiveSet(job)
     # Contact-draw buffer (sliced to the live row count) plus the backend's
     # own round workspace (the numpy kernels preallocate their per-round
     # temporaries there; the jit kernels need none).
@@ -629,6 +646,7 @@ def _sync_rounds(job: _BatchJob) -> _Outcome:
     parts.init_adaptive(graph, batch)
     churn_buf = np.empty((batch, n)) if parts.churn_updates else None
     loss_buf = np.empty((batch, n)) if parts.lossy else None
+    burst_buf = np.empty((batch, 1)) if burst is not None else None
     bad_live = np.zeros(batch, dtype=bool) if burst is not None else None
     trial_graphs: Optional[_TrialGraphs] = None
 
@@ -647,13 +665,7 @@ def _sync_rounds(job: _BatchJob) -> _Outcome:
                 rng_i = pooled_rng if pooled_rng is not None else live_rngs[i]
                 trial_graphs.resample(row, dynamic, rng_i)
         if parts.churn_updates:
-            churn_draws = churn_buf[:live]
-            if pooled_rng is not None:
-                pooled_rng.random(out=churn_draws)
-            else:
-                for i in range(live):
-                    live_rngs[i].random(out=churn_draws[i])
-            up_live = churn.step(up_live, churn_draws)
+            up_live = churn.step(up_live, live_set.draw(churn_buf[:live]))
         elif parts.adaptive_churn:
             # Deterministic crash on each trial's round-start informed set —
             # no draw, so the per-trial RNG streams match the oblivious
@@ -663,45 +675,27 @@ def _sync_rounds(job: _BatchJob) -> _Outcome:
                     up_live[i], informed_live[i], parts.crash_order, parts.crash_budget[i]
                 )
         if burst is not None:
-            if pooled_rng is not None:
-                burst_draws = pooled_rng.random(live)
-            else:
-                # One scalar channel draw per live trial per round — the
-                # exact draw the serial engine makes.
-                burst_draws = np.array([live_rngs[i].random() for i in range(live)])
-            bad_live = burst.step_state(bad_live, burst_draws)
-        draws = scratch[:live]
-        if pooled_rng is not None:
-            pooled_rng.random(out=draws)
-        else:
-            for i in range(live):
-                # One rng.random(n) per live trial per round — the exact draw
-                # the serial engine makes, so per-trial streams stay aligned.
-                live_rngs[i].random(out=draws[i])
+            # One channel draw per live trial per round.
+            bad_live = burst.step_state(bad_live, live_set.draw(burst_buf[:live])[:, 0])
+        draws = live_set.draw(scratch[:live])
         contacts = None
         if trial_graphs is not None:
-            contacts = trial_graphs.callees(live_set.ids[:, None], np.arange(n), draws)
+            ids = live_set.ids[:, None]
+            contacts = trial_graphs.callees_at(
+                ids * n + np.arange(n), ids * trial_graphs.width, draws
+            )
         # Loss uniforms are the round's final draw (after the contacts),
         # resolved into the `kept` mask before the kernel runs — the draw
         # order is what serial equivalence pins, not where the mask is used.
         kept = None
         if parts.lossy:
-            loss_draws = loss_buf[:live]
-            if pooled_rng is not None:
-                pooled_rng.random(out=loss_draws)
-            else:
-                for i in range(live):
-                    live_rngs[i].random(out=loss_draws[i])
+            loss_draws = live_set.draw(loss_buf[:live])
             if parts.adaptive_loss is not None:
                 # Resolve the round's contacts early (the same arithmetic the
                 # kernel applies) so the jammer can see which exchanges would
                 # transmit; the budget is spent in vertex-id order per trial,
                 # matching the serial engine.
-                callees = contacts
-                if callees is None:
-                    offsets = (draws * degrees_nw).astype(np.int64)
-                    np.minimum(offsets, max_offset_nw, out=offsets)
-                    callees = indices_nw[start_nw + offsets]
+                callees = flat.random_neighbors_all(draws) if contacts is None else contacts
                 contacted = np.take_along_axis(informed_live, callees, axis=1)
                 if mode == "push-pull":
                     informative = informed_live != contacted
@@ -735,18 +729,11 @@ def _sync_rounds(job: _BatchJob) -> _Outcome:
                 # Only the callers that are up attempt a contact to lose.
                 lost = ~kept if up_live is None else up_live & ~kept
                 metrics.count("engine.messages_lost", int(np.count_nonzero(lost)))
-        if contacts is not None:
-            live_set.count = kern.sync_round_step_dynamic(
-                contacts, kept, up_live,
-                informed_live, live_set.times, round_index,
-                push_allowed, pull_allowed, ws, live_set.count,
-            )
-        else:
-            live_set.count = kern.sync_round_step(
-                csr_nw, draws, kept, up_live,
-                informed_live, live_set.times, round_index,
-                push_allowed, pull_allowed, ws, live_set.count,
-            )
+        live_set.count = kern.sync_round_step(
+            csr_nw, draws, contacts, kept, up_live,
+            informed_live, live_set.times, round_index,
+            push_allowed, pull_allowed, ws, live_set.count,
+        )
         keep = live_set.retire(round_index)
         if keep is not None:
             if up_live is not None:
@@ -801,7 +788,7 @@ def _aux_rounds(job: _BatchJob) -> _Outcome:
     flat = flat_adjacency(graph)
     degrees = flat.degrees
 
-    live_set = _LiveSet(n, job.sources, job.generators, job.record_times)
+    live_set = _LiveSet(job)
     # nbr_count[i, v] = |{w in Γ(v): w informed}| in trial i (round start).
     nbr_count = np.zeros((batch, n), dtype=np.int64)
     _bump_neighbor_counts(nbr_count.reshape(-1), live_set.ids, job.sources, flat, n)
@@ -812,20 +799,11 @@ def _aux_rounds(job: _BatchJob) -> _Outcome:
         live = live_set.ids.size
         live_rngs = live_set.rngs
         informed_live = live_set.informed
-        informed_live_count = live_set.count
 
         # --- Push half: every informed vertex contacts a random neighbor. ---
         rows_p, verts_p = np.nonzero(informed_live)  # row-major = serial's vertex order
-        push_u = np.empty(rows_p.size)
-        if pooled_rng is not None:
-            pooled_rng.random(out=push_u)
-        else:
-            stop = 0
-            for i in range(live):
-                # One rng.random(k_informed) per live trial per round — the
-                # exact draw the serial engine makes.
-                start, stop = stop, stop + int(informed_live_count[i])
-                live_rngs[i].random(out=push_u[start:stop])
+        # One random(k_informed) per live trial.
+        push_u = live_set.draw(np.empty(rows_p.size), live_set.count)
         contacts = flat.random_neighbors(verts_p, push_u)
         informed_flat = informed_live.reshape(-1)
         hit = ~informed_flat[rows_p * n + contacts]
@@ -834,15 +812,7 @@ def _aux_rounds(job: _BatchJob) -> _Outcome:
 
         # --- Pull half: uninformed vertices pull with the variant's probability. ---
         rows_c, verts_c = np.nonzero(~informed_live & (nbr_count > 0))
-        cand_counts = np.bincount(rows_c, minlength=live)
-        pull_u = np.empty(rows_c.size)
-        if pooled_rng is not None:
-            pooled_rng.random(out=pull_u)
-        else:
-            stop = 0
-            for i in range(live):
-                start, stop = stop, stop + int(cand_counts[i])
-                live_rngs[i].random(out=pull_u[start:stop])
+        pull_u = live_set.draw(np.empty(rows_c.size), np.bincount(rows_c, minlength=live))
         k = nbr_count[rows_c, verts_c]
         pulled = pull_u < pull_probabilities(variant, k, degrees[verts_c])
         pull_rows = rows_c[pulled]

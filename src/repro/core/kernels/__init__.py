@@ -4,7 +4,10 @@ The batched Monte Carlo engine separates *orchestration* (validation,
 scenario unpacking, RNG stream management, result assembly — all of which
 stays in :mod:`repro.core.batch_engine`) from the *hot loops* that consume
 the pre-drawn randomness: the synchronous round step and the asynchronous
-block consumer.  Every asynchronous body feeds that one consumer whole
+block consumer.  Each backend has one round step, ``sync_round_step``: it
+resolves every caller's contact on the shared CSR or takes the contacts the
+engine resolved on each trial's own dynamic graph, then runs the same
+exchange.  Every asynchronous body feeds the one block consumer whole
 blocks of ticks: the per-trial ``"global"`` view through its backend's
 ``async_tick_loop`` (one block per refill of
 :meth:`AsyncState.refills`), the pooled chunks (all three views) and the

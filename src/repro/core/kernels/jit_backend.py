@@ -6,8 +6,11 @@ consume exactly the randomness the engine pre-drew (contact uniforms per
 round, the tick blocks of the asynchronous bodies) and are deterministic
 given it, so:
 
-* **Sync rounds** are bit-identical to the numpy backend (and therefore to
-  the serial engines).
+* **Sync rounds** go to one compiled loop (``_sync_round``), which resolves
+  each caller's contact from its uniform on the shared CSR or, under a
+  dynamic graph, takes the contacts the engine resolved on each trial's own
+  graph.  It is bit-identical to the numpy backend (and therefore to the
+  serial engines).
 * **Asynchronous blocks** go to one compiled column drain
   (``_clock_drain``): every refill of the per-trial global view
   (:meth:`~repro.core.kernels.AsyncState.refills`) through
@@ -74,11 +77,8 @@ def _compile(fn: Callable[..., None]) -> Callable[..., None]:
 # concrete array argument even when the matching has_* flag is False).
 _B2 = np.zeros((0, 0), dtype=bool)
 _F2 = np.zeros((0, 0), dtype=np.float64)
+_I2 = np.zeros((0, 0), dtype=np.int64)
 _I64 = np.zeros(0, dtype=np.int64)
-
-
-def warmup() -> None:
-    """Compilation happens through the engine calls of ``warmup_kernels``."""
 
 
 # ---------------------------------------------------------------------- #
@@ -86,7 +86,7 @@ def warmup() -> None:
 # ---------------------------------------------------------------------- #
 def _sync_round_impl(
     degrees: np.ndarray, start: np.ndarray, indices: np.ndarray,
-    draws: np.ndarray, informed: np.ndarray,
+    draws: np.ndarray, contacts: np.ndarray, has_contacts: bool, informed: np.ndarray,
     times: np.ndarray, has_times: bool, kept: np.ndarray, has_kept: bool,
     up: np.ndarray, has_up: bool,
     round_time: float, push_allowed: bool, pull_allowed: bool,
@@ -98,44 +98,14 @@ def _sync_round_impl(
         for v in range(n):
             snapshot[v] = informed[i, v]
         for v in range(n):
-            deg = degrees[v]
-            off = int(draws[i, v] * deg)
-            if off > deg - 1:
-                off = deg - 1
-            contact = indices[start[v] + off]
-            if has_up and not (up[i, v] and up[i, contact]):
-                continue
-            if has_kept and not kept[i, v]:
-                continue
-            if pull_allowed and not snapshot[v] and snapshot[contact]:
-                if not informed[i, v]:
-                    informed[i, v] = True
-                    counts[i] += 1
-                if has_times:
-                    times[i, v] = round_time
-            if push_allowed and snapshot[v] and not snapshot[contact]:
-                if not informed[i, contact]:
-                    informed[i, contact] = True
-                    counts[i] += 1
-                if has_times:
-                    times[i, contact] = round_time
-
-
-def _sync_round_contacts_impl(
-    contacts: np.ndarray, informed: np.ndarray,
-    times: np.ndarray, has_times: bool, kept: np.ndarray, has_kept: bool,
-    up: np.ndarray, has_up: bool,
-    round_time: float, push_allowed: bool, pull_allowed: bool,
-    counts: np.ndarray,
-) -> None:
-    # As _sync_round_impl, on the (live, n) contacts the engine resolved.
-    live, n = contacts.shape
-    snapshot = np.empty(n, dtype=np.bool_)
-    for i in range(live):
-        for v in range(n):
-            snapshot[v] = informed[i, v]
-        for v in range(n):
-            contact = contacts[i, v]
+            if has_contacts:
+                contact = contacts[i, v]
+            else:
+                deg = degrees[v]
+                off = int(draws[i, v] * deg)
+                if off > deg - 1:
+                    off = deg - 1
+                contact = indices[start[v] + off]
             if has_up and not (up[i, v] and up[i, contact]):
                 continue
             if has_kept and not kept[i, v]:
@@ -155,7 +125,6 @@ def _sync_round_contacts_impl(
 
 
 _sync_round = _compile(_sync_round_impl)
-_sync_round_contacts = _compile(_sync_round_contacts_impl)
 
 
 def sync_workspace(batch: int, n: int, idx_dtype: type) -> None:
@@ -166,6 +135,7 @@ def sync_workspace(batch: int, n: int, idx_dtype: type) -> None:
 def sync_round_step(
     csr: tuple,
     draws: np.ndarray,
+    contacts: Optional[np.ndarray],
     kept: Optional[np.ndarray],
     up_live: Optional[np.ndarray],
     informed_live: np.ndarray,
@@ -179,30 +149,9 @@ def sync_round_step(
     degrees, _max_offset, start, indices = csr
     new_counts = counts.copy()
     _sync_round(
-        degrees, start, indices, draws, informed_live,
-        times_live if times_live is not None else _F2, times_live is not None,
-        np.ascontiguousarray(kept) if kept is not None else _B2, kept is not None,
-        np.ascontiguousarray(up_live) if up_live is not None else _B2, up_live is not None,
-        float(round_index), bool(push_allowed), bool(pull_allowed), new_counts,
-    )
-    return new_counts
-
-
-def sync_round_step_dynamic(
-    contacts: np.ndarray,
-    kept: Optional[np.ndarray],
-    up_live: Optional[np.ndarray],
-    informed_live: np.ndarray,
-    times_live: Optional[np.ndarray],
-    round_index: int,
-    push_allowed: bool,
-    pull_allowed: bool,
-    ws: None,
-    counts: np.ndarray,
-) -> np.ndarray:
-    new_counts = counts.copy()
-    _sync_round_contacts(
-        contacts, informed_live,
+        degrees, start, indices, draws,
+        np.ascontiguousarray(contacts, dtype=np.int64) if contacts is not None else _I2,
+        contacts is not None, informed_live,
         times_live if times_live is not None else _F2, times_live is not None,
         np.ascontiguousarray(kept) if kept is not None else _B2, kept is not None,
         np.ascontiguousarray(up_live) if up_live is not None else _B2, up_live is not None,

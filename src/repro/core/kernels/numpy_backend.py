@@ -8,9 +8,10 @@ in ``S ∪ N(S)`` for ``S`` the trial's smaller status class.  A wide round
 (at least ``_FRONTIER_MIN_CELLS`` cells) whose ``vol(S) + |S|`` is at most
 ``live * n / _FRONTIER_SHARE`` resolves only those callers, reading the
 draws and the loss and up masks there alone, and adds the new vertices to
-the round-start counts.  Every other round falls back to the full-width
-exchange of every caller.  Both paths give the same result, and neither
-changes what is drawn.
+the round-start counts.  Every other round, and every round whose contacts
+the engine resolved on each trial's own graph (a dynamic graph), takes the
+full-width exchange of every caller.  Both paths give the same result, and
+neither changes what is drawn.
 
 Every asynchronous block goes to one consumer (:class:`_TickColumns`):
 ``async_tick_loop`` hands it each refill of the global view
@@ -57,10 +58,6 @@ BACKEND_NAME = "numpy"
 #: block buffer at ``(live, _BLOCK_TICKS)`` and the work wasted when trials
 #: retire early in a block.
 _BLOCK_TICKS = 256
-
-
-def warmup() -> None:
-    """Nothing to compile: the numpy kernels are ready at import."""
 
 
 # ---------------------------------------------------------------------- #
@@ -116,8 +113,85 @@ def sync_workspace(batch: int, n: int, idx_dtype: type) -> SyncWorkspace:
     return SyncWorkspace(batch, n, idx_dtype)
 
 
-def _exchange(
-    contact_flat: np.ndarray,
+def sync_round_step(
+    csr: tuple,
+    draws: np.ndarray,
+    contacts: Optional[np.ndarray],
+    kept: Optional[np.ndarray],
+    up_live: Optional[np.ndarray],
+    informed_live: np.ndarray,
+    times_live: Optional[np.ndarray],
+    round_index: int,
+    push_allowed: bool,
+    pull_allowed: bool,
+    ws: SyncWorkspace,
+    counts: np.ndarray,
+) -> np.ndarray:
+    """One synchronous round of the live trials.
+
+    ``csr`` is the engine's narrow ``(degrees, max_offset, start, indices)``
+    tuple of the shared graph; ``draws`` the round's ``(live, n)`` contact
+    uniforms; ``contacts`` ``None``, or the ``(live, n)`` callees the engine
+    already resolved from ``draws`` on each trial's own graph (a dynamic
+    graph after its first resample); ``kept`` the precomputed loss mask (or
+    ``None``); ``counts`` the per-trial informed counts at round start.
+    Mutates ``informed_live`` / ``times_live`` in place and returns the new
+    per-trial informed counts.
+
+    A contact informs only when it joins an informed vertex and an
+    uninformed one, so its caller lies in ``S ∪ N(S)``, where ``S`` is the
+    trial's smaller status class.  A wide round on the shared graph whose
+    ``S`` is small resolves only those callers (:func:`_frontier_round`) and
+    adds the new vertices to ``counts``; every other round takes every
+    caller's contact (:func:`_full_round`) and recounts.  The frontier is
+    taken when ``contacts`` is ``None``, the round has at least
+    ``_FRONTIER_MIN_CELLS`` cells and ``vol(S) + |S|``, summed over the live
+    trials, is at most ``live * n / _FRONTIER_SHARE``.  The choice reads no
+    draw, and every path gives the same result.
+    """
+    if contacts is None and informed_live.size >= _FRONTIER_MIN_CELLS:
+        smaller = _frontier_class(csr[0], informed_live, counts, ws)
+        if smaller is not None:
+            return _frontier_round(
+                csr, smaller, draws, kept, up_live, informed_live, times_live,
+                round_index, push_allowed, pull_allowed, ws, counts,
+            )
+    return _full_round(
+        csr, draws, contacts, kept, up_live, informed_live, times_live,
+        round_index, push_allowed, pull_allowed, ws,
+    )
+
+
+def _frontier_class(
+    degrees: np.ndarray, informed_live: np.ndarray, counts: np.ndarray, ws: SyncWorkspace
+) -> Optional[np.ndarray]:
+    """``S`` for :func:`_frontier_round`, or ``None`` when the round is too wide.
+
+    ``counts`` gives ``|S|`` and the degree range bounds ``vol(S)`` on both
+    sides, so the informed matrix is scanned only when the lower bound
+    passes, and the exact volume is summed only when the bounds straddle the
+    threshold (never on a regular graph).
+    """
+    live, n = informed_live.shape
+    cells = live * n
+    if ws.degree_range is None:
+        ws.degree_range = (int(degrees.min()), int(degrees.max()))
+    low, high = ws.degree_range
+    size = int(np.minimum(counts, n - counts).sum())
+    if _FRONTIER_SHARE * size * (low + 1) > cells:
+        return None
+    smaller = _smaller_class(informed_live, counts, ws)
+    if _FRONTIER_SHARE * size * (high + 1) > cells:
+        volume = int(degrees.take(smaller % n).sum())
+        if _FRONTIER_SHARE * (size + volume) > cells:
+            return None
+    return smaller
+
+
+def _full_round(
+    csr: tuple,
+    draws: np.ndarray,
+    contacts: Optional[np.ndarray],
     kept: Optional[np.ndarray],
     up_live: Optional[np.ndarray],
     informed_live: np.ndarray,
@@ -127,8 +201,26 @@ def _exchange(
     pull_allowed: bool,
     ws: SyncWorkspace,
 ) -> np.ndarray:
-    """The round-snapshot push/pull exchange shared by both contact paths."""
+    """The full-width round: every caller's contact (given in ``contacts``,
+    or resolved from its draw on the shared CSR), then the round-snapshot
+    push/pull exchange."""
     live = informed_live.shape[0]
+    contact_flat = ws.contact[:live]
+    if contacts is None:
+        # Contact selection, identical arithmetic to
+        # FlatAdjacency.random_neighbors_all but on narrow dtypes (the
+        # unsafe cast truncates toward zero exactly like .astype, and the
+        # 'clip' take mode skips bounds checks on indices that are in
+        # range by construction).
+        degrees_nw, max_offset_nw, start_nw, indices_nw = csr
+        offsets = ws.offsets[:live]
+        np.multiply(draws, degrees_nw, out=offsets, casting="unsafe")
+        np.minimum(offsets, max_offset_nw, out=offsets)
+        offsets += start_nw
+        contacts = np.take(indices_nw, offsets, out=contact_flat, mode="clip")
+    # The flat index of each contacted vertex.
+    np.add(contacts, ws.row_offsets[:live], out=contact_flat, casting="unsafe")
+
     informed_flat = informed_live.reshape(-1)
     contacted_informed = ws.contacted[:live]
     np.take(informed_flat, contact_flat, out=contacted_informed, mode="clip")
@@ -173,109 +265,6 @@ def _exchange(
         informed_flat[push_targets] = True
 
     return informed_live.sum(axis=1)
-
-
-def sync_round_step(
-    csr: tuple,
-    draws: np.ndarray,
-    kept: Optional[np.ndarray],
-    up_live: Optional[np.ndarray],
-    informed_live: np.ndarray,
-    times_live: Optional[np.ndarray],
-    round_index: int,
-    push_allowed: bool,
-    pull_allowed: bool,
-    ws: SyncWorkspace,
-    counts: np.ndarray,
-) -> np.ndarray:
-    """One synchronous round over the shared static CSR.
-
-    ``csr`` is the engine's narrow ``(degrees, max_offset, start, indices)``
-    tuple; ``draws`` the round's ``(live, n)`` contact uniforms; ``kept``
-    the precomputed loss mask (or ``None``); ``counts`` the per-trial
-    informed counts at round start.  Mutates ``informed_live`` /
-    ``times_live`` in place and returns the new per-trial informed counts.
-
-    A contact informs only when it joins an informed vertex and an
-    uninformed one, so its caller lies in ``S ∪ N(S)``, where ``S`` is the
-    trial's smaller status class.  A wide round whose ``S`` is small
-    resolves only those callers (:func:`_frontier_round`) and adds the new
-    vertices to ``counts``; every other round resolves every caller
-    (:func:`_full_round`) and recounts.  The frontier is taken when the
-    round has at least ``_FRONTIER_MIN_CELLS`` cells and ``vol(S) + |S|``,
-    summed over the live trials, is at most ``live * n / _FRONTIER_SHARE``.
-    The choice reads no draw, and both paths give the same result.
-    """
-    if informed_live.size >= _FRONTIER_MIN_CELLS:
-        smaller = _frontier_class(csr[0], informed_live, counts, ws)
-        if smaller is not None:
-            return _frontier_round(
-                csr, smaller, draws, kept, up_live, informed_live, times_live,
-                round_index, push_allowed, pull_allowed, ws, counts,
-            )
-    return _full_round(
-        csr, draws, kept, up_live, informed_live, times_live,
-        round_index, push_allowed, pull_allowed, ws,
-    )
-
-
-def _frontier_class(
-    degrees: np.ndarray, informed_live: np.ndarray, counts: np.ndarray, ws: SyncWorkspace
-) -> Optional[np.ndarray]:
-    """``S`` for :func:`_frontier_round`, or ``None`` when the round is too wide.
-
-    ``counts`` gives ``|S|`` and the degree range bounds ``vol(S)`` on both
-    sides, so the informed matrix is scanned only when the lower bound
-    passes, and the exact volume is summed only when the bounds straddle the
-    threshold (never on a regular graph).
-    """
-    live, n = informed_live.shape
-    cells = live * n
-    if ws.degree_range is None:
-        ws.degree_range = (int(degrees.min()), int(degrees.max()))
-    low, high = ws.degree_range
-    size = int(np.minimum(counts, n - counts).sum())
-    if _FRONTIER_SHARE * size * (low + 1) > cells:
-        return None
-    smaller = _smaller_class(informed_live, counts, ws)
-    if _FRONTIER_SHARE * size * (high + 1) > cells:
-        volume = int(degrees.take(smaller % n).sum())
-        if _FRONTIER_SHARE * (size + volume) > cells:
-            return None
-    return smaller
-
-
-def _full_round(
-    csr: tuple,
-    draws: np.ndarray,
-    kept: Optional[np.ndarray],
-    up_live: Optional[np.ndarray],
-    informed_live: np.ndarray,
-    times_live: Optional[np.ndarray],
-    round_index: int,
-    push_allowed: bool,
-    pull_allowed: bool,
-    ws: SyncWorkspace,
-) -> np.ndarray:
-    """The full-width round: every caller's contact, then :func:`_exchange`."""
-    degrees_nw, max_offset_nw, start_nw, indices_nw = csr
-    live = draws.shape[0]
-    # Contact selection, identical arithmetic to
-    # FlatAdjacency.random_neighbors_all but on narrow dtypes (the
-    # unsafe cast truncates toward zero exactly like .astype, and the
-    # 'clip' take mode skips bounds checks on indices that are in
-    # range by construction).
-    offsets = ws.offsets[:live]
-    np.multiply(draws, degrees_nw, out=offsets, casting="unsafe")
-    np.minimum(offsets, max_offset_nw, out=offsets)
-    offsets += start_nw
-    contact_flat = ws.contact[:live]
-    np.take(indices_nw, offsets, out=contact_flat, mode="clip")
-    contact_flat += ws.row_offsets[:live]  # flat index of each contacted vertex
-    return _exchange(
-        contact_flat, kept, up_live, informed_live, times_live,
-        round_index, push_allowed, pull_allowed, ws,
-    )
 
 
 def _smaller_class(
@@ -368,31 +357,6 @@ def _frontier_round(
             times_live.reshape(-1)[targets] = float(round_index)
     fresh = callers[informed_flat.take(callers) > caller_informed]
     return counts + np.bincount(fresh // n, minlength=live)
-
-
-def sync_round_step_dynamic(
-    contacts: np.ndarray,
-    kept: Optional[np.ndarray],
-    up_live: Optional[np.ndarray],
-    informed_live: np.ndarray,
-    times_live: Optional[np.ndarray],
-    round_index: int,
-    push_allowed: bool,
-    pull_allowed: bool,
-    ws: SyncWorkspace,
-    counts: np.ndarray,
-) -> np.ndarray:
-    """One synchronous round on contacts the engine resolved (dynamic graphs).
-
-    ``contacts[i, v]`` is the vertex live trial ``i``'s vertex ``v``
-    contacts this round, drawn on that trial's current graph; the exchange
-    is :func:`sync_round_step`'s.
-    """
-    contact_flat = contacts + ws.row_offsets[: contacts.shape[0]]
-    return _exchange(
-        contact_flat, kept, up_live, informed_live, times_live,
-        round_index, push_allowed, pull_allowed, ws,
-    )
 
 
 # ---------------------------------------------------------------------- #

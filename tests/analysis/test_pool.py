@@ -271,8 +271,7 @@ class TestTeardown:
         # A pinned segment (an in-flight call from another thread) must not
         # be LRU-evicted by a concurrent sweep registering many graphs.
         pinned_graph = random_regular_graph(16, 3, seed=99)
-        pinned_name = shm.share_graph(pinned_graph)
-        shm.pin_segment(pinned_name)
+        pinned_name = shm.share_graph(pinned_graph, pin=True)
         try:
             others = [
                 random_regular_graph(16, 3, seed=s)

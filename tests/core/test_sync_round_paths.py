@@ -1,28 +1,46 @@
-"""The two paths of the numpy synchronous round step agree.
+"""The paths of the synchronous round step agree.
 
-``sync_round_step`` resolves a wide round whose smaller status class ``S``
-is small on the callers in ``S ∪ N(S)`` only (``_frontier_round``), and
-every other round on every caller (``_full_round``).  An informative
-contact joins an informed and an uninformed vertex, so its caller lies in
-``S ∪ N(S)`` whichever class ``S`` is.  These tests drive both paths
-directly on random round states, independently of any serial replay: rows
-with a single informed or a single uninformed vertex, loss and up masks or
-none, every protocol, times recorded or not.  Both paths must leave the
-same informed matrix and times and return the same counts.
+The numpy ``sync_round_step`` resolves a wide round whose smaller status
+class ``S`` is small on the callers in ``S ∪ N(S)`` only
+(``_frontier_round``), and every other round on every caller
+(``_full_round``).  An informative contact joins an informed and an
+uninformed vertex, so its caller lies in ``S ∪ N(S)`` whichever class ``S``
+is.  Under a dynamic graph the engine resolves the contacts itself and
+hands them to the same kernel, on both backends.  These tests drive the
+paths directly on random round states, independently of any serial replay:
+rows with a single informed or a single uninformed vertex, loss and up
+masks or none, every protocol, times recorded or not.  Every path must
+leave the same informed matrix and times and return the same counts.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.batch_engine import run_batch
 from repro.core.flatgraph import flat_adjacency
-from repro.core.kernels import numpy_backend
-from repro.graphs import cycle_graph, star_graph
+from repro.core.kernels import jit_backend, numpy_backend
+from repro.graphs import complete_graph, cycle_graph, star_graph
 from repro.graphs.random_graphs import connected_erdos_renyi_graph, random_regular_graph
+from repro.scenarios import DynamicGraph, FamilyResampler
 
 MODES = {"push": (True, False), "pull": (False, True), "pp": (True, True)}
+
+#: The kernel modules themselves: the jit loops run uncompiled when numba
+#: is absent and ``REPRO_JIT_PURE_PYTHON=1`` is set.
+BACKENDS = [
+    pytest.param(numpy_backend, id="numpy"),
+    pytest.param(
+        jit_backend,
+        id="jit",
+        marks=pytest.mark.skipif(
+            not jit_backend.is_available(), reason="numba absent and REPRO_JIT_PURE_PYTHON unset"
+        ),
+    ),
+]
 
 
 def _narrow_csr(graph) -> tuple:
@@ -81,7 +99,7 @@ def test_frontier_round_matches_full_round(state):
     full_informed = informed.copy()
     full_times = None if times is None else times.copy()
     full_counts = numpy_backend._full_round(
-        csr, draws, kept, up, full_informed, full_times, 6, push_allowed, pull_allowed, ws
+        csr, draws, None, kept, up, full_informed, full_times, 6, push_allowed, pull_allowed, ws
     )
     frontier_informed = informed.copy()
     frontier_times = None if times is None else times.copy()
@@ -111,3 +129,55 @@ def test_smaller_class_is_the_smaller_status_class(state):
     for row in range(live):
         expected = informed[row] if 2 * counts[row] <= n else ~informed[row]
         assert np.array_equal(vertices[rows == row], np.flatnonzero(expected))
+
+
+@pytest.mark.parametrize("kern", BACKENDS)
+@given(state=round_states())
+@settings(max_examples=100, deadline=None)
+def test_resolved_contacts_match_drawn_contacts(kern, state):
+    # The contacts a dynamic graph's round hands the kernel, resolved here
+    # from the round's own draws on the shared graph, must do exactly what
+    # the kernel does when it resolves them itself.
+    graph, informed, draws, kept, up, times, mode = state
+    push_allowed, pull_allowed = MODES[mode]
+    csr = _narrow_csr(graph)
+    live, n = informed.shape
+    counts = informed.sum(axis=1)
+    outcomes = []
+    for contacts in (None, flat_adjacency(graph).random_neighbors_all(draws)):
+        round_informed = informed.copy()
+        round_times = None if times is None else times.copy()
+        round_counts = kern.sync_round_step(
+            csr, draws, contacts, kept, up, round_informed, round_times, 6,
+            push_allowed, pull_allowed, kern.sync_workspace(live, n, np.int32), counts,
+        )
+        outcomes.append((round_informed, round_times, round_counts))
+    (drawn_informed, drawn_times, drawn_counts), (given_informed, given_times, given_counts) = (
+        outcomes
+    )
+
+    assert np.array_equal(given_informed, drawn_informed)
+    if times is not None:
+        assert np.array_equal(given_times, drawn_times)
+    assert np.array_equal(given_counts, drawn_counts)
+    assert np.array_equal(drawn_counts, drawn_informed.sum(axis=1))
+
+
+def test_dynamic_graph_rounds_reach_the_traced_entry(monkeypatch):
+    # A tracer that wraps the numpy `sync_round_step` by name must see every
+    # round, the rounds on resampled graphs included.
+    step = numpy_backend.sync_round_step
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(numpy_backend, "sync_round_step", counted)
+    result = run_batch(
+        complete_graph(16), 0, "push", trials=6, seed=11,
+        scenario=DynamicGraph(FamilyResampler("erdos_renyi"), period=1),
+        backend="numpy",
+    )
+    assert result.rounds.max() > 2
+    assert len(calls) == result.rounds.max()

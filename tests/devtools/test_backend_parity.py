@@ -64,7 +64,7 @@ def test_changed_default_is_flagged(kernel_pair):
 
 
 def test_removed_public_kernel_is_flagged(kernel_pair):
-    perturb(kernel_pair, r"\ndef warmup\(", "\ndef _warmup_hidden(")
+    perturb(kernel_pair, r"\ndef async_tick_loop\(", "\ndef _async_tick_loop_hidden(")
     found = lint_jit(kernel_pair)
     assert [d.code for d in found] == ["PAR001"]
-    assert "`warmup`" in found[0].message
+    assert "`async_tick_loop`" in found[0].message
